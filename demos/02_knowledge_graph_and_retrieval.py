@@ -25,7 +25,8 @@ print("parsed triples:", triples)
 
 graph = build_graph(triples, feature_dim=8, seed=11)
 print("\nnodes in first-appearance order:", graph.node_ids)
-print("adjacency row sums:", graph.adjacency.data.sum(axis=1).round(9))
+adjacency = graph.adjacency  # sparse: row i's entries are values[indptr[i]:indptr[i+1]]
+print("adjacency row sums:", np.add.reduceat(adjacency.values, adjacency.indptr[:-1]).round(9))
 print("stats:", subgraph_stats(graph))
 
 params = GnnParams(

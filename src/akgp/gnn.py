@@ -2,7 +2,9 @@
 
 Two rounds of mean-style message passing over the row-normalized adjacency:
 a relu hidden layer followed by a linear output layer, so the embedding
-geometry stays unconstrained for cosine retrieval downstream.
+geometry stays unconstrained for cosine retrieval downstream. Propagation
+multiplies by the sparse CSR adjacency (:func:`akgp.tensor.spmm`), so a
+layer costs time and memory in proportion to the edge count, not N×N.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kg import KnowledgeGraph
-from .tensor import Tensor, add, matmul, relu, tanh_act
+from .tensor import CsrMatrix, Tensor, add, matmul, relu, spmm, tanh_act
 
 
 @dataclass
@@ -33,12 +35,12 @@ _ACTIVATIONS = {
 }
 
 
-def gnn_layer(adjacency: Tensor, features: Tensor, weight: Tensor, bias: Tensor,
+def gnn_layer(adjacency: CsrMatrix, features: Tensor, weight: Tensor, bias: Tensor,
               activation: str = "identity") -> Tensor:
     """One propagation step: activation(A @ H @ W + b), bias per row."""
     if activation not in _ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    mixed = matmul(matmul(adjacency, features), weight)
+    mixed = matmul(spmm(adjacency, features), weight)
     return _ACTIVATIONS[activation](add(mixed, bias))
 
 

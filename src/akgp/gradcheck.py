@@ -58,6 +58,11 @@ def _op_cases():
         return build
 
     idx_pairs = [[0, 3], [5, 5], [2, 1]]
+    # a star on "hub" plus a chain hanging off one leaf: degrees 4, 3, 2 and
+    # 1 differ, so the row-normalized matrix is far from symmetric
+    star_chain = build_graph(
+        [("hub", "r", leaf) for leaf in "abcd"] + [("a", "r", "x"), ("x", "r", "y")],
+        feature_dim=1, seed=0).adjacency
     return [
         _case("matmul.left", simple(lambda x, s: T.matmul(x, _rand([4, 3], s + 1)), [5, 4])),
         _case("matmul.right", simple(lambda x, s: T.matmul(_rand([5, 4], s + 1), x), [4, 3])),
@@ -69,6 +74,7 @@ def _op_cases():
         _case("concat.left", simple(lambda x, s: T.concat(x, _rand([3, 2], s + 1)), [3, 4])),
         _case("concat.right", simple(lambda x, s: T.concat(_rand([3, 2], s + 1), x), [3, 4])),
         _case("reshape", simple(lambda x, s: T.reshape(x, [2, 6]), [3, 4])),
+        _case("spmm", simple(lambda x, s: T.spmm(star_chain, x), [7, 3])),
         _case("gather_rows", simple(lambda x, s: T.gather_rows(x, [2, 0, 2, 1]), [4, 3])),
         _case("stack_cols", simple(
             lambda x, s: T.stack_cols([x, _rand([5], s + 1), _rand([5], s + 2)]), [5])),

@@ -1,19 +1,22 @@
 """Knowledge graph ingestion: triple files to adjacency and node features.
 
 Triples arrive as tab-separated ``head<TAB>relation<TAB>tail`` lines. The
-graph is materialized as a symmetric binary adjacency with self-loops,
-row-normalized so each row sums to one, plus a learned node-feature matrix.
-Relations are kept on the triple list but do not type the adjacency.
+graph's adjacency is the symmetric binary edge pattern with self-loops,
+row-normalized so each row sums to one, stored sparse as a row-sorted CSR
+matrix with its transpose (memory grows with the edge count, not N×N), plus
+a learned node-feature matrix. Relations are kept on the triple list but do
+not type the adjacency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .tensor import Tensor, xavier
+from .tensor import CsrMatrix, Tensor, xavier
 
 
 class TripleParseError(ValueError):
@@ -64,7 +67,7 @@ def save_triples(path, triples: Iterable[Triple]) -> None:
 
 @dataclass
 class KnowledgeGraph:
-    """Node store with row-normalized adjacency and trainable features.
+    """Node store with row-normalized sparse adjacency and trainable features.
 
     ``adjacency`` row i sums to 1 (self-loops guarantee no zero row) and
     ``features`` row i is the learned input vector of node i.
@@ -73,9 +76,8 @@ class KnowledgeGraph:
     node_ids: list[str]
     node_index: dict[str, int]
     triples: list[Triple]
-    adjacency: Tensor
+    adjacency: CsrMatrix
     features: Tensor
-    undirected_edges: set[tuple[int, int]] = field(default_factory=set)
 
     @property
     def n_nodes(self) -> int:
@@ -87,33 +89,37 @@ def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> Knowledge
 
     Nodes are indexed in first-appearance order (head before tail). The
     adjacency is the binary symmetric edge matrix plus identity, divided
-    row-wise by degree + 1. Node features are xavier-initialized and marked
-    trainable, since triple files carry no feature information.
+    row-wise by degree + 1, built in CSR form without a dense N×N step.
+    Node features are xavier-initialized and marked trainable, since triple
+    files carry no feature information.
     """
     if not triples:
         raise ValueError("cannot build a graph from an empty triple list")
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
 
-    node_ids: list[str] = []
     node_index: dict[str, int] = {}
-    for head, _, tail in triples:
-        for name in (head, tail):
-            if name not in node_index:
-                node_index[name] = len(node_ids)
-                node_ids.append(name)
-
+    ends = np.array([node_index.setdefault(name, len(node_index))
+                     for head, _, tail in triples for name in (head, tail)],
+                    dtype=np.int64)
+    node_ids = list(node_index)
     n = len(node_ids)
-    binary = np.eye(n)
-    undirected: set[tuple[int, int]] = set()
-    for head, _, tail in triples:
-        i, j = node_index[head], node_index[tail]
-        binary[i, j] = 1.0
-        binary[j, i] = 1.0
-        if i != j:
-            undirected.add((min(i, j), max(i, j)))
 
-    adjacency = Tensor(binary / binary.sum(axis=1, keepdims=True))
+    heads, tails, loops = ends[0::2], ends[1::2], np.arange(n, dtype=np.int64)
+    # one key per distinct (row, col) entry; sorted keys are row-sorted CSR
+    # order. Repeats are dropped by hand because np.unique imports numpy.ma
+    # on first use, which costs a small graph more memory than its adjacency.
+    keys = np.sort(np.concatenate([heads * n + tails, tails * n + heads, loops * (n + 1)]))
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    rows, cols = np.divmod(keys, n)
+    row_nnz = np.bincount(rows, minlength=n)
+    inv = 1.0 / row_nnz
+    adjacency = CsrMatrix(
+        indptr=np.concatenate([[0], np.cumsum(row_nnz)]),
+        indices=cols,
+        values=inv[rows],
+        values_t=inv[cols],
+    )
     features = xavier([n, feature_dim], seed).requires_grad_(True)
     return KnowledgeGraph(
         node_ids=node_ids,
@@ -121,22 +127,16 @@ def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> Knowledge
         triples=list(triples),
         adjacency=adjacency,
         features=features,
-        undirected_edges=undirected,
     )
 
 
 def subgraph_stats(graph: KnowledgeGraph) -> dict:
     """Node/edge counts and degree histogram over deduplicated undirected
     edges, self-loops excluded."""
-    degree = [0] * graph.n_nodes
-    for i, j in graph.undirected_edges:
-        degree[i] += 1
-        degree[j] += 1
-    histogram: dict[int, int] = {}
-    for d in degree:
-        histogram[d] = histogram.get(d, 0) + 1
+    row_nnz = np.diff(graph.adjacency.indptr)
+    degree = row_nnz - 1  # every row stores its self-loop once
     return {
         "n_nodes": graph.n_nodes,
-        "n_edges": len(graph.undirected_edges),
-        "degree_histogram": histogram,
+        "n_edges": int(row_nnz.sum() - graph.n_nodes) // 2,
+        "degree_histogram": dict(Counter(degree.tolist())),
     }

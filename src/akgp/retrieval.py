@@ -117,8 +117,10 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
 
     Each node gets an independent 64-bit key (counter-based expansion of a
     single generator word); the row's positive is masked to the maximum key
-    and the ``count`` smallest remaining keys are the sample. Per row this
-    is exactly uniform without replacement over the non-positive nodes.
+    and the ``count`` smallest remaining keys, in ascending key order, are
+    the sample. Per row this is exactly uniform without replacement over the
+    non-positive nodes. splitmix64 maps distinct counters to distinct words,
+    so no two keys tie and a partial selection equals a full sort's prefix.
     """
     positives = np.asarray(positive_indices, dtype=np.int64)
     if count < 1:
@@ -128,6 +130,8 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
             f"cannot draw {count} negatives from {n_nodes} nodes excluding the positive")
     n_rows = positives.shape[0]
     keys = splitmix64_array(rng.next_u64(), n_rows * n_nodes).reshape(n_rows, n_nodes)
-    keys[np.arange(n_rows), positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    order = np.argsort(keys, axis=1, kind="stable")
-    return order[:, :count].astype(np.int64)
+    rows = np.arange(n_rows)[:, None]
+    keys[rows[:, 0], positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    chosen = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    order = np.argsort(keys[rows, chosen], axis=1, kind="stable")
+    return chosen[rows, order].astype(np.int64)

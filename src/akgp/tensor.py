@@ -1,11 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every differentiable computation in this package is composed from the
-primitives here. Recording works through an explicit :class:`Tape` used as
-a context manager; operations append a record whenever a tape is active and
-any input requires gradients, so inference paths pay no bookkeeping cost.
-Tapes are thread-local: independent training runs may proceed in parallel
-threads without sharing state.
+primitives here, including :func:`spmm`, the product of a constant sparse
+:class:`CsrMatrix` with a dense tensor. Recording works through an explicit
+:class:`Tape` used as a context manager; operations append a record whenever
+a tape is active and any input requires gradients, so inference paths pay no
+bookkeeping cost. Tapes are thread-local: independent training runs may
+proceed in parallel threads without sharing state.
 
 The finite-difference checker :func:`fd_check` is the independent oracle
 for every backward rule and stays deliberately separate from the tape
@@ -362,6 +363,56 @@ def stack_cols(parts: Sequence[Tensor]) -> Tensor:
         return tuple(g[:, j] for j in range(len(parts)))
 
     return _emit(np.stack([p.data for p in parts], axis=1), tuple(parts), bwd)
+
+
+@dataclass
+class CsrMatrix:
+    """Constant square matrix with a symmetric sparsity pattern, stored as
+    row-sorted CSR together with its transpose.
+
+    Row i holds ``values[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``. Because the pattern is symmetric,
+    the transpose has the same ``indptr`` and ``indices``, and ``values_t``
+    holds its entries: ``values_t[k]`` is the entry mirrored across the
+    diagonal from ``values[k]``. Every row must be non-empty: on an empty
+    row :func:`numpy.add.reduceat` returns the next row's first product
+    instead of zero.
+    """
+
+    indptr: np.ndarray   # (n + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    values: np.ndarray   # (nnz,) float64
+    values_t: np.ndarray  # (nnz,) float64
+
+    def __post_init__(self):
+        if np.any(np.diff(self.indptr) < 1):
+            raise ShapeError("every row of a CsrMatrix needs at least one entry")
+
+    @property
+    def n(self) -> int:
+        return self.indptr.shape[0] - 1
+
+
+def _csr_rows(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows of ``M @ x`` where M has the pattern of ``adj`` and ``values``."""
+    products = x.take(adj.indices, axis=0)
+    products *= values[:, None]
+    return np.add.reduceat(products, adj.indptr[:-1], axis=0)
+
+
+def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:
+    """Sparse-dense product ``adj @ x`` for a 2-d ``x``.
+
+    Only ``x`` is an input on the tape: the matrix is constant, so the
+    backward pass computes ``adj.T @ g`` and no gradient for the matrix.
+    """
+    if x.data.ndim != 2 or x.shape[0] != adj.n:
+        raise ShapeError(f"spmm needs a 2-d operand with {adj.n} rows, got {x.shape}")
+
+    def bwd(g):
+        return (_csr_rows(adj, adj.values_t, g),)
+
+    return _emit(_csr_rows(adj, adj.values, x.data), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,36 @@
+"""Dense reference forms of the sparse graph adjacency, for tests only.
+
+``dense_adjacency`` is the original construction (identity, symmetric edge
+set, row divide), kept as the oracle that the CSR build is compared with.
+"""
+
+import numpy as np
+
+from akgp.tensor import CsrMatrix
+
+
+def dense_adjacency(triples, node_index):
+    n = len(node_index)
+    binary = np.eye(n)
+    for head, _, tail in triples:
+        i, j = node_index[head], node_index[tail]
+        binary[i, j] = 1.0
+        binary[j, i] = 1.0
+    return binary / binary.sum(axis=1, keepdims=True)
+
+
+def expand(adj: CsrMatrix, transpose: bool = False) -> np.ndarray:
+    """The dense matrix a CSR stores, or its stored transpose."""
+    n = adj.n
+    dense = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    dense[rows, adj.indices] = adj.values_t if transpose else adj.values
+    return dense
+
+
+def csr_from_dense(dense) -> CsrMatrix:
+    """CSR form of a dense matrix whose nonzero pattern is symmetric."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(dense)  # row-major, so columns ascend per row
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(dense)))])
+    return CsrMatrix(indptr, cols, dense[rows, cols], dense.T[rows, cols])

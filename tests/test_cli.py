@@ -57,6 +57,16 @@ def test_gen_data_deterministic(workdir, tmp_path, capsys):
     assert manifest_without_clock(out2) == manifest_without_clock(workdir["world_dir"])
 
 
+def test_gen_data_default_world_stats(tmp_path, capsys):
+    # the line printed before the adjacency became sparse
+    cfg = tmp_path / "default.json"
+    cfg.write_text("{}")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == (
+        '{"degree_histogram": {"3": 1, "4": 12, "5": 8, "6": 2, "7": 1}, '
+        '"n_edges": 55, "n_nodes": 24}')
+
+
 def test_train_eval_round_trip(workdir, tmp_path, capsys):
     pre = tmp_path / "pre"
     assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from graph_oracle import csr_from_dense, dense_adjacency, expand
 from akgp.gnn import GnnParams, encode_knowledge, gnn_layer
 from akgp.kg import KnowledgeGraph, build_graph
-from akgp.tensor import Tensor, fd_check, from_array, mul, sum_all, uniform, xavier, zeros
+from akgp.tensor import (
+    Tape, Tensor, backward, fd_check, from_array, mul, sum_all, uniform, xavier, zeros,
+)
 
 
 def small_params(d_k, d_h, d_e, seed=0, trainable=False):
@@ -27,22 +30,31 @@ def graph_with_features(triples, features):
     return g
 
 
+def two_node_mean():
+    """The adjacency of one edge a-b, checked against its dense oracle."""
+    triples = [("a", "r", "b")]
+    g = build_graph(triples, feature_dim=1, seed=0)
+    assert np.array_equal(expand(g.adjacency), dense_adjacency(triples, g.node_index))
+    assert np.allclose(expand(g.adjacency), [[0.5, 0.5], [0.5, 0.5]])
+    return g.adjacency
+
+
 def test_layer_identity_propagation():
-    eye = from_array(np.eye(3))
+    eye = csr_from_dense(np.eye(3))
     h = uniform([3, 4], -1, 1, 5)
     out = gnn_layer(eye, h, from_array(np.eye(4)), zeros([4]), "identity")
     assert np.allclose(out.data, h.data)
 
 
 def test_layer_two_node_mean():
-    a = from_array([[0.5, 0.5], [0.5, 0.5]])
+    a = two_node_mean()
     h = from_array([[2.0, 0.0], [0.0, 2.0]])
     out = gnn_layer(a, h, from_array(np.eye(2)), zeros([2]), "identity")
     assert np.allclose(out.data, [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_layer_gradient_matches_fd():
-    a = from_array([[0.5, 0.5], [0.5, 0.5]])
+    a = two_node_mean()
     h = uniform([2, 3], -1, 1, 2)
     b = zeros([4])
 
@@ -74,11 +86,12 @@ def test_permutation_equivariance():
 
     perm = np.array([2, 0, 3, 1])
     pm = np.eye(4)[perm]
+    dense = dense_adjacency(triples, g.node_index)
     permuted = KnowledgeGraph(
         node_ids=[g.node_ids[i] for i in perm],
         node_index={g.node_ids[i]: row for row, i in enumerate(perm)},
         triples=g.triples,
-        adjacency=Tensor(pm @ g.adjacency.data @ pm.T),
+        adjacency=csr_from_dense(pm @ dense @ pm.T),
         features=Tensor(g.features.data[perm]),
     )
     assert np.allclose(encode_knowledge(permuted, p).data, base[perm], atol=1e-9)
@@ -96,7 +109,7 @@ def test_chain_matches_step_by_step_oracle():
     g = build_graph(triples, feature_dim=4, seed=9)
     p = small_params(4, 5, 3, seed=10)
 
-    a, x = g.adjacency.data, g.features.data
+    a, x = dense_adjacency(triples, g.node_index), g.features.data
     h1 = np.maximum(a @ x @ p.w1.data + p.b1.data, 0.0)
     oracle = a @ h1 @ p.w2.data + p.b2.data
     assert np.allclose(encode_knowledge(g, p).data, oracle, atol=1e-12)
@@ -124,4 +137,22 @@ def test_full_gradient_paths_pass_fd():
 
 def test_bad_activation_rejected():
     with pytest.raises(ValueError):
-        gnn_layer(from_array(np.eye(2)), zeros([2, 2]), zeros([2, 2]), zeros([2]), "gelu")
+        gnn_layer(csr_from_dense(np.eye(2)), zeros([2, 2]), zeros([2, 2]), zeros([2]), "gelu")
+
+
+def test_large_chain_stays_sparse():
+    # dense, this adjacency alone would be 20,000^2 float64 = 3.2 GB
+    n = 20_000
+    triples = [(f"n{i}", "r", f"n{i + 1}") for i in range(n - 1)]
+    g = build_graph(triples, feature_dim=4, seed=0)
+    adjacency_bytes = sum(v.nbytes for v in vars(g.adjacency).values()
+                          if isinstance(v, np.ndarray))
+    assert adjacency_bytes < 2_000_000
+    p = small_params(4, 5, 3, seed=13, trainable=True)
+    with Tape() as tape:
+        out = encode_knowledge(g, p)
+        loss = sum_all(mul(out, out))
+    backward(loss, tape)
+    assert out.shape == (n, 3)
+    assert g.features.grad.shape == (n, 4) and np.all(np.isfinite(g.features.grad))
+    assert np.any(p.w1.grad != 0.0)

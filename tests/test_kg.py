@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graph_oracle import dense_adjacency, expand
 from akgp.kg import (
     TripleParseError,
     build_graph,
@@ -41,28 +44,53 @@ def test_serialize_round_trip():
 
 
 def test_build_graph_two_nodes():
-    g = build_graph([("a", "r", "b")], feature_dim=4, seed=1)
+    triples = [("a", "r", "b")]
+    g = build_graph(triples, feature_dim=4, seed=1)
     assert g.node_ids == ["a", "b"]
-    assert np.allclose(g.adjacency.data, [[0.5, 0.5], [0.5, 0.5]])
+    adjacency = expand(g.adjacency)
+    assert np.array_equal(adjacency, dense_adjacency(triples, g.node_index))
+    assert np.allclose(adjacency, [[0.5, 0.5], [0.5, 0.5]])
     assert g.features.shape == (2, 4)
     assert g.features.requires_grad
 
 
 def test_build_graph_self_loop_only():
-    g = build_graph([("a", "r", "a")], feature_dim=2, seed=0)
-    assert g.adjacency.data.tolist() == [[1.0]]
+    triples = [("a", "r", "a")]
+    g = build_graph(triples, feature_dim=2, seed=0)
+    assert dense_adjacency(triples, g.node_index).tolist() == [[1.0]]
+    assert expand(g.adjacency).tolist() == [[1.0]]
 
 
 def test_duplicate_edges_collapse():
     g1 = build_graph([("a", "r", "b")], feature_dim=2, seed=3)
-    g2 = build_graph([("a", "r", "b"), ("a", "s", "b")], feature_dim=2, seed=3)
-    assert np.array_equal(g1.adjacency.data, g2.adjacency.data)
+    triples = [("a", "r", "b"), ("a", "s", "b")]
+    g2 = build_graph(triples, feature_dim=2, seed=3)
+    assert np.array_equal(expand(g2.adjacency), dense_adjacency(triples, g2.node_index))
+    assert np.array_equal(expand(g1.adjacency), expand(g2.adjacency))
 
 
 def test_rows_sum_to_one():
     triples = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("a", "r", "d")]
     g = build_graph(triples, feature_dim=3, seed=5)
-    assert np.allclose(g.adjacency.data.sum(axis=1), 1.0, atol=1e-9)
+    adjacency = expand(g.adjacency)
+    assert np.array_equal(adjacency, dense_adjacency(triples, g.node_index))
+    assert np.allclose(adjacency.sum(axis=1), 1.0, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=40))
+def test_csr_matches_dense_oracle(pairs):
+    # a small name pool makes duplicates, self-loops and both directions common
+    triples = [(f"n{h}", "r", f"n{t}") for h, t in pairs]
+    g = build_graph(triples, feature_dim=1, seed=0)
+    first_seen = list(dict.fromkeys(name for h, _, t in triples for name in (h, t)))
+    assert g.node_ids == first_seen
+    oracle = dense_adjacency(triples, g.node_index)
+    assert np.array_equal(expand(g.adjacency), oracle)
+    assert np.array_equal(expand(g.adjacency, transpose=True), oracle.T)
+    for i in range(g.n_nodes):  # row-sorted: strictly ascending columns per row
+        row = g.adjacency.indices[g.adjacency.indptr[i]:g.adjacency.indptr[i + 1]]
+        assert np.all(np.diff(row) > 0)
 
 
 def test_node_order_deterministic():

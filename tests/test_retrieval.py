@@ -7,8 +7,9 @@ from akgp.retrieval import (
     retrieve_top1,
     retrieve_topk,
     sample_negatives,
+    sample_negatives_batch,
 )
-from akgp.rng import Rng
+from akgp.rng import Rng, splitmix64_array
 from akgp.tensor import (
     Tape,
     Tensor,
@@ -137,6 +138,21 @@ def test_negatives_uniform_frequency():
     freqs = counts[1:] / draws
     assert np.all(np.abs(freqs - 0.1) <= 0.01)
     assert counts[0] == 0
+
+
+@pytest.mark.parametrize("n_nodes,count", [(2, 1), (7, 6), (7, 3), (50, 8), (50, 49)])
+def test_negatives_batch_equals_full_sort(n_nodes, count):
+    # oracle: the former full stable argsort of the same keys
+    for seed in range(60):
+        positives = np.arange(5) * 3 % n_nodes
+        oracle_rng, rng = Rng(seed), Rng(seed)
+        keys = splitmix64_array(oracle_rng.next_u64(), 5 * n_nodes).reshape(5, n_nodes)
+        keys[np.arange(5), positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
+        expected = np.argsort(keys, axis=1, kind="stable")[:, :count]
+        got = sample_negatives_batch(positives, n_nodes, count, rng)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+        assert rng.next_u64() == oracle_rng.next_u64()  # same stream position
 
 
 def test_negatives_too_many_rejected():

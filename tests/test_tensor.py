@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import csr_from_dense
 from akgp.tensor import (
+    CsrMatrix,
     ShapeError,
     Tape,
     TapeError,
@@ -33,6 +35,7 @@ from akgp.tensor import (
     scale,
     sigmoid,
     softmax_row,
+    spmm,
     stack_cols,
     sub,
     sum_all,
@@ -209,6 +212,25 @@ def test_gather_rows_scatter_adds():
         loss = sum_all(gather_rows(x, [0, 2, 0]))
     backward(loss, tape)
     assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
+
+
+def test_spmm_matches_dense_product():
+    # rows normalized by degree + 1, so the matrix is not symmetric
+    dense = np.array([[1 / 3, 1 / 3, 1 / 3], [1 / 2, 1 / 2, 0.0], [1 / 2, 0.0, 1 / 2]])
+    x = Tensor(uniform([3, 2], -1, 1, 4).data, requires_grad=True)
+    w = uniform([3, 2], -1, 1, 5)
+    with Tape() as tape:
+        y = spmm(csr_from_dense(dense), x)
+        loss = sum_all(mul(y, w))
+    assert tape.records[0].inputs == (x,)  # the constant matrix is no tape input
+    backward(loss, tape)
+    assert np.allclose(y.data, dense @ x.data, rtol=0, atol=1e-12)
+    assert np.allclose(x.grad, dense.T @ w.data, rtol=0, atol=1e-12)
+
+
+def test_csr_rejects_empty_row():
+    with pytest.raises(ShapeError):
+        CsrMatrix(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), np.array([1.0]))
 
 
 def test_no_recording_without_tape():
