@@ -7,7 +7,7 @@ import numpy as np
 
 from akgp.gnn import GnnParams, encode_knowledge
 from akgp.kg import build_graph, parse_triples, subgraph_stats
-from akgp.retrieval import retrieve_top1, retrieve_topk, sample_negatives
+from akgp.retrieval import retrieve_top1, retrieve_topk, sample_negatives_batch
 from akgp.rng import Rng
 from akgp.tensor import from_array, xavier, zeros
 
@@ -46,5 +46,5 @@ best = retrieve_top1(query, embeddings)
 print("top-1:", graph.node_ids[best.node_index])
 
 rng = Rng(5)
-negs = sample_negatives(best.node_index, graph.n_nodes, 3, rng)
+negs = sample_negatives_batch([best.node_index], graph.n_nodes, 3, rng)[0]
 print("three negatives for the contrastive loss:", [graph.node_ids[i] for i in negs])

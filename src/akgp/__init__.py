@@ -8,7 +8,7 @@ checkpoints, and a synthetic ablation benchmark.
 
 from .config import ConfigError, TrainConfig, WorldConfig, parse_config
 from .data import Batch, DataError, Example, collate, read_examples, write_examples
-from .encoders import EncoderParams, encode_text, encode_visual, fuse_multimodal
+from .encoders import EncoderParams, encode_visual, fuse_multimodal
 from .fusion import (
     AdaptorParams,
     FreezePolicy,
@@ -40,10 +40,11 @@ from .model import ModelParams, init_model
 from .optim import AdamState, adam_step
 from .retrieval import (
     RetrievalResult,
+    cosine_scores,
     retrieve_top1,
     retrieve_topk,
-    sample_negatives,
     sample_negatives_batch,
+    topk_indices,
 )
 from .rng import Rng, derive_seed
 from .synthbench import (

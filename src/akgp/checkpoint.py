@@ -17,6 +17,7 @@ original file byte for byte.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -69,21 +70,32 @@ def save_checkpoint(path, config_json: str, tensors: dict[str, np.ndarray],
                     opt_buffers: dict[str, np.ndarray], stage: int,
                     epochs_done: int, adam_t: int,
                     rng_state: tuple[int, ...]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        raw = config_json.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, array in tensors.items():
-            _write_record(fh, name, array)
-        fh.write(struct.pack("<I", len(opt_buffers)))
-        for name, array in opt_buffers.items():
-            _write_record(fh, name, array)
-        fh.write(struct.pack("<QQQ", stage, epochs_done, adam_t))
-        fh.write(struct.pack("<I", len(rng_state)))
-        for word in rng_state:
-            fh.write(struct.pack("<Q", word))
+    """Write the checkpoint to a temporary file beside ``path``, sync it, then
+    rename it over ``path``: an interrupted save leaves the previous file."""
+    tmp_path = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(MAGIC)
+            raw = config_json.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name, array in tensors.items():
+                _write_record(fh, name, array)
+            fh.write(struct.pack("<I", len(opt_buffers)))
+            for name, array in opt_buffers.items():
+                _write_record(fh, name, array)
+            fh.write(struct.pack("<QQQ", stage, epochs_done, adam_t))
+            fh.write(struct.pack("<I", len(rng_state)))
+            for word in rng_state:
+                fh.write(struct.pack("<Q", word))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

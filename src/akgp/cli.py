@@ -17,13 +17,15 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config
 from .data import DataError, read_examples, write_examples
 from .gradcheck import run_gradient_report
 from .kg import TripleParseError, build_graph, load_triples, save_triples, subgraph_stats
 from .manifest import write_manifest
-from .retrieval import retrieve_topk
+from .retrieval import cosine_scores, topk_indices
 from .rng import derive_seed
 from .synthbench import (
     DEFAULT_ABLATION_SEEDS,
@@ -225,12 +227,13 @@ def cmd_retrieve(args) -> int:
     fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
                          state.model.encoder_params())
     k = min(cfg.retrieve_k, state.graph.n_nodes)
-    for row in range(len(batch)):
-        query = Tensor(fused.data[row])
-        for res in retrieve_topk(query, knowledge, k):
+    top = topk_indices(fused.data, knowledge.data, k)
+    sims = np.take_along_axis(cosine_scores(fused.data, knowledge.data), top, axis=1)
+    for indices, similarities in zip(top, sims):
+        for index, similarity in zip(indices, similarities):
             print(json.dumps({
-                "node_id": state.graph.node_ids[res.node_index],
-                "similarity": res.similarity,
+                "node_id": state.graph.node_ids[index],
+                "similarity": float(similarity),
             }, sort_keys=True))
     return EXIT_OK
 

@@ -2,18 +2,15 @@
 
 These stand in for a pretrained vision-language backbone: a linear+tanh map
 for image features, a bag-of-tokens embedding average with projection for
-text, and concat+affine+tanh fusion. Each accepts a single vector or a
-batch of row vectors.
+text, and concat+affine+tanh fusion. Every function takes a batch of row
+vectors; text arrives as the bag-of-tokens rows that ``data.collate`` builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from .tensor import ShapeError, Tensor, add, concat, matmul, reshape, tanh_act
+from .tensor import ShapeError, Tensor, add, concat, matmul, tanh_act
 
 
 @dataclass
@@ -31,38 +28,12 @@ class EncoderParams:
         return self.token_table.shape[0]
 
 
-def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
-    if x.data.ndim == 1:
-        return reshape(x, (1, x.shape[0])), True
-    if x.data.ndim == 2:
-        return x, False
-    raise ShapeError(f"expected a vector or batch of rows, got shape {x.shape}")
-
-
-def _maybe_flatten(x: Tensor, was_vector: bool) -> Tensor:
-    return reshape(x, (x.shape[1],)) if was_vector else x
-
-
-def encode_visual(image: Tensor, params: EncoderParams) -> Tensor:
-    """tanh(image @ W_v + b_v) for a (d_i,) vector or (B, d_i) batch."""
-    rows, single = _as_rows(image)
-    if rows.shape[1] != params.w_visual.shape[0]:
+def encode_visual(images: Tensor, params: EncoderParams) -> Tensor:
+    """tanh(images @ W_v + b_v) for a (B, d_i) batch."""
+    if images.data.ndim != 2 or images.shape[1] != params.w_visual.shape[0]:
         raise ShapeError(
-            f"image width {rows.shape[1]} does not match encoder input {params.w_visual.shape[0]}")
-    out = tanh_act(add(matmul(rows, params.w_visual), params.b_visual))
-    return _maybe_flatten(out, single)
-
-
-def token_bow_row(token_ids: Sequence[int], vocab_size: int) -> np.ndarray:
-    """Normalized token counts: the mean-of-embeddings weights for one sequence."""
-    if not token_ids:
-        raise ValueError("token sequence must be non-empty")
-    row = np.zeros(vocab_size)
-    for tok in token_ids:
-        if tok < 0 or tok >= vocab_size:
-            raise IndexError(f"token id {tok} out of range for vocab {vocab_size}")
-        row[tok] += 1.0
-    return row / len(token_ids)
+            f"images {images.shape} do not match encoder input {params.w_visual.shape[0]}")
+    return tanh_act(add(matmul(images, params.w_visual), params.b_visual))
 
 
 def encode_text_bow(bow: Tensor, params: EncoderParams) -> Tensor:
@@ -71,25 +42,11 @@ def encode_text_bow(bow: Tensor, params: EncoderParams) -> Tensor:
     return tanh_act(add(matmul(pooled, params.w_text), params.b_text))
 
 
-def encode_text(token_ids: Sequence[int], params: EncoderParams) -> Tensor:
-    """Order-invariant encoding of one token sequence to a (d_m,) vector.
-
-    Gradient reaches only the embedding rows whose tokens appear in the
-    sequence; every other row of the table receives an exact zero.
-    """
-    row = token_bow_row(token_ids, params.vocab_size)
-    out = encode_text_bow(Tensor(row.reshape(1, -1)), params)
-    return reshape(out, (out.shape[1],))
-
-
 def fuse_multimodal(visual: Tensor, text: Tensor, params: EncoderParams) -> Tensor:
-    """tanh([v; t] @ W_m + b_m), fusing matching vectors or batches."""
-    v_rows, v_single = _as_rows(visual)
-    t_rows, t_single = _as_rows(text)
-    if v_single != t_single or v_rows.shape != t_rows.shape:
+    """tanh([v; t] @ W_m + b_m) for matching (B, d_m) batches."""
+    if visual.shape != text.shape:
         raise ShapeError(f"fusion inputs disagree: {visual.shape} vs {text.shape}")
-    out = tanh_act(add(matmul(concat(v_rows, t_rows), params.w_fusion), params.b_fusion))
-    return _maybe_flatten(out, v_single)
+    return tanh_act(add(matmul(concat(visual, text), params.w_fusion), params.b_fusion))
 
 
 def encode_batch(images: Tensor, token_bow: Tensor, params: EncoderParams) -> Tensor:

@@ -19,7 +19,6 @@ from .tensor import (
     matmul,
     mul,
     relu,
-    reshape,
     sigmoid,
     sub,
 )
@@ -46,36 +45,23 @@ class AdaptorParams:
     b_out: Tensor     # (C,)
 
 
-def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
-    if x.data.ndim == 1:
-        return reshape(x, (1, x.shape[0])), True
-    return x, False
-
-
 def gate_integrate(fused: Tensor, knowledge: Tensor, params: GateParams) -> Tensor:
-    """Integrate a retrieved knowledge vector into the fused representation."""
-    m_rows, single = _as_rows(fused)
-    k_rows, k_single = _as_rows(knowledge)
-    if m_rows.shape != k_rows.shape or single != k_single:
+    """Integrate retrieved (B, d_m) knowledge rows into the fused rows."""
+    if fused.shape != knowledge.shape:
         raise ShapeError(f"gate inputs disagree: {fused.shape} vs {knowledge.shape}")
-    gate = sigmoid(add(matmul(concat(m_rows, k_rows), params.weight), params.bias))
+    gate = sigmoid(add(matmul(concat(fused, knowledge), params.weight), params.bias))
     if params.mode == "literal":
-        out = gate
-    else:
-        ones = constant(gate.shape, 1.0)
-        out = add(mul(gate, m_rows), mul(sub(ones, gate), k_rows))
-    return reshape(out, (out.shape[1],)) if single else out
+        return gate
+    ones = constant(gate.shape, 1.0)
+    return add(mul(gate, fused), mul(sub(ones, gate), knowledge))
 
 
 def adapt_task(integrated: Tensor, knowledge: Tensor, params: AdaptorParams) -> Tensor:
-    """Task head: one relu hidden layer over [m'; k*], then raw class logits."""
-    m_rows, single = _as_rows(integrated)
-    k_rows, k_single = _as_rows(knowledge)
-    if m_rows.shape != k_rows.shape or single != k_single:
+    """Task head: one relu hidden layer over [m'; k*] rows, then raw class logits."""
+    if integrated.shape != knowledge.shape:
         raise ShapeError(f"adaptor inputs disagree: {integrated.shape} vs {knowledge.shape}")
-    hidden = relu(add(matmul(concat(m_rows, k_rows), params.w_hidden), params.b_hidden))
-    logits = add(matmul(hidden, params.w_out), params.b_out)
-    return reshape(logits, (logits.shape[1],)) if single else logits
+    hidden = relu(add(matmul(concat(integrated, knowledge), params.w_hidden), params.b_hidden))
+    return add(matmul(hidden, params.w_out), params.b_out)
 
 
 PARAM_GROUPS = ("theta_v", "theta_t", "theta_m", "theta_k", "w_g", "theta_a")

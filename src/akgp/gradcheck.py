@@ -91,10 +91,6 @@ def _op_cases():
             lambda x, s: T.reshape(T.cosine_sim(x, _rand([5], s + 1)), [1]), [5])),
         _case("cosine_sim.right", simple(
             lambda x, s: T.reshape(T.cosine_sim(_rand([5], s + 1), x), [1]), [5])),
-        _case("cosine_rows.left", simple(
-            lambda x, s: T.cosine_rows(x, _rand([3, 5], s + 1)), [3, 5])),
-        _case("cosine_rows.right", simple(
-            lambda x, s: T.cosine_rows(_rand([3, 5], s + 1), x), [3, 5])),
         _case("cosine_select.queries", simple(
             lambda x, s: T.cosine_select(x, _rand([6, 5], s + 1), idx_pairs), [3, 5])),
         _case("cosine_select.table", simple(

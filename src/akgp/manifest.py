@@ -1,31 +1,23 @@
 """Run manifests: enough provenance to re-run any command.
 
 Every artifact-producing invocation writes one ``manifest.json`` next to
-its outputs, recording the command, the fully resolved configuration, a
-64-bit FNV-1a digest of each input file, the produced files, the seed, and
-elapsed wall-clock time (the single non-deterministic field).
+its outputs, recording the command, the fully resolved configuration, the
+SHA-256 hex digest of each input file, the produced files, the seed, and
+elapsed wall-clock time (the single non-deterministic field). The digest
+is the one ``sha256sum`` prints; earlier manifests recorded a 16-character
+64-bit FNV-1a hex digest instead.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-
-_FNV_OFFSET = 14695981039346656037
-_FNV_PRIME = 1099511628211
-_MASK64 = (1 << 64) - 1
-
-
-def fnv1a_64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    return h
 
 
 def digest_file(path) -> str:
     with open(path, "rb") as fh:
-        return f"{fnv1a_64(fh.read()):016x}"
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_manifest(out_dir, command: str, config_dict: dict,

@@ -2,13 +2,14 @@
 
 Retrieval scans every row: the knowledge matrix is desk-scale, and an exact
 scan keeps the contract trivially testable against a brute-force oracle.
-Selection itself is hard (non-differentiable); gradients reach the
-embedding matrix only through the returned live row.
+:func:`cosine_scores` is the one similarity kernel and :func:`topk_indices`
+the one selection; every retrieval path goes through them. Selection itself
+is hard (non-differentiable); gradients reach the embedding matrix only
+through the returned live row.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,91 +25,70 @@ class RetrievalResult:
     embedding: Tensor  # live (d_e,) row of the knowledge matrix
 
 
-def cosine_to_rows(query: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Cosine similarity of one query vector against every table row."""
-    norms = np.sqrt((table * table).sum(axis=1))
-    nq = float(np.sqrt(np.dot(query, query)))
-    denom = np.maximum(nq * norms, COSINE_EPS)
-    sims = table @ query / denom
-    dead = (norms < COSINE_EPS) | (nq < COSINE_EPS)
-    return np.where(dead, 0.0, sims)
+def cosine_scores(queries: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(B, N) cosine similarity of each query row with each table row.
+
+    A pair with a norm below ``COSINE_EPS`` scores 0; a NaN norm is not
+    "dead", so non-finite inputs propagate.
+    """
+    nq = np.sqrt((queries * queries).sum(axis=1))
+    nt = np.sqrt((table * table).sum(axis=1))
+    denom = nq[:, None] * nt[None, :]
+    np.maximum(denom, COSINE_EPS, out=denom)
+    sims = queries @ table.T
+    sims /= denom
+    sims[nq < COSINE_EPS] = 0.0
+    sims[:, nt < COSINE_EPS] = 0.0
+    return sims
 
 
-def _check_inputs(query: Tensor, knowledge: Tensor) -> None:
+def topk_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) indices of each query's k most similar table rows.
+
+    Rows come in descending similarity, index-ascending on ties, exactly as
+    a full stable sort would give them. A NaN score ranks first, as it does
+    for ``argmax``. A partition finds the k-th best score; every row scoring
+    better is taken, the lowest indices tied with the k-th fill the
+    remaining places, and a stable sort orders the k winners.
+    """
+    n = table.shape[0]
+    if k < 1 or k > n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    key = cosine_scores(queries, table)
+    np.negative(key, out=key)  # ascending key = descending similarity
+    key[np.isnan(key)] = -np.inf
+    kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
+    better = key < kth
+    tied = key == kth
+    room = k - better.sum(axis=1, keepdims=True)
+    better |= tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= room)
+    winners = np.nonzero(better)[1].reshape(-1, k)
+    order = np.argsort(np.take_along_axis(key, winners, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(winners, order, axis=1)
+
+
+def batch_top1_indices(queries: np.ndarray, knowledge: np.ndarray) -> np.ndarray:
+    """Row index of the best match for each query row (selection only)."""
+    return cosine_scores(queries, knowledge).argmax(axis=1)
+
+
+def retrieve_topk(query: Tensor, knowledge: Tensor, k: int) -> list[RetrievalResult]:
+    """The k best rows for one (d_e,) query, as :func:`topk_indices` ranks them."""
     if knowledge.data.ndim != 2 or knowledge.shape[0] < 1:
         raise ShapeError("knowledge matrix must be a non-empty 2-d tensor")
     if query.data.ndim != 1 or query.shape[0] != knowledge.shape[1]:
         raise ShapeError(
             f"query width {query.shape} does not match embeddings {knowledge.shape}")
-
-
-def _live_row(knowledge: Tensor, index: int) -> Tensor:
-    row = gather_rows(knowledge, [index])
-    return reshape(row, (knowledge.shape[1],))
+    rows = query.data[None, :]
+    sims = cosine_scores(rows, knowledge.data)[0]
+    return [RetrievalResult(int(i), float(sims[i]),
+                            reshape(gather_rows(knowledge, [i]), (knowledge.shape[1],)))
+            for i in topk_indices(rows, knowledge.data, k)[0]]
 
 
 def retrieve_top1(query: Tensor, knowledge: Tensor) -> RetrievalResult:
     """Most-similar row by exact scan; ties break toward the lowest index."""
-    _check_inputs(query, knowledge)
-    sims = cosine_to_rows(query.data, knowledge.data)
-    best = int(np.argmax(sims))  # argmax returns the first maximum
-    return RetrievalResult(best, float(sims[best]), _live_row(knowledge, best))
-
-
-def retrieve_topk(query: Tensor, knowledge: Tensor, k: int) -> list[RetrievalResult]:
-    """The k best rows, descending similarity, index-ascending on ties.
-
-    Maintains a bounded heap of size k rather than sorting the full table.
-    """
-    _check_inputs(query, knowledge)
-    n = knowledge.shape[0]
-    if k < 1 or k > n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    sims = cosine_to_rows(query.data, knowledge.data)
-
-    # min-heap keyed so the root is the worst of the current best-k
-    heap: list[tuple[float, int]] = []
-    for idx in range(n):
-        key = (sims[idx], -idx)
-        if len(heap) < k:
-            heapq.heappush(heap, key)
-        elif key > heap[0]:
-            heapq.heapreplace(heap, key)
-    ranked = sorted(heap, key=lambda kv: (-kv[0], -kv[1]))
-    return [RetrievalResult(-neg_idx, float(sim), _live_row(knowledge, -neg_idx))
-            for sim, neg_idx in ranked]
-
-
-def batch_top1_indices(queries: np.ndarray, knowledge: np.ndarray) -> np.ndarray:
-    """Row index of the best match for each query row (selection only)."""
-    nq = np.sqrt((queries * queries).sum(axis=1))
-    nk = np.sqrt((knowledge * knowledge).sum(axis=1))
-    denom = np.maximum(nq[:, None] * nk[None, :], COSINE_EPS)
-    sims = queries @ knowledge.T / denom
-    dead = (nq[:, None] < COSINE_EPS) | (nk[None, :] < COSINE_EPS)
-    sims = np.where(dead, 0.0, sims)
-    return sims.argmax(axis=1)
-
-
-def sample_negatives(positive_index: int, n_nodes: int, count: int,
-                     rng: Rng | int) -> list[int]:
-    """Draw ``count`` distinct indices uniformly from all non-positive nodes.
-
-    Accepts a live generator (training keeps one across steps) or a bare
-    seed for one-shot use.
-    """
-    if count < 1:
-        raise ValueError("need at least one negative")
-    if count > n_nodes - 1:
-        raise ValueError(
-            f"cannot draw {count} negatives from {n_nodes} nodes excluding the positive")
-    if isinstance(rng, int):
-        rng = Rng(rng)
-    pool = [i for i in range(n_nodes) if i != positive_index]
-    for slot in range(count):  # partial Fisher-Yates
-        j = slot + rng.randrange(len(pool) - slot)
-        pool[slot], pool[j] = pool[j], pool[slot]
-    return pool[:count]
+    return retrieve_topk(query, knowledge, 1)[0]
 
 
 def sample_negatives_batch(positive_indices, n_nodes: int, count: int,

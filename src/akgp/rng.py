@@ -46,16 +46,21 @@ def splitmix64_array(seed: int, count: int) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def fnv1a_64(data: bytes) -> int:
+    """64-bit FNV-1a hash of ``data``."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return h
+
+
 def derive_seed(seed: int, tag: str) -> int:
     """Derive a child seed from (seed, tag), stable across runs.
 
     Tags keep independent random streams (model init, data generation,
     per-stage training) from colliding when they share one master seed.
     """
-    h = _FNV_OFFSET
-    for byte in tag.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
-    _, mixed = splitmix64((seed & _MASK64) ^ h)
+    _, mixed = splitmix64((seed & _MASK64) ^ fnv1a_64(tag.encode("utf-8")))
     return mixed
 
 

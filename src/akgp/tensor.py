@@ -555,29 +555,6 @@ def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
     return _emit(np.asarray(c), (a, b), bwd)
 
 
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-by-row cosine similarity of two equal-shape 2-d tensors."""
-    if a.data.ndim != 2 or a.shape != b.shape:
-        raise ShapeError(f"cosine_rows needs matching 2-d tensors, got {a.shape} and {b.shape}")
-    av, bv = a.data, b.data
-    na = np.sqrt((av * av).sum(axis=1))
-    nb = np.sqrt((bv * bv).sum(axis=1))
-    # dead-mask form: a NaN norm is not "dead", so non-finite values propagate
-    dead = (na < COSINE_EPS) | (nb < COSINE_EPS)
-    denom = np.maximum(na * nb, COSINE_EPS)
-    c = np.where(dead, 0.0, (av * bv).sum(axis=1) / denom)
-
-    def bwd(g):
-        gl = np.where(dead, 0.0, g)
-        na_safe = np.where(dead, 1.0, na)
-        nb_safe = np.where(dead, 1.0, nb)
-        ga = gl[:, None] * (bv / denom[:, None] - (c * nb / (na_safe * denom))[:, None] * av)
-        gb = gl[:, None] * (av / denom[:, None] - (c * na / (nb_safe * denom))[:, None] * bv)
-        return ga, gb
-
-    return _emit(c, (a, b), bwd)
-
-
 def cosine_select(queries: Tensor, table: Tensor, indices) -> Tensor:
     """Cosine similarity between each query row and selected table rows.
 

@@ -232,6 +232,8 @@ def finetune_epoch(state: TrainerState, dataset: list[Example],
                                          cfg.tau, cfg.denominator)
             else:
                 align = Tensor(np.asarray(0.0))
+            _check_finite(align.item(), state, "alignment loss")
+            _check_finite(task.item(), state, "task loss")
             loss = loss_total(align, task, loss_cfg)
         value = loss.item()
         _check_finite(value, state, "total loss")
@@ -315,14 +317,7 @@ def restore_state(state: TrainerState, data: CheckpointData,
         names[name].data[...] = array
     if not resume:
         return
-    state.stage = int(data.stage)
-    policy = (FreezePolicy.pretrain_default() if state.stage == STAGE_PRETRAIN
-              else FreezePolicy.from_frozen(state.cfg.freeze))
-    apply_freeze_policy(state.model, policy)
-    state.cached_knowledge = None
-    if state.stage == STAGE_FINETUNE and not policy.theta_k:
-        frozen_k = encode_knowledge(state.graph, state.model.gnn_params())
-        state.cached_knowledge = Tensor(frozen_k.data.copy())
+    start_stage(state, int(data.stage))
     state.epochs_done = int(data.epochs_done)
     state.opt = AdamState(t=int(data.adam_t))
     for name, array in data.opt_buffers.items():

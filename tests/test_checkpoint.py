@@ -57,6 +57,20 @@ def test_raw_round_trip_preserves_everything(tmp_path):
     assert data.rng_state == (1, 2, 3, 4)
 
 
+def test_failed_write_keeps_previous_checkpoint(tmp_path):
+    path = tmp_path / "ck.akgp"
+    save_checkpoint(path, '{"x":1}', {"a.w": np.arange(6.0).reshape(2, 3)}, {},
+                    stage=0, epochs_done=1, adam_t=3, rng_state=(1, 2, 3, 4))
+    before = path.read_bytes()
+    # the second record fails after its name and dims are written
+    with pytest.raises(ValueError):
+        save_checkpoint(path, '{"x":2}', {"a.w": np.ones((2, 3)), "b.v": np.array(["x"])},
+                        {}, stage=0, epochs_done=2, adam_t=6, rng_state=(5, 6, 7, 8))
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).epochs_done == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.akgp"]
+
+
 def test_save_load_save_is_byte_identical(tmp_path):
     cfg, world, data, graph = tiny_setup()
     state = make_run(cfg, graph)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from akgp.checkpoint import load_checkpoint, save_checkpoint
 from akgp.cli import main
 
 TINY = {
@@ -224,6 +225,23 @@ def test_nan_input_aborts_with_numeric_exit(workdir, tmp_path, capsys):
     poisoned.write_text(json.dumps(first) + "\n")
     code = main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
                  "--data", str(poisoned), "--out", str(tmp_path / "nanrun")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == 3 and "step 1" in err["message"]
+
+
+def test_nan_during_finetune_exits_numeric(workdir, tmp_path, capsys):
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(pre)]) == 0
+    data = load_checkpoint(pre / "checkpoint.akgp")
+    data.tensors["theta_a.w_out"][0, 0] = float("nan")
+    poisoned = tmp_path / "poisoned.akgp"
+    save_checkpoint(poisoned, json.dumps(data.config), data.tensors, data.opt_buffers,
+                    data.stage, data.epochs_done, data.adam_t, data.rng_state)
+    code = main(["finetune", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--checkpoint", str(poisoned),
+                 "--out", str(tmp_path / "fine")])
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["code"] == 3 and "step 1" in err["message"]

@@ -29,27 +29,27 @@ def adaptor_params(d_m=3, d_a=4, n_classes=2, seed=5):
 
 def test_literal_gate_zero_weights_gives_half():
     p = GateParams(weight=zeros([6, 3]), bias=zeros([3]), mode="literal")
-    out = gate_integrate(uniform([3], -1, 1, 1), uniform([3], -1, 1, 2), p)
+    out = gate_integrate(uniform([1, 3], -1, 1, 1), uniform([1, 3], -1, 1, 2), p)
     assert np.allclose(out.data, 0.5)
 
 
 def test_literal_gate_output_in_unit_interval():
     p = gate_params(seed=3)
-    out = gate_integrate(uniform([3], -5, 5, 4), uniform([3], -5, 5, 5), p)
+    out = gate_integrate(uniform([1, 3], -5, 5, 4), uniform([1, 3], -5, 5, 5), p)
     assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
 def test_residual_gate_saturated_returns_fused():
     p = GateParams(weight=zeros([6, 3]), bias=constant([3], 50.0), mode="residual")
-    m = uniform([3], -1, 1, 6)
-    out = gate_integrate(m, uniform([3], -1, 1, 7), p)
+    m = uniform([1, 3], -1, 1, 6)
+    out = gate_integrate(m, uniform([1, 3], -1, 1, 7), p)
     assert np.allclose(out.data, m.data, atol=1e-9)
 
 
 def test_residual_gate_is_convex_combination():
     p = gate_params(mode="residual", seed=8)
-    m = uniform([3], -1, 1, 9)
-    k = uniform([3], -1, 1, 10)
+    m = uniform([1, 3], -1, 1, 9)
+    k = uniform([1, 3], -1, 1, 10)
     out = gate_integrate(m, k, p)
     lo = np.minimum(m.data, k.data)
     hi = np.maximum(m.data, k.data)
@@ -58,8 +58,8 @@ def test_residual_gate_is_convex_combination():
 
 @pytest.mark.parametrize("mode", ["literal", "residual"])
 def test_gate_gradient_wrt_weights(mode):
-    m = uniform([3], -1, 1, 11)
-    k = uniform([3], -1, 1, 12)
+    m = uniform([1, 3], -1, 1, 11)
+    k = uniform([1, 3], -1, 1, 12)
 
     def f(w):
         p = GateParams(weight=w, bias=zeros([3]), mode=mode)
@@ -76,7 +76,7 @@ def test_gate_rejects_unknown_mode():
 
 def test_adaptor_zero_inputs_uniform_posterior():
     p = adaptor_params()
-    logits = adapt_task(zeros([3]), zeros([3]), p)
+    logits = adapt_task(zeros([1, 3]), zeros([1, 3]), p)
     assert np.allclose(logits.data, 0.0)
 
 
@@ -84,15 +84,15 @@ def test_adaptor_hand_constructed_separation():
     p = adaptor_params(d_m=1, d_a=2, n_classes=2)
     p.w_hidden = from_array([[1.0, -1.0], [0.0, 0.0]])
     p.w_out = from_array([[1.0, -1.0], [-1.0, 1.0]])
-    plus = adapt_task(from_array([2.0]), from_array([0.0]), p)
-    minus = adapt_task(from_array([-2.0]), from_array([0.0]), p)
+    plus = adapt_task(from_array([[2.0]]), from_array([[0.0]]), p)
+    minus = adapt_task(from_array([[-2.0]]), from_array([[0.0]]), p)
     assert int(np.argmax(plus.data)) == 0
     assert int(np.argmax(minus.data)) == 1
 
 
 def test_adaptor_gradient_wrt_params():
-    m = uniform([3], -1, 1, 14)
-    k = uniform([3], -1, 1, 15)
+    m = uniform([1, 3], -1, 1, 14)
+    k = uniform([1, 3], -1, 1, 15)
     base = adaptor_params(seed=16)
 
     for attr in ("w_hidden", "w_out", "b_hidden", "b_out"):

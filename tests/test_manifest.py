@@ -1,21 +1,15 @@
-"""FNV-1a digests and manifest records."""
+"""SHA-256 input digests and manifest records."""
 
 import json
 
-from akgp.manifest import digest_file, fnv1a_64, write_manifest
+from akgp.manifest import digest_file, write_manifest
 
 
-def test_fnv1a_known_vectors():
-    # standard 64-bit FNV-1a reference values
-    assert fnv1a_64(b"") == 0xCBF29CE484222325
-    assert fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a_64(b"foobar") == 0x85944171F73967E8
-
-
-def test_digest_file_is_hex_of_fnv(tmp_path):
+def test_digest_file_is_sha256_hex(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"foobar")
-    assert digest_file(path) == f"{0x85944171F73967E8:016x}"
+    assert digest_file(path) == (
+        "c3ab8ff13720e8ad9047dd39466b3c8974e592c2fa383d4a3960714caef0c4f2")
 
 
 def test_write_manifest_record(tmp_path):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from akgp.retrieval import (
+    batch_top1_indices,
+    cosine_scores,
     retrieve_top1,
     retrieve_topk,
-    sample_negatives,
     sample_negatives_batch,
+    topk_indices,
 )
 from akgp.rng import Rng, splitmix64_array
 from akgp.tensor import (
@@ -85,6 +87,30 @@ def test_topk_k1_equals_top1():
     assert (top1.node_index, top1.similarity) == (topk.node_index, topk.similarity)
 
 
+def test_topk_indices_equals_full_stable_sort_on_ties():
+    # small-integer tables repeat rows, hold scaled copies (bitwise equal
+    # cosines) and zero rows (dead, scoring exactly 0), so most ranks tie
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        table = rng.integers(-2, 3, size=(25, 3)).astype(np.float64)
+        queries = rng.integers(-2, 3, size=(6, 3)).astype(np.float64)
+        expected = np.argsort(-cosine_scores(queries, table), axis=1, kind="stable")
+        for k in range(1, 26):
+            assert np.array_equal(topk_indices(queries, table, k), expected[:, :k]), (seed, k)
+        assert np.array_equal(topk_indices(queries, table, 1)[:, 0],
+                              batch_top1_indices(queries, table))
+
+
+def test_topk_indices_ranks_nan_first_like_argmax():
+    table = uniform([6, 3], -1, 1, 21).data
+    table[4, 1] = np.nan
+    queries = uniform([3, 3], -1, 1, 22).data
+    top = topk_indices(queries, table, 6)
+    assert np.array_equal(top[:, 0], batch_top1_indices(queries, table))
+    assert np.all(top[:, 0] == 4)
+    assert np.array_equal(np.sort(top, axis=1), np.tile(np.arange(6), (3, 1)))
+
+
 def test_top1_scale_invariant():
     knowledge = uniform([30, 6], -1, 1, 13)
     query = uniform([6], -1, 1, 14)
@@ -113,28 +139,26 @@ def test_embedding_is_live_row():
 
 
 def test_negatives_forced_case():
-    assert sample_negatives(0, 2, 1, rng=3) == [1]
+    assert sample_negatives_batch([0], 2, 1, Rng(3)).tolist() == [[1]]
 
 
 def test_negatives_all_others():
-    got = sample_negatives(2, 6, 5, rng=4)
+    got = sample_negatives_batch([2], 6, 5, Rng(4))[0]
     assert sorted(got) == [0, 1, 3, 4, 5]
 
 
 def test_negatives_never_positive_never_duplicated():
     rng = Rng(5)
     for _ in range(200):
-        got = sample_negatives(3, 12, 6, rng)
+        got = sample_negatives_batch([3], 12, 6, rng)[0].tolist()
         assert 3 not in got
         assert len(set(got)) == 6
 
 
 def test_negatives_uniform_frequency():
-    rng = Rng(6)
-    counts = np.zeros(11)
     draws = 100_000
-    for _ in range(draws):
-        counts[sample_negatives(0, 11, 1, rng)[0]] += 1
+    got = sample_negatives_batch(np.zeros(draws, dtype=np.int64), 11, 1, Rng(6))
+    counts = np.bincount(got[:, 0], minlength=11)
     freqs = counts[1:] / draws
     assert np.all(np.abs(freqs - 0.1) <= 0.01)
     assert counts[0] == 0
@@ -157,4 +181,4 @@ def test_negatives_batch_equals_full_sort(n_nodes, count):
 
 def test_negatives_too_many_rejected():
     with pytest.raises(ValueError):
-        sample_negatives(0, 5, 5, rng=1)
+        sample_negatives_batch([0], 5, 5, Rng(1))

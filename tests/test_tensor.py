@@ -19,7 +19,6 @@ from akgp.tensor import (
     backward,
     concat,
     constant,
-    cosine_rows,
     cosine_select,
     cosine_sim,
     cross_entropy_rows,
@@ -319,8 +318,6 @@ OP_CASES = [
     ("cross_entropy_rows", lambda x, s: cross_entropy_rows(x, [1, 0, 3]), [3, 4]),
     ("cosine_sim_a", lambda x, s: reshape(cosine_sim(x, rand([5], s)), [1]), [5]),
     ("cosine_sim_b", lambda x, s: reshape(cosine_sim(rand([5], s), x), [1]), [5]),
-    ("cosine_rows_a", lambda x, s: cosine_rows(x, rand([3, 5], s)), [3, 5]),
-    ("cosine_rows_b", lambda x, s: cosine_rows(rand([3, 5], s), x), [3, 5]),
     (
         "cosine_select_q",
         lambda x, s: cosine_select(x, rand([6, 5], s), [[0, 3], [5, 5], [2, 1]]),

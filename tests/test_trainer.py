@@ -185,6 +185,16 @@ def test_nan_mid_run_raises_numeric_error():
     assert exc.value.step == 1
 
 
+def test_nan_during_finetune_raises_numeric_error():
+    cfg, _, data, graph = tiny_setup()
+    state = make_run(cfg, graph)
+    start_stage(state, STAGE_FINETUNE)
+    state.model.theta_a["w_out"].data[0, 0] = float("nan")
+    with pytest.raises(NumericError) as exc:
+        finetune_epoch(state, data)
+    assert exc.value.step == 1
+
+
 def test_cached_knowledge_used_when_frozen():
     cfg, _, data, graph = tiny_setup()
     state = make_run(cfg, graph)
