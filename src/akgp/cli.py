@@ -227,8 +227,9 @@ def cmd_retrieve(args) -> int:
     fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
                          state.model.encoder_params())
     k = min(cfg.retrieve_k, state.graph.n_nodes)
-    top = topk_indices(fused.data, knowledge.data, k)
-    sims = np.take_along_axis(cosine_scores(fused.data, knowledge.data), top, axis=1)
+    scores = cosine_scores(fused.data, knowledge.data)
+    top = topk_indices(scores, k)
+    sims = np.take_along_axis(scores, top, axis=1)
     for indices, similarities in zip(top, sims):
         for index, similarity in zip(indices, similarities):
             print(json.dumps({

@@ -17,7 +17,7 @@ import os
 
 def digest_file(path) -> str:
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_manifest(out_dir, command: str, config_dict: dict,

@@ -42,20 +42,19 @@ def cosine_scores(queries: np.ndarray, table: np.ndarray) -> np.ndarray:
     return sims
 
 
-def topk_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
-    """(B, k) indices of each query's k most similar table rows.
+def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """(B, k) column indices of each row's k highest scores.
 
-    Rows come in descending similarity, index-ascending on ties, exactly as
+    Columns come in descending score, index-ascending on ties, exactly as
     a full stable sort would give them. A NaN score ranks first, as it does
-    for ``argmax``. A partition finds the k-th best score; every row scoring
-    better is taken, the lowest indices tied with the k-th fill the
+    for ``argmax``. A partition finds the k-th best score; every column
+    scoring better is taken, the lowest indices tied with the k-th fill the
     remaining places, and a stable sort orders the k winners.
     """
-    n = table.shape[0]
+    n = scores.shape[1]
     if k < 1 or k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    key = cosine_scores(queries, table)
-    np.negative(key, out=key)  # ascending key = descending similarity
+    key = -scores  # ascending key = descending score
     key[np.isnan(key)] = -np.inf
     kth = np.partition(key, k - 1, axis=1)[:, [k - 1]]
     better = key < kth
@@ -79,11 +78,10 @@ def retrieve_topk(query: Tensor, knowledge: Tensor, k: int) -> list[RetrievalRes
     if query.data.ndim != 1 or query.shape[0] != knowledge.shape[1]:
         raise ShapeError(
             f"query width {query.shape} does not match embeddings {knowledge.shape}")
-    rows = query.data[None, :]
-    sims = cosine_scores(rows, knowledge.data)[0]
-    return [RetrievalResult(int(i), float(sims[i]),
+    sims = cosine_scores(query.data[None, :], knowledge.data)
+    return [RetrievalResult(int(i), float(sims[0, i]),
                             reshape(gather_rows(knowledge, [i]), (knowledge.shape[1],)))
-            for i in topk_indices(rows, knowledge.data, k)[0]]
+            for i in topk_indices(sims, k)[0]]
 
 
 def retrieve_top1(query: Tensor, knowledge: Tensor) -> RetrievalResult:
