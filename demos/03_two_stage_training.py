@@ -13,6 +13,7 @@ from akgp.rng import derive_seed
 from akgp.synthbench import gen_dataset, gen_world, split_dataset
 from akgp.trainer import (
     STAGE_FINETUNE,
+    collate_dataset,
     evaluate,
     finetune_epoch,
     load_state,
@@ -34,9 +35,10 @@ train, test = split_dataset(data)
 graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
 
 state = make_run(cfg, graph)
+train_set = collate_dataset(state, train)  # once; each epoch cuts its batches from it
 print("=== stage 1: contrastive alignment (task head frozen) ===")
 for epoch in range(cfg.pretrain_epochs):
-    stats = pretrain_epoch(state, train)
+    stats = pretrain_epoch(state, train_set)
     print(f"epoch {epoch:2d}  align loss {stats['mean_align_loss']:.4f}")
 print("retrieval hit rate after pretraining:",
       round(evaluate(state, test)["retrieval_hit_rate"], 3))
@@ -44,7 +46,7 @@ print("retrieval hit rate after pretraining:",
 print("\n=== stage 2: fine-tuning (backbone and graph frozen) ===")
 start_stage(state, STAGE_FINETUNE)
 for epoch in range(cfg.finetune_epochs):
-    stats = finetune_epoch(state, train)
+    stats = finetune_epoch(state, train_set)
     print(f"epoch {epoch:2d}  total {stats['mean_total_loss']:.4f} "
           f"accuracy {stats['accuracy']:.3f}")
 
@@ -57,8 +59,8 @@ with tempfile.TemporaryDirectory() as tmp:
     save_state(path, state)
     twin = load_state(path, cfg, build_graph(world.triples, cfg.d_k,
                                              derive_seed(cfg.seed, "graph")))
-    a = finetune_epoch(state, train)
-    b = finetune_epoch(twin, train)
+    a = finetune_epoch(state, train_set)
+    b = finetune_epoch(twin, train_set)
     print("one more epoch, original:", a["mean_total_loss"])
     print("one more epoch, restored:", b["mean_total_loss"])
     print("trajectories identical:", a == b)

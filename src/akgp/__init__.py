@@ -59,6 +59,7 @@ from .tensor import Tape, Tensor, backward, fd_check
 from .trainer import (
     PipelineVariant,
     TrainerState,
+    collate_dataset,
     evaluate,
     finetune_epoch,
     load_state,

@@ -98,62 +98,87 @@ def save_checkpoint(path, config_json: str, tensors: dict[str, np.ndarray],
         raise
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    raw = fh.read(n)
+class _Source:
+    """The unread bytes of an open checkpoint file, counted in ``left``."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def read(self, n: int) -> bytes:
+        raw = self._fh.read(n)
+        self.left -= len(raw)
+        return raw
+
+
+def _read_exact(src: _Source, n: int, what: str) -> bytes:
+    # a corrupt length is refused before it can ask for more than the file holds
+    raw = src.read(n) if n <= src.left else b""
     if len(raw) != n:
         raise TruncatedCheckpointError(f"file ended while reading {what}")
     return raw
 
 
-def _read_record(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "record name length"))
-    name = _read_exact(fh, name_len, "record name").decode("utf-8")
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4, f"rank of {name}"))
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not valid UTF-8: {exc}") from exc
+
+
+def _read_record(src: _Source) -> tuple[str, np.ndarray]:
+    (name_len,) = struct.unpack("<I", _read_exact(src, 4, "record name length"))
+    name = _decode(_read_exact(src, name_len, "record name"), "record name")
+    (rank,) = struct.unpack("<I", _read_exact(src, 4, f"rank of {name}"))
     if rank > _MAX_RANK:
         raise DimOverflowError(f"tensor {name} declares rank {rank}")
     dims = []
     total = 1
     for _ in range(rank):
-        (dim,) = struct.unpack("<Q", _read_exact(fh, 8, f"dims of {name}"))
+        (dim,) = struct.unpack("<Q", _read_exact(src, 8, f"dims of {name}"))
         if dim > _MAX_DIM:
             raise DimOverflowError(f"tensor {name} declares dimension {dim}")
         dims.append(dim)
         total *= dim
     if total > _MAX_ELEMENTS:
         raise DimOverflowError(f"tensor {name} declares {total} elements")
-    payload = _read_exact(fh, total * 8, f"payload of {name}")
+    payload = _read_exact(src, total * 8, f"payload of {name}")
     array = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
     return name, array
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Parse a checkpoint file; any malformed content raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
+        src = _Source(fh)
+        (cfg_len,) = struct.unpack("<I", _read_exact(src, 4, "config length"))
+        snapshot = _decode(_read_exact(src, cfg_len, "config snapshot"), "config snapshot")
         try:
-            config = json.loads(_read_exact(fh, cfg_len, "config snapshot").decode("utf-8"))
+            config = json.loads(snapshot)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"config snapshot is not valid JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise CheckpointError("config snapshot is not a JSON object")
 
         tensors: dict[str, np.ndarray] = {}
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        (n_tensors,) = struct.unpack("<I", _read_exact(src, 4, "tensor count"))
         for _ in range(n_tensors):
-            name, array = _read_record(fh)
+            name, array = _read_record(src)
             tensors[name] = array
 
         opt_buffers: dict[str, np.ndarray] = {}
-        (n_buffers,) = struct.unpack("<I", _read_exact(fh, 4, "optimizer buffer count"))
+        (n_buffers,) = struct.unpack("<I", _read_exact(src, 4, "optimizer buffer count"))
         for _ in range(n_buffers):
-            name, array = _read_record(fh)
+            name, array = _read_record(src)
             opt_buffers[name] = array
 
-        stage, epochs_done, adam_t = struct.unpack("<QQQ", _read_exact(fh, 24, "counters"))
-        (n_words,) = struct.unpack("<I", _read_exact(fh, 4, "generator state size"))
-        words = struct.unpack(f"<{n_words}Q", _read_exact(fh, 8 * n_words, "generator state"))
-        trailing = fh.read(1)
-        if trailing:
+        stage, epochs_done, adam_t = struct.unpack("<QQQ", _read_exact(src, 24, "counters"))
+        (n_words,) = struct.unpack("<I", _read_exact(src, 4, "generator state size"))
+        words = struct.unpack(f"<{n_words}Q", _read_exact(src, 8 * n_words, "generator state"))
+        if src.left:
             raise CheckpointError("trailing bytes after checkpoint payload")
     return CheckpointData(config=config, tensors=tensors, opt_buffers=opt_buffers,
                           stage=stage, epochs_done=epochs_done, adam_t=adam_t,

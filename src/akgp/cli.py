@@ -41,9 +41,9 @@ from .trainer import (
     STAGE_FINETUNE,
     STAGE_PRETRAIN,
     NumericError,
+    collate_dataset,
     evaluate,
     finetune_epoch,
-    load_state,
     make_run,
     pretrain_epoch,
     restore_state,
@@ -58,6 +58,8 @@ EXIT_NUMERIC = 3
 
 CHECKPOINT_NAME = "checkpoint.akgp"
 RUN_LOG_NAME = "run_log.jsonl"
+# config keys a resumed run may change: its epoch budget
+RESUMABLE_CHANGES = ("pretrain_epochs", "finetune_epochs")
 
 
 class UsageError(Exception):
@@ -117,14 +119,32 @@ def _build_graph(cfg: TrainConfig, kg_path):
     return build_graph(load_triples(kg_path), cfg.d_k, derive_seed(cfg.seed, "graph"))
 
 
+def _config_differences(saved: dict, current: dict, prefix: str = "") -> list[str]:
+    """Qualified keys whose values differ, apart from RESUMABLE_CHANGES."""
+    keys = []
+    for key in sorted(set(saved) | set(current)):
+        old, new = saved.get(key), current.get(key)
+        if isinstance(old, dict) and isinstance(new, dict):
+            keys += _config_differences(old, new, f"{prefix}{key}.")
+        elif old != new and prefix + key not in RESUMABLE_CHANGES:
+            keys.append(prefix + key)
+    return keys
+
+
 def _prepare_state(cfg, kg_path, args, stage):
     graph = _build_graph(cfg, kg_path)
     if getattr(args, "resume", False):
         path = args.checkpoint or os.path.join(args.out, CHECKPOINT_NAME)
-        state = load_state(path, cfg, graph)
-        if state.stage != stage:
+        data = load_checkpoint(path)
+        changed = _config_differences(data.config, cfg.to_dict())
+        if changed:
+            raise ConfigError(f"checkpoint {path} was saved with a different config "
+                              f"(differing keys: {', '.join(changed)})")
+        if data.stage != stage:
             raise DataError(
                 f"checkpoint {path} was saved in a different training stage")
+        state = make_run(cfg, graph)
+        restore_state(state, data, resume=True)
         return state
     state = make_run(cfg, graph)
     if getattr(args, "checkpoint", None):
@@ -135,6 +155,35 @@ def _prepare_state(cfg, kg_path, args, stage):
 def _append_log(out_dir, record):
     with open(os.path.join(out_dir, RUN_LOG_NAME), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _trim_log(out_dir, command, epochs_done):
+    """Drop ``command``'s run-log lines for epochs after ``epochs_done``.
+
+    An epoch's line is appended before its checkpoint is saved, so an
+    interrupt between the two leaves a line that the resumed run writes
+    again; a line torn by an interrupted append is dropped as well.
+    """
+    path = os.path.join(out_dir, RUN_LOG_NAME)
+    if not os.path.exists(path):
+        return
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    kept = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if not (isinstance(record, dict) and record.get("command") == command
+                and record.get("epoch", 0) > epochs_done):
+            kept.append(line + "\n")
+    if len(kept) == len(lines):
+        return
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    os.replace(tmp_path, path)
 
 
 def cmd_gen_data(args) -> int:
@@ -163,8 +212,9 @@ def _train_command(args, stage) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
-    dataset = read_examples(args.data)
+    examples = read_examples(args.data)
     state = _prepare_state(cfg, args.kg, args, stage)
+    dataset = collate_dataset(state, examples)
     ckpt_path = os.path.join(args.out, CHECKPOINT_NAME)
     if stage == STAGE_PRETRAIN:
         total_epochs, run_epoch, name = cfg.pretrain_epochs, pretrain_epoch, "pretrain"
@@ -172,6 +222,8 @@ def _train_command(args, stage) -> int:
         total_epochs, run_epoch, name = cfg.finetune_epochs, finetune_epoch, "finetune"
         if not getattr(args, "resume", False):
             start_stage(state, STAGE_FINETUNE)
+    if getattr(args, "resume", False):
+        _trim_log(args.out, name, state.epochs_done)
     while state.epochs_done < total_epochs:
         stats = run_epoch(state, dataset)
         record = {"command": name, "epoch": state.epochs_done, **stats}
@@ -218,12 +270,11 @@ def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
     dataset = read_examples(args.data)
     state = _eval_state(cfg, args)
-    from .data import collate
     from .encoders import encode_batch
     from .trainer import _knowledge_matrix
 
     knowledge = _knowledge_matrix(state)
-    batch = collate(dataset, cfg.vocab_size, state.graph.node_index)
+    batch = collate_dataset(state, dataset)
     fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
                          state.model.encoder_params())
     k = min(cfg.retrieve_k, state.graph.n_nodes)

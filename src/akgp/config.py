@@ -1,10 +1,12 @@
 """Run configuration: every hyperparameter with a documented default,
-strict JSON parsing, and validation that names the offending key."""
+strict JSON parsing that checks each value against its field's annotation,
+and validation that names the offending key."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .fusion import GATE_MODES, PARAM_GROUPS
 from .losses import DENOMINATOR_MODES
@@ -133,28 +135,43 @@ class TrainConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
+def _has_type(value, annotation) -> bool:
+    """Whether a JSON value fits a field annotation. A bool is not a number,
+    and an integer is accepted where a float is expected."""
+    if annotation is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(annotation) is list:
+        (item,) = typing.get_args(annotation)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    return isinstance(value, annotation)
+
+
+def _typed_fields(cls, raw: dict, prefix: str, path_hint: str) -> dict:
+    """``raw``'s entries after checking each key and value against ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if key not in cls.__dataclass_fields__:
+            raise ConfigError(f"{path_hint}unknown key {prefix + key!r}")
+        hint = hints[key]
+        if not is_dataclass(hint) and not _has_type(value, hint):  # nested: own check
+            expected = str(hint) if typing.get_origin(hint) else hint.__name__
+            raise ConfigError(f"{path_hint}{prefix}{key}: expected {expected}, "
+                              f"got {type(value).__name__} {value!r}")
+    return dict(raw)
+
+
 def _build_from_dict(raw: dict, path_hint: str = "") -> TrainConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path_hint}top-level value must be a JSON object")
-    known = {f for f in TrainConfig.__dataclass_fields__}
-    cfg_kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"{path_hint}unknown key {key!r}")
-        if key == "world":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path_hint}world: must be a JSON object")
-            world_known = set(WorldConfig.__dataclass_fields__)
-            for wkey in value:
-                if wkey not in world_known:
-                    raise ConfigError(f"{path_hint}unknown key 'world.{wkey}'")
-            cfg_kwargs["world"] = WorldConfig(**value)
-        else:
-            cfg_kwargs[key] = value
-    try:
-        cfg = TrainConfig(**cfg_kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path_hint}bad value: {exc}") from exc
+    cfg_kwargs = _typed_fields(TrainConfig, raw, "", path_hint)
+    if "world" in cfg_kwargs:
+        if not isinstance(cfg_kwargs["world"], dict):
+            raise ConfigError(f"{path_hint}world: must be a JSON object")
+        cfg_kwargs["world"] = WorldConfig(
+            **_typed_fields(WorldConfig, cfg_kwargs["world"], "world.", path_hint))
+    cfg = TrainConfig(**cfg_kwargs)
     cfg.validate()
     return cfg
 

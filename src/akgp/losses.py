@@ -137,6 +137,6 @@ def loss_cls_batch(logits: Tensor, labels) -> Tensor:
 def loss_total(align: Tensor, task: Tensor, cfg: LossConfig) -> Tensor:
     """Weighted combination lambda1 * align + lambda2 * task."""
     for name, term in (("align", align), ("task", task)):
-        if not np.all(np.isfinite(term.data)):
+        if not np.isfinite(term.data).all():
             raise ValueError(f"{name} loss is not finite")
     return add(scale(align, cfg.lambda1), scale(task, cfg.lambda2))

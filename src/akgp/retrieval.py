@@ -112,4 +112,4 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     keys[rows[:, 0], positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
     chosen = np.argpartition(keys, count - 1, axis=1)[:, :count]
     order = np.argsort(keys[rows, chosen], axis=1, kind="stable")
-    return chosen[rows, order].astype(np.int64)
+    return chosen[rows, order].astype(np.int64, copy=False)

@@ -19,6 +19,11 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT27, _SHIFT30, _SHIFT31 = np.uint64(27), np.uint64(30), np.uint64(31)
+
 _FNV_OFFSET = 14695981039346656037
 _FNV_PRIME = 1099511628211
 
@@ -37,13 +42,15 @@ def splitmix64_array(seed: int, count: int) -> np.ndarray:
 
     Bit-identical to calling :func:`splitmix64` sequentially from ``seed``.
     """
-    with np.errstate(over="ignore"):
-        state = np.uint64(seed & _MASK64) + \
-            np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        z = state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    z = np.arange(1, count + 1, dtype=np.uint64)  # array arithmetic wraps silently
+    z *= _GAMMA
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> _SHIFT30
+    z *= _MIX1
+    z ^= z >> _SHIFT27
+    z *= _MIX2
+    z ^= z >> _SHIFT31
+    return z
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -108,6 +115,30 @@ class Rng:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0 ** -53  # in [0, 1)
         return low + (high - low) * u
+
+    def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """``n`` draws of :meth:`uniform` as a float64 array.
+
+        Bit-identical to ``n`` sequential ``uniform(low, high)`` calls, and
+        leaves the generator in the same state; the step of
+        :meth:`next_u64` is inlined into one loop over local variables.
+        """
+        s0, s1, s2, s3 = self._s
+        span = high - low
+        out = [0.0] * n
+        for i in range(n):
+            x = (s1 * 5) & _MASK64
+            result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            out[i] = low + span * ((result >> 11) * 2.0 ** -53)
+        self._s = [s0, s1, s2, s3]
+        return np.array(out, dtype=np.float64)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""

@@ -23,6 +23,7 @@ from .rng import Rng, derive_seed
 from .trainer import (
     STAGE_FINETUNE,
     PipelineVariant,
+    collate_dataset,
     evaluate,
     finetune_epoch,
     make_run,
@@ -185,12 +186,13 @@ def run_cell(triples: list[Triple], train: list[Example], test: list[Example],
     cell_cfg = replace(cfg, seed=seed)
     graph = build_graph(triples, cell_cfg.d_k, derive_seed(seed, "graph"))
     state = make_run(cell_cfg, graph)
+    train_batch = collate_dataset(state, train)
     if pretrain:
         for _ in range(cell_cfg.pretrain_epochs):
-            pretrain_epoch(state, train)
+            pretrain_epoch(state, train_batch)
     start_stage(state, STAGE_FINETUNE)
     for _ in range(cell_cfg.finetune_epochs):
-        finetune_epoch(state, train, variant)
+        finetune_epoch(state, train_batch, variant)
     return evaluate(state, test, variant)["accuracy"]
 
 

@@ -15,6 +15,7 @@ machinery it validates.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -152,26 +153,30 @@ def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tens
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Accumulate d(loss)/d(tensor) into every requires_grad tensor on the tape.
+    """Accumulate d(loss)/d(leaf) into the ``.grad`` of every leaf on the tape.
 
-    Repeated calls without zeroing gradients add up; callers that want fresh
-    gradients must clear them first.
+    A leaf is a requires_grad input that no record of the tape produced: a
+    parameter or an input tensor. Intermediate results pass their gradient
+    on and keep ``.grad`` None. Repeated calls without zeroing gradients add
+    up; callers that want fresh gradients must clear them first.
     """
     if loss.data.size != 1:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise TapeError("loss does not depend on any tensor that requires grad")
-    if not any(rec.output is loss for rec in tape.records):
+    produced = {id(rec.output) for rec in tape.records}
+    if id(loss) not in produced:
         raise TapeError("loss was not produced on this tape")
 
     upstream: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    leaves: dict[int, Tensor] = {}
     for rec in reversed(tape.records):
-        g = upstream.get(id(rec.output))
+        # every consumer of an output comes later on the tape, so its
+        # gradient is complete here and no longer needed afterwards
+        g = upstream.pop(id(rec.output), None)
         if g is None:
             continue
-        grads_in = rec.backward(g)
-        for tensor, gi in zip(rec.inputs, grads_in):
+        for tensor, gi in zip(rec.inputs, rec.backward(g)):
             if gi is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
@@ -179,8 +184,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
                 upstream[key] = upstream[key] + gi
             else:
                 upstream[key] = gi
-                holders[key] = tensor
-    for key, tensor in holders.items():
+                if key not in produced:
+                    leaves[key] = tensor
+    for key, tensor in leaves.items():
         tensor.accumulate_grad(upstream[key])
 
 
@@ -210,13 +216,11 @@ def tensor_create(shape: Sequence[int], init: str, *, value: float = 0.0,
     if init == "uniform":
         if low > high:
             raise ValueError(f"uniform needs low <= high, got ({low}, {high})")
-        rng = Rng(seed)
-        flat = np.array([rng.uniform(low, high) for _ in range(int(np.prod(dims)))])
+        flat = Rng(seed).uniform_array(int(np.prod(dims)), low, high)
         return Tensor(flat.reshape(dims))
     if init == "xavier":
         bound = float(np.sqrt(6.0 / sum(dims)))
-        rng = Rng(seed)
-        flat = np.array([rng.uniform(-bound, bound) for _ in range(int(np.prod(dims)))])
+        flat = Rng(seed).uniform_array(int(np.prod(dims)), -bound, bound)
         return Tensor(flat.reshape(dims))
     raise ValueError(f"unknown init {init!r}")
 
@@ -253,7 +257,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def bwd(g):
-        return g @ b_data.T, a_data.T @ g
+        return (g @ b_data.T if a.requires_grad else None,
+                a_data.T @ g if b.requires_grad else None)
 
     return _emit(a_data @ b_data, (a, b), bwd)
 
@@ -266,7 +271,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _emit(a.data + b.data, (a, b), bwd)
     if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
         def bwd_bias(g):
-            return g, g.sum(axis=0)
+            return g, (g.sum(axis=0) if b.requires_grad else None)
         return _emit(a.data + b.data, (a, b), bwd_bias)
     raise ShapeError(f"add got incompatible shapes {a.shape} and {b.shape}")
 
@@ -294,7 +299,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)
-    if not np.isfinite(factor):
+    if not math.isfinite(factor):
         raise ValueError(f"scale factor must be finite, got {factor}")
 
     def bwd(g):
@@ -439,8 +444,8 @@ def tanh_act(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0, e) / (1.0 + e)  # 1/(1+e) or e/(1+e)
 
     def bwd(g):
         return (g * y * (1.0 - y),)
@@ -481,7 +486,8 @@ def mean_all(x: Tensor) -> Tensor:
     def bwd(g):
         return (np.full(shape, float(g) / n),)
 
-    return _emit(np.asarray(x.data.mean()), (x,), bwd)
+    # sum / n is how ndarray.mean computes it, without mean's call overhead
+    return _emit(np.asarray(x.data.sum() / n), (x,), bwd)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:
@@ -492,10 +498,9 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     e = np.exp(x.data - m)
     s = e.sum(axis=1, keepdims=True)
     out = (m + np.log(s)).reshape(-1)
-    soft = e / s
 
     def bwd(g):
-        return (soft * g[:, None],)
+        return (e / s * g[:, None],)
 
     return _emit(out, (x,), bwd)
 
@@ -515,10 +520,9 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     e = np.exp(z)
     s = e.sum(axis=1)
     losses = np.log(s) - z[np.arange(lab.shape[0]), lab]
-    soft = e / s[:, None]
 
     def bwd(g):
-        grad = soft.copy()
+        grad = e / s[:, None]
         grad[np.arange(lab.shape[0]), lab] -= 1.0
         return (grad * g[:, None],)
 
@@ -580,21 +584,25 @@ def cosine_select(queries: Tensor, table: Tensor, indices) -> Tensor:
     dead = (nq[:, None] < COSINE_EPS) | (ns < COSINE_EPS)
     denom = np.maximum(nq[:, None] * ns, COSINE_EPS)
     dots = np.einsum("bd,bkd->bk", q, sel)
-    c = np.where(dead, 0.0, dots / denom)
+    c = dots / denom
+    c[dead] = 0.0
     n_table = table.shape[0]
 
     def bwd(g):
         gl = np.where(dead, 0.0, g)
-        nq_safe = np.where(nq < COSINE_EPS, 1.0, nq)
-        ns_safe = np.where(ns < COSINE_EPS, 1.0, ns)
-        # d/dq: sum over k of gl * (sel/denom - c*ns*q/(nq*denom))
-        coef_q = (gl * c * ns / denom).sum(axis=1) / nq_safe     # (B,)
-        gq = np.einsum("bk,bkd->bd", gl / denom, sel) - coef_q[:, None] * q
-        # d/dsel per (b, k): gl * (q/denom - c*nq*sel/(ns*denom))
-        gs = (gl / denom)[:, :, None] * q[:, None, :] \
-            - (gl * c * nq[:, None] / (ns_safe * denom))[:, :, None] * sel
-        gt = np.zeros((n_table, q.shape[1]))
-        np.add.at(gt, idx.reshape(-1), gs.reshape(-1, q.shape[1]))
+        gq = gt = None
+        if queries.requires_grad:
+            nq_safe = np.where(nq < COSINE_EPS, 1.0, nq)
+            # d/dq: sum over k of gl * (sel/denom - c*ns*q/(nq*denom))
+            coef_q = (gl * c * ns / denom).sum(axis=1) / nq_safe     # (B,)
+            gq = np.einsum("bk,bkd->bd", gl / denom, sel) - coef_q[:, None] * q
+        if table.requires_grad:
+            ns_safe = np.where(ns < COSINE_EPS, 1.0, ns)
+            # d/dsel per (b, k): gl * (q/denom - c*nq*sel/(ns*denom))
+            gs = (gl / denom)[:, :, None] * q[:, None, :] \
+                - (gl * c * nq[:, None] / (ns_safe * denom))[:, :, None] * sel
+            gt = np.zeros((n_table, q.shape[1]))
+            np.add.at(gt, idx.reshape(-1), gs.reshape(-1, q.shape[1]))
         return gq, gt
 
     return _emit(c, (queries, table), bwd)

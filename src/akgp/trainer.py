@@ -11,6 +11,7 @@ bit-reproducible and resumable from checkpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,13 +116,21 @@ def _knowledge_matrix(state: TrainerState) -> Tensor:
     return encode_knowledge(state.graph, state.model.gnn_params())
 
 
-def _batches(examples: list[Example], cfg: TrainConfig, graph: KnowledgeGraph,
-             order: list[int]) -> list[Batch]:
-    out = []
-    for lo in range(0, len(order), cfg.batch_size):
-        chunk = [examples[i] for i in order[lo:lo + cfg.batch_size]]
-        out.append(collate(chunk, cfg.vocab_size, graph.node_index))
-    return out
+def collate_dataset(state: TrainerState, dataset: Batch | list[Example]) -> Batch:
+    """A dataset as one batch against the run's vocabulary and graph, to be
+    collated once and passed to every epoch; a batch is returned as it is."""
+    if isinstance(dataset, Batch):
+        return dataset
+    if not dataset:
+        raise ValueError("dataset is empty")
+    return collate(dataset, state.cfg.vocab_size, state.graph.node_index)
+
+
+def _batches(dataset: Batch, batch_size: int, order):
+    """Cut the dataset into batches along ``order``, one at a time."""
+    order = np.asarray(order, dtype=np.int64)
+    for lo in range(0, order.shape[0], batch_size):
+        yield dataset.take(order[lo:lo + batch_size])
 
 
 def _positive_indices(cfg: TrainConfig, batch: Batch, fused: Tensor,
@@ -129,7 +138,7 @@ def _positive_indices(cfg: TrainConfig, batch: Batch, fused: Tensor,
                       retrieved: np.ndarray | None = None) -> np.ndarray:
     """Positive node per example: annotated gold when present (and selected
     as the source), otherwise the current top-1 retrieval."""
-    if cfg.positive_source == "gold_node" and np.all(batch.gold_indices >= 0):
+    if cfg.positive_source == "gold_node" and (batch.gold_indices >= 0).all():
         return batch.gold_indices.copy()
     if retrieved is None:
         retrieved = batch_top1_indices(fused.data, knowledge.data)
@@ -174,21 +183,20 @@ def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
 
 
 def _check_finite(value: float, state: TrainerState, what: str) -> None:
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(state.opt.t + 1, f"{what} became non-finite")
 
 
-def pretrain_epoch(state: TrainerState, dataset: list[Example]) -> dict:
+def pretrain_epoch(state: TrainerState, dataset: Batch | list[Example]) -> dict:
     """One epoch of alignment-only training; returns {"mean_align_loss"}."""
     if state.stage != STAGE_PRETRAIN:
         raise RuntimeError("state is not in the pretraining stage")
-    if not dataset:
-        raise ValueError("dataset is empty")
+    dataset = collate_dataset(state, dataset)
     cfg = state.cfg
     order = list(range(len(dataset)))
     state.rng.shuffle(order)
     total, count = 0.0, 0
-    for batch in _batches(dataset, cfg, state.graph, order):
+    for batch in _batches(dataset, cfg.batch_size, order):
         with Tape() as tape:
             knowledge = _knowledge_matrix(state)
             fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
@@ -207,19 +215,18 @@ def pretrain_epoch(state: TrainerState, dataset: list[Example]) -> dict:
     return {"mean_align_loss": total / count}
 
 
-def finetune_epoch(state: TrainerState, dataset: list[Example],
+def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
                    variant: PipelineVariant = FULL_PIPELINE) -> dict:
     """One epoch of task fine-tuning under the configured freeze policy."""
     if state.stage != STAGE_FINETUNE:
         raise RuntimeError("state is not in the fine-tuning stage")
-    if not dataset:
-        raise ValueError("dataset is empty")
+    dataset = collate_dataset(state, dataset)
     cfg = state.cfg
     loss_cfg = state.loss_config()
     order = list(range(len(dataset)))
     state.rng.shuffle(order)
     total_loss, total_task, correct, count = 0.0, 0.0, 0, 0
-    for batch in _batches(dataset, cfg, state.graph, order):
+    for batch in _batches(dataset, cfg.batch_size, order):
         with Tape() as tape:
             knowledge = _knowledge_matrix(state)
             logits, fused, _, retrieved = forward_task_batch(
@@ -252,17 +259,14 @@ def finetune_epoch(state: TrainerState, dataset: list[Example],
     }
 
 
-def evaluate(state: TrainerState, dataset: list[Example],
+def evaluate(state: TrainerState, dataset: Batch | list[Example],
              variant: PipelineVariant = FULL_PIPELINE) -> dict:
     """Accuracy, mean classification loss, and the fraction of examples whose
     retrieved node matches their annotated gold node."""
-    if not dataset:
-        raise ValueError("dataset is empty")
-    cfg = state.cfg
+    dataset = collate_dataset(state, dataset)
     knowledge = _knowledge_matrix(state)
-    order = list(range(len(dataset)))
     loss_sum, correct, hits, with_gold, count = 0.0, 0, 0, 0, 0
-    for batch in _batches(dataset, cfg, state.graph, order):
+    for batch in _batches(dataset, state.cfg.batch_size, np.arange(len(dataset))):
         logits, _, _, retrieved = forward_task_batch(
             state.model, knowledge, batch, variant)
         loss_sum += sum_all(cross_entropy_rows(logits, batch.labels)).item()

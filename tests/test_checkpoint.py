@@ -3,9 +3,12 @@ interrupt/resume equivalence of training runs."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from akgp.checkpoint import (
     BadMagicError,
+    CheckpointError,
     DimOverflowError,
     TruncatedCheckpointError,
     load_checkpoint,
@@ -220,3 +223,48 @@ def test_restore_rejects_mismatched_model(tmp_path):
     )
     with pytest.raises(ValueError):
         load_state(path, other_cfg, build_graph(world.triples, 4, 0))
+
+
+def _reference_checkpoint() -> bytes:
+    import tempfile
+
+    cfg = TrainConfig()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/ck.akgp"
+        save_checkpoint(path, cfg.snapshot_json(),
+                        {"theta_a.w_out": np.arange(6.0).reshape(2, 3),
+                         "theta_a.b_out": np.array([0.5, -1.0])},
+                        {"m.theta_a.b_out": np.array([1e-3, 2e-3])},
+                        stage=1, epochs_done=3, adam_t=40, rng_state=(1, 2, 3, 4))
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+REFERENCE = _reference_checkpoint()
+# magic, config length and snapshot, tensor count, then the first name length
+FIRST_NAME_AT = 5 + 4 + len(TrainConfig().snapshot_json()) + 4 + 4
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, len(REFERENCE) - 1), st.integers(1, 255)),
+                      max_size=3),
+       keep=st.integers(0, len(REFERENCE)))
+@example(flips=[(FIRST_NAME_AT, 0x80)], keep=len(REFERENCE))  # non-UTF-8 record name
+@example(flips=[(9, 0x80)], keep=len(REFERENCE))  # non-UTF-8 config snapshot
+@example(flips=[(9, ord("{") ^ ord("["))], keep=len(REFERENCE))  # snapshot not an object
+def test_corrupted_checkpoint_fails_only_with_checkpoint_error(fuzz_dir, flips, keep):
+    raw = bytearray(REFERENCE)
+    for position, mask in flips:
+        raw[position] ^= mask
+    path = fuzz_dir / "fuzzed.akgp"
+    path.write_bytes(bytes(raw[:keep]))
+    try:
+        data = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(data.config, dict)

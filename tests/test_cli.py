@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import akgp.cli
 from akgp.checkpoint import load_checkpoint, save_checkpoint
 from akgp.cli import main
 
@@ -124,6 +125,58 @@ def test_resume_equals_straight_run(workdir, tmp_path):
         (resumed / "checkpoint.akgp").read_bytes()
 
 
+def test_interrupt_between_log_and_save_resumes_one_line_per_epoch(
+        workdir, tmp_path, monkeypatch):
+    config = tmp_path / "four.json"
+    config.write_text(json.dumps(dict(TINY, pretrain_epochs=4)))
+    inputs = ["--config", str(config), "--kg", workdir["kg"], "--data", workdir["data"]]
+    straight = tmp_path / "straight"
+    assert main(["pretrain", *inputs, "--out", str(straight)]) == 0
+
+    save_state = akgp.cli.save_state
+
+    def killed_before_third_save(path, state):
+        if state.epochs_done == 3:
+            raise KeyboardInterrupt
+        save_state(path, state)
+
+    resumed = tmp_path / "resumed"
+    monkeypatch.setattr(akgp.cli, "save_state", killed_before_third_save)
+    with pytest.raises(KeyboardInterrupt):
+        main(["pretrain", *inputs, "--out", str(resumed)])
+    monkeypatch.setattr(akgp.cli, "save_state", save_state)
+    assert load_checkpoint(resumed / "checkpoint.akgp").epochs_done == 2
+    assert main(["pretrain", *inputs, "--out", str(resumed), "--resume"]) == 0
+
+    log = (resumed / "run_log.jsonl").read_text().splitlines()
+    assert [json.loads(line)["epoch"] for line in log] == [1, 2, 3, 4]
+    assert (resumed / "run_log.jsonl").read_bytes() == \
+        (straight / "run_log.jsonl").read_bytes()
+    assert (resumed / "checkpoint.akgp").read_bytes() == \
+        (straight / "checkpoint.akgp").read_bytes()
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"lr": 0.01}, "lr"),
+    ({"tau": 0.5}, "tau"),
+    ({"seed": 5}, "seed"),
+])
+def test_resume_with_changed_config_is_data_error(workdir, tmp_path, capsys, change, key):
+    out = tmp_path / "run"
+    assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(out)]) == 0
+    before = (out / "checkpoint.akgp").read_bytes()
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps(dict(TINY, pretrain_epochs=3, **change)))
+    capsys.readouterr()
+    code = main(["pretrain", "--config", str(changed), "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(out), "--resume"])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["message"]
+    assert message.endswith(f"(differing keys: {key})")  # epoch counts may change
+    assert (out / "checkpoint.akgp").read_bytes() == before
+
+
 def test_retrieve_prints_json_lines(workdir, capsys):
     assert main(["retrieve", "--config", workdir["config"], "--kg", workdir["kg"],
                  "--data", workdir["data"]]) == 0
@@ -188,6 +241,20 @@ def test_bad_config_value_is_data_error(workdir, tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["code"] == 2 and "tau" in err["message"]
+
+
+@pytest.mark.parametrize("payload, key", [
+    ('{"lr": "0.1"}', "lr"),
+    ('{"world": {"n_entities": "x"}}', "world.n_entities"),
+])
+def test_config_value_of_wrong_type_is_data_error(workdir, tmp_path, capsys, payload, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    code = main(["eval", "--config", str(bad), "--kg", workdir["kg"],
+                 "--data", workdir["data"]])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == 2 and key in err["message"]
 
 
 def test_unknown_config_key_is_data_error(workdir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Config parsing: defaults, strict unknown-key rejection, invariants."""
 
 import json
+import re
 
 import pytest
 
@@ -80,3 +81,22 @@ def test_snapshot_is_deterministic():
 def test_embedded_width_tracks_d_m():
     cfg = TrainConfig(d_m=48)
     assert cfg.d_e == 48
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"lr": "0.1"}, "lr"),
+    ({"world": {"n_entities": "x"}}, "world.n_entities"),
+    ({"d_i": 1.5}, "d_i"),
+    ({"batch_size": True}, "batch_size"),
+    ({"freeze": "theta_v"}, "freeze"),
+    ({"freeze": ["theta_v", 3]}, "freeze"),
+    ({"gate": 1}, "gate"),
+])
+def test_value_of_wrong_type_names_key(tmp_path, payload, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(write(tmp_path, payload))
+
+
+def test_integer_accepted_for_float_field(tmp_path):
+    cfg = parse_config(write(tmp_path, {"lr": 1, "world": {"sigma_noise": 0}}))
+    assert cfg.lr == 1 and cfg.world.sigma_noise == 0

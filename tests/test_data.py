@@ -21,7 +21,70 @@ def test_collate_bow_is_mean_weights():
     assert batch.labels.tolist() == [0, 1]
 
 
+def collate_loop(examples, vocab_size, node_index=None):
+    """The per-token collation loop the vectorized collate replaced: (images,
+    bag-of-tokens rows, labels, gold indices)."""
+    bow = np.zeros((len(examples), vocab_size))
+    gold = np.full(len(examples), -1, dtype=np.int64)
+    for row, ex in enumerate(examples):
+        for tok in ex.token_ids:
+            if tok < 0 or tok >= vocab_size:
+                raise DataError(f"token id {tok} out of range for vocab {vocab_size}")
+            bow[row, tok] += 1.0
+        bow[row] /= len(ex.token_ids)
+        if ex.gold_node is not None and node_index is not None:
+            idx = node_index.get(ex.gold_node)
+            if idx is None:
+                raise DataError(f"gold node {ex.gold_node!r} not present in the graph")
+            gold[row] = idx
+    images = np.stack([ex.image_features for ex in examples])
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    return images, bow, labels, gold
+
+
+def ragged_examples(n, vocab, seed):
+    rng = np.random.default_rng(seed)
+    nodes = ["a", "b", None]
+    return [Example(rng.standard_normal(3),
+                    [int(t) for t in rng.integers(0, vocab, rng.integers(1, 12))],
+                    label=int(rng.integers(0, 4)), gold_node=nodes[i % 3])
+            for i in range(n)]
+
+
+def assert_batch_equals_loop(batch, examples, vocab, node_index):
+    images, bow, labels, gold = collate_loop(examples, vocab, node_index)
+    assert batch.images.tobytes() == images.tobytes()
+    assert batch.token_bow.tobytes() == bow.tobytes()
+    assert batch.token_bow.shape == bow.shape
+    assert np.array_equal(batch.labels, labels)
+    assert np.array_equal(batch.gold_indices, gold)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_collate_bit_equal_to_loop(seed):
+    vocab, node_index = 7, {"a": 3, "b": 0}
+    examples = ragged_examples(40, vocab, seed)
+    assert_batch_equals_loop(collate(examples, vocab, node_index), examples, vocab,
+                             node_index)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_take_bit_equal_to_loop_over_chosen_rows(seed):
+    vocab, node_index = 7, {"a": 3, "b": 0}
+    examples = ragged_examples(40, vocab, seed)
+    dataset = collate(examples, vocab, node_index)
+    order = np.random.default_rng(seed).permutation(40)
+    for lo in range(0, 40, 16):
+        rows = order[lo:lo + 16]
+        assert_batch_equals_loop(dataset.take(rows), [examples[i] for i in rows],
+                                 vocab, node_index)
+
+
 def test_collate_rejects_out_of_range_token():
+    for bad in (3, -1, 10**30):
+        examples = sample_examples() + [Example(np.array([0.0, 0.0]), [0, bad], label=0)]
+        with pytest.raises(DataError):
+            collate(examples, vocab_size=3)
     with pytest.raises(DataError):
         collate(sample_examples(), vocab_size=2)
 

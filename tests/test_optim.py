@@ -77,3 +77,56 @@ def test_converges_on_quadratic():
         w.grad[...] = 2.0 * (w.data - 3.0)  # d/dw (w-3)^2
         adam_step(model, state, lr=0.05)
     assert w.data[0] == pytest.approx(3.0, abs=1e-2)
+
+
+def adam_loop(tensors, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-tensor Adam update the flat step replaced, on plain arrays."""
+    correction1, correction2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for name, (data, grad) in tensors.items():
+        m.setdefault(name, np.zeros_like(data))
+        v.setdefault(name, np.zeros_like(data))
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * grad
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * grad * grad
+        data -= lr * (m[name] / correction1) / (np.sqrt(v[name] / correction2) + eps)
+
+
+def test_flat_step_bit_equal_to_per_tensor_loop_across_a_freeze():
+    rng = np.random.default_rng(0)
+    shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 2)}
+    model = OneGroupModel({n: Tensor(rng.standard_normal(s), requires_grad=True)
+                           for n, s in shapes.items()})
+    ref = {n: t.data.copy() for n, t in model.tensors.items()}
+    for stage, frozen in enumerate(([], ["b"])):
+        for name, t in model.tensors.items():
+            t.requires_grad_(name not in frozen)
+        state, m, v = AdamState(), {}, {}
+        frozen_bytes = {n: model.tensors[n].data.tobytes() for n in frozen}
+        for step in range(1, 6):
+            grads = {n: rng.standard_normal(shapes[n]) for n in shapes if n not in frozen}
+            for name, g in grads.items():
+                model.tensors[name].grad[...] = g
+            adam_step(model, state, lr=0.05)
+            adam_loop({n: (ref[n], g) for n, g in grads.items()}, m, v, step, lr=0.05)
+            for name, t in model.tensors.items():
+                assert t.data.tobytes() == ref[name].tobytes(), (stage, step, name)
+            assert sorted(state.m) == sorted(m)
+            for name in m:
+                assert state.m[name].tobytes() == m[name].tobytes()
+                assert state.v[name].tobytes() == v[name].tobytes()
+        for name in frozen:
+            assert model.tensors[name].data.tobytes() == frozen_bytes[name]
+
+
+def test_moments_copied_into_views_set_the_next_step():
+    w = scalar_param(1.0, grad=1.0)
+    model = OneGroupModel({"w": w})
+    state = AdamState()
+    adam_step(model, state, lr=0.1)
+    state.m["w"][...] = 0.0
+    state.v["w"][...] = 0.0
+    w.grad[...] = 0.0
+    before = w.data.copy()
+    adam_step(model, state, lr=0.1)
+    assert np.array_equal(w.data, before)

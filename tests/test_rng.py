@@ -1,6 +1,9 @@
-"""FNV-1a and derived seeds: pinned values that every run's bits rest on."""
+"""FNV-1a, derived seeds and generator draws: pinned values that every
+run's bits rest on."""
 
-from akgp.rng import derive_seed, fnv1a_64
+import pytest
+
+from akgp.rng import Rng, derive_seed, fnv1a_64
 
 
 def test_fnv1a_known_vectors():
@@ -13,3 +16,14 @@ def test_fnv1a_known_vectors():
 def test_derive_seed_is_pinned():
     # the graph seed of every default run; a change here changes every result
     assert derive_seed(0, "graph") == 0x462A81274F877372
+
+
+@pytest.mark.parametrize("n, low, high", [(0, 0.0, 1.0), (1, -1.0, 1.0), (977, -0.3, 2.5),
+                                          (9760, -0.25, 0.25), (5, 2, 3)])
+def test_uniform_array_equals_sequential_uniform(n, low, high):
+    one_by_one, batched = Rng(derive_seed(7, "init")), Rng(derive_seed(7, "init"))
+    expected = [one_by_one.uniform(low, high) for _ in range(n)]
+    got = batched.uniform_array(n, low, high)
+    assert got.dtype.name == "float64" and got.shape == (n,)
+    assert got.tolist() == expected
+    assert batched.get_state() == one_by_one.get_state()

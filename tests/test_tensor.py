@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import csr_from_dense
 from akgp.tensor import (
+    COSINE_EPS,
     CsrMatrix,
     ShapeError,
     Tape,
@@ -38,6 +39,7 @@ from akgp.tensor import (
     stack_cols,
     sub,
     sum_all,
+    tanh_act,
     tensor_create,
     uniform,
     xavier,
@@ -175,6 +177,37 @@ def test_backward_accumulates_on_repeat():
     first = x.grad.copy()
     backward(loss, tape)
     assert np.array_equal(x.grad, 2.0 * first)
+
+
+def test_backward_fills_leaves_only():
+    w = Tensor(rand([3, 2], 1).data, requires_grad=True)
+    b = Tensor([0.5, -0.5], requires_grad=True)
+    x = rand([4, 3], 2)
+    with Tape() as tape:
+        hidden = add(matmul(x, w), b)
+        act = tanh_act(hidden)
+        loss = sum_all(act)
+    backward(loss, tape)
+    assert w.grad is not None and b.grad is not None
+    assert hidden.grad is None and act.grad is None and loss.grad is None
+    assert x.grad is None
+    assert np.allclose(b.grad, (1.0 - act.data ** 2).sum(axis=0), rtol=0, atol=1e-12)
+
+
+def test_backward_rules_skip_inputs_without_grad():
+    w = Tensor(rand([3, 2], 1).data, requires_grad=True)
+    x, bias = rand([4, 3], 2), rand([2], 3)
+    with Tape() as tape:
+        add(matmul(x, w), bias)
+    g = np.ones((4, 2))
+    grad_x, grad_w = tape.records[0].backward(g)
+    assert grad_x is None and np.array_equal(grad_w, x.data.T @ g)
+    assert tape.records[1].backward(g)[1] is None
+    with Tape() as tape:
+        cosine_select(Tensor(x.data, requires_grad=True), rand([5, 3], 4),
+                      [[0, 2], [1, 1], [4, 3], [2, 0]])
+    grad_q, grad_table = tape.records[0].backward(np.ones((4, 2)))
+    assert grad_q.shape == (4, 3) and grad_table is None
 
 
 def test_backward_requires_scalar_loss():
@@ -380,14 +413,27 @@ def test_softmax_permutation_equivariant(values, pyrandom):
     st.lists(st.floats(-5, 5), min_size=3, max_size=3),
     st.floats(0.01, 100.0),
 )
+# scaling carries a across the dead-norm boundary: 0 unscaled, 1 scaled
+@example(a_vals=[0.0, 4.97e-14, 0.0], b_vals=[0.0, 1.0, 0.0], c=21.0)
 def test_cosine_invariants(a_vals, b_vals, c):
     a, b = from_array(a_vals), from_array(b_vals)
     sim = cosine_sim(a, b).item()
     assert -1.0 - 1e-9 <= sim <= 1.0 + 1e-9
     if np.linalg.norm(a_vals) > 1e-6:
         assert cosine_sim(a, a).item() == pytest.approx(1.0, abs=1e-9)
-    scaled = cosine_sim(from_array(np.asarray(a_vals) * c), b).item()
-    assert scaled == pytest.approx(sim, abs=1e-9)
+    scaled_vals = np.asarray(a_vals) * c
+    scaled = cosine_sim(from_array(scaled_vals), b).item()
+    norm_a, norm_ca, norm_b = (np.linalg.norm(v) for v in (a_vals, scaled_vals, b_vals))
+    # an operand with norm below COSINE_EPS scores 0 (the documented dead-norm rule)
+    if norm_a < COSINE_EPS or norm_b < COSINE_EPS:
+        assert sim == 0.0
+    if norm_ca < COSINE_EPS or norm_b < COSINE_EPS:
+        assert scaled == 0.0
+    elif norm_a >= COSINE_EPS:
+        assert scaled == pytest.approx(sim, abs=1e-9)
+    else:
+        live = np.dot(scaled_vals, b_vals) / max(norm_ca * norm_b, COSINE_EPS)
+        assert scaled == pytest.approx(live, abs=1e-9)
 
 
 def test_all_ops_finite_on_finite_inputs():

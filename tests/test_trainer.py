@@ -12,6 +12,7 @@ from akgp.trainer import (
     STAGE_FINETUNE,
     NumericError,
     PipelineVariant,
+    collate_dataset,
     evaluate,
     finetune_epoch,
     forward_task_batch,
@@ -265,3 +266,16 @@ def test_variant_none_ignores_graph():
     variant = PipelineVariant(knowledge="none", gate=False)
     stats = finetune_epoch(state, data, variant)
     assert stats["mean_total_loss"] == pytest.approx(stats["mean_task_loss"])
+
+
+def test_collated_dataset_trains_like_the_example_list():
+    runs = []
+    for collated in (False, True):
+        cfg, _, data, graph = tiny_setup()
+        state = make_run(cfg, graph)
+        dataset = collate_dataset(state, data) if collated else data
+        stats = [pretrain_epoch(state, dataset)]
+        start_stage(state, STAGE_FINETUNE)
+        stats += [finetune_epoch(state, dataset), evaluate(state, dataset)]
+        runs.append((stats, [t.data.tobytes() for _, t in state.model.named_tensors()]))
+    assert runs[0] == runs[1]
