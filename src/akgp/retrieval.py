@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Rng, splitmix64_array
-from .tensor import COSINE_EPS, ShapeError, Tensor, gather_rows, reshape
+from .tensor import COSINE_EPS, ShapeError, Tensor, gather_rows, reshape, row_norms
 
 
 @dataclass
@@ -25,14 +25,16 @@ class RetrievalResult:
     embedding: Tensor  # live (d_e,) row of the knowledge matrix
 
 
-def cosine_scores(queries: np.ndarray, table: np.ndarray) -> np.ndarray:
+def cosine_scores(queries: np.ndarray, table: np.ndarray,
+                  table_norms: np.ndarray | None = None) -> np.ndarray:
     """(B, N) cosine similarity of each query row with each table row.
 
     A pair with a norm below ``COSINE_EPS`` scores 0; a NaN norm is not
-    "dead", so non-finite inputs propagate.
+    "dead", so non-finite inputs propagate. ``table_norms``, when given,
+    must be ``row_norms(table)``.
     """
-    nq = np.sqrt((queries * queries).sum(axis=1))
-    nt = np.sqrt((table * table).sum(axis=1))
+    nq = row_norms(queries)
+    nt = row_norms(table) if table_norms is None else table_norms
     denom = nq[:, None] * nt[None, :]
     np.maximum(denom, COSINE_EPS, out=denom)
     sims = queries @ table.T
@@ -66,9 +68,10 @@ def topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(winners, order, axis=1)
 
 
-def batch_top1_indices(queries: np.ndarray, knowledge: np.ndarray) -> np.ndarray:
+def batch_top1_indices(queries: np.ndarray, knowledge: np.ndarray,
+                       knowledge_norms: np.ndarray | None = None) -> np.ndarray:
     """Row index of the best match for each query row (selection only)."""
-    return cosine_scores(queries, knowledge).argmax(axis=1)
+    return cosine_scores(queries, knowledge, knowledge_norms).argmax(axis=1)
 
 
 def retrieve_topk(query: Tensor, knowledge: Tensor, k: int) -> list[RetrievalResult]:
@@ -90,8 +93,9 @@ def retrieve_top1(query: Tensor, knowledge: Tensor) -> RetrievalResult:
 
 
 def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
-                           rng: Rng) -> np.ndarray:
-    """Negatives for a whole batch from one draw of the sequential stream.
+                           rng: Rng, group_sizes=None) -> np.ndarray:
+    """Negatives for a whole batch from one draw of the sequential stream
+    per group of rows.
 
     Each node gets an independent 64-bit key (counter-based expansion of a
     single generator word); the row's positive is masked to the maximum key
@@ -99,6 +103,10 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     the sample. Per row this is exactly uniform without replacement over the
     non-positive nodes. splitmix64 maps distinct counters to distinct words,
     so no two keys tie and a partial selection equals a full sort's prefix.
+
+    ``group_sizes`` splits the rows into consecutive groups, each expanded
+    from its own word of the stream in order, so one call gives what one
+    call per group would; by default all rows form one group.
     """
     positives = np.asarray(positive_indices, dtype=np.int64)
     if count < 1:
@@ -107,9 +115,15 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
         raise ValueError(
             f"cannot draw {count} negatives from {n_nodes} nodes excluding the positive")
     n_rows = positives.shape[0]
-    keys = splitmix64_array(rng.next_u64(), n_rows * n_nodes).reshape(n_rows, n_nodes)
+    sizes = [n_rows] if group_sizes is None else [int(n) for n in group_sizes]
+    if not sizes or sum(sizes) != n_rows:
+        raise ValueError(f"group sizes {sizes} do not add up to {n_rows} rows")
+    keys = splitmix64_array([rng.next_u64() for _ in sizes], max(sizes) * n_nodes)
+    if min(sizes) != max(sizes):  # shorter groups use a prefix of their row
+        keys = np.concatenate([row[:n * n_nodes] for row, n in zip(keys, sizes)])
+    keys = keys.reshape(n_rows, n_nodes)
     rows = np.arange(n_rows)[:, None]
     keys[rows[:, 0], positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
     chosen = np.argpartition(keys, count - 1, axis=1)[:, :count]
     order = np.argsort(keys[rows, chosen], axis=1, kind="stable")
-    return chosen[rows, order].astype(np.int64, copy=False)
+    return chosen[rows, order].astype(np.int64)

@@ -37,14 +37,19 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def splitmix64_array(seed: int, count: int) -> np.ndarray:
+def splitmix64_array(seed, count: int) -> np.ndarray:
     """``count`` splitmix64 outputs for counters 1..count, as uint64.
 
     Bit-identical to calling :func:`splitmix64` sequentially from ``seed``.
+    A sequence of seeds gives a (len(seed), count) array, one row per seed.
     """
+    if np.ndim(seed):
+        start = np.asarray(seed, dtype=np.uint64)[:, None]
+    else:
+        start = np.uint64(seed & _MASK64)
     z = np.arange(1, count + 1, dtype=np.uint64)  # array arithmetic wraps silently
     z *= _GAMMA
-    z += np.uint64(seed & _MASK64)
+    z = z + start
     z ^= z >> _SHIFT30
     z *= _MIX1
     z ^= z >> _SHIFT27

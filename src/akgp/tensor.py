@@ -486,8 +486,7 @@ def mean_all(x: Tensor) -> Tensor:
     def bwd(g):
         return (np.full(shape, float(g) / n),)
 
-    # sum / n is how ndarray.mean computes it, without mean's call overhead
-    return _emit(np.asarray(x.data.sum() / n), (x,), bwd)
+    return _emit(np.asarray(x.data.mean()), (x,), bwd)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:
@@ -559,13 +558,20 @@ def cosine_sim(a: Tensor, b: Tensor) -> Tensor:
     return _emit(np.asarray(c), (a, b), bwd)
 
 
-def cosine_select(queries: Tensor, table: Tensor, indices) -> Tensor:
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row along the last axis."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+def cosine_select(queries: Tensor, table: Tensor, indices,
+                  table_norms: np.ndarray | None = None) -> Tensor:
     """Cosine similarity between each query row and selected table rows.
 
     ``indices`` has shape (n_queries, k); output[i, j] is the similarity of
     query i with table row indices[i, j]. Gradients flow into both the
     queries and the selected table rows (scatter-added), not through the
-    index choice.
+    index choice. ``table_norms``, when given, must be
+    ``row_norms(table.data)``: a constant table's norms, computed once.
     """
     if queries.data.ndim != 2 or table.data.ndim != 2:
         raise ShapeError("cosine_select needs 2-d queries and table")
@@ -579,8 +585,8 @@ def cosine_select(queries: Tensor, table: Tensor, indices) -> Tensor:
 
     q = queries.data
     sel = table.data[idx]                                # (B, k, d)
-    nq = np.sqrt((q * q).sum(axis=1))                    # (B,)
-    ns = np.sqrt((sel * sel).sum(axis=2))                # (B, k)
+    nq = row_norms(q)                                    # (B,)
+    ns = row_norms(sel) if table_norms is None else table_norms[idx]  # (B, k)
     dead = (nq[:, None] < COSINE_EPS) | (ns < COSINE_EPS)
     denom = np.maximum(nq[:, None] * ns, COSINE_EPS)
     dots = np.einsum("bd,bkd->bk", q, sel)

@@ -12,7 +12,7 @@ bit-reproducible and resumable from checkpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,13 @@ from .encoders import encode_batch
 from .fusion import FreezePolicy, adapt_task, apply_freeze_policy, gate_integrate
 from .gnn import encode_knowledge
 from .kg import KnowledgeGraph
-from .losses import LossConfig, align_loss_batch, loss_cls_batch, loss_total
+from .losses import (
+    LossConfig,
+    align_loss_batch,
+    align_loss_rows,
+    loss_cls_batch,
+    loss_total,
+)
 from .model import ModelParams, init_model
 from .optim import AdamState, adam_step
 from .retrieval import batch_top1_indices, sample_negatives_batch
@@ -35,6 +41,7 @@ from .tensor import (
     cross_entropy_rows,
     gather_rows,
     matmul,
+    row_norms,
     sum_all,
 )
 
@@ -76,6 +83,7 @@ class TrainerState:
     stage: int = STAGE_PRETRAIN
     epochs_done: int = 0
     cached_knowledge: Tensor | None = None
+    cached_norms: np.ndarray | None = None  # row norms of cached_knowledge
 
     def loss_config(self) -> LossConfig:
         c = self.cfg
@@ -93,7 +101,8 @@ def make_run(cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
 
 def start_stage(state: TrainerState, stage: int) -> None:
     """Enter a stage: set trainability, reset the optimizer, reseed the
-    stage's random stream, and cache knowledge embeddings if they are frozen."""
+    stage's random stream, and cache knowledge embeddings and their row
+    norms if they are frozen."""
     state.stage = stage
     state.epochs_done = 0
     state.opt = AdamState()
@@ -104,10 +113,11 @@ def start_stage(state: TrainerState, stage: int) -> None:
         policy = FreezePolicy.from_frozen(state.cfg.freeze)
         state.rng = Rng(derive_seed(state.cfg.seed, "stage.finetune"))
     apply_freeze_policy(state.model, policy)
-    state.cached_knowledge = None
+    state.cached_knowledge = state.cached_norms = None
     if stage == STAGE_FINETUNE and not policy.theta_k:
         frozen_k = encode_knowledge(state.graph, state.model.gnn_params())
         state.cached_knowledge = Tensor(frozen_k.data.copy())
+        state.cached_norms = row_norms(state.cached_knowledge.data)
 
 
 def _knowledge_matrix(state: TrainerState) -> Tensor:
@@ -138,7 +148,7 @@ def _positive_indices(cfg: TrainConfig, batch: Batch, fused: Tensor,
                       retrieved: np.ndarray | None = None) -> np.ndarray:
     """Positive node per example: annotated gold when present (and selected
     as the source), otherwise the current top-1 retrieval."""
-    if cfg.positive_source == "gold_node" and (batch.gold_indices >= 0).all():
+    if cfg.positive_source == "gold_node" and np.all(batch.gold_indices >= 0):
         return batch.gold_indices.copy()
     if retrieved is None:
         retrieved = batch_top1_indices(fused.data, knowledge.data)
@@ -154,11 +164,13 @@ def _negative_indices(state: TrainerState, positives: np.ndarray,
 
 
 def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
-                       variant: PipelineVariant):
+                       variant: PipelineVariant,
+                       knowledge_norms: np.ndarray | None = None):
     """Run the task pipeline over one batch.
 
     Returns (logits, fused, knowledge_vectors, retrieved_indices). The
     retrieved indices are None unless the variant retrieves.
+    ``knowledge_norms``, when given, are the knowledge matrix's row norms.
     """
     fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
                          model.encoder_params())
@@ -171,7 +183,7 @@ def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
         pool = matmul(Tensor(np.full((1, n), 1.0 / n)), knowledge)
         k_star = matmul(Tensor(np.ones((b, 1))), pool)
     elif variant.knowledge == "retrieve":
-        retrieved = batch_top1_indices(fused.data, knowledge.data)
+        retrieved = batch_top1_indices(fused.data, knowledge.data, knowledge_norms)
         k_star = gather_rows(knowledge, retrieved)
     else:
         raise ValueError(f"unknown knowledge mode {variant.knowledge!r}")
@@ -182,9 +194,65 @@ def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
     return logits, fused, k_star, retrieved
 
 
-def _check_finite(value: float, state: TrainerState, what: str) -> None:
+def _check_finite(value: float, step: int, what: str) -> None:
     if not math.isfinite(value):
-        raise NumericError(state.opt.t + 1, f"{what} became non-finite")
+        raise NumericError(step, f"{what} became non-finite")
+
+
+# 8-byte words of working memory (512 KB) that the deferred alignment
+# terms of a run of fine-tuning steps may reach before they are evaluated
+_DEFERRED_WORDS = 1 << 16
+
+
+@dataclass
+class _Step:
+    """One fine-tuning step's loss terms, checked and summed in step order."""
+
+    number: int
+    rows: int
+    task: float
+    align: float | None = None  # None until a deferred term is evaluated
+    fused: np.ndarray | None = field(default=None, repr=False)
+    positives: np.ndarray | None = field(default=None, repr=False)
+
+
+def _deferred_words(steps: list[_Step], knowledge: Tensor, cfg: TrainConfig) -> int:
+    """Words the batched evaluation of ``steps`` works on: each row's
+    negative-sampling keys and its gathered knowledge rows."""
+    n_nodes, width = knowledge.shape
+    return sum(s.rows for s in steps) * (n_nodes + (cfg.n_negatives + 1) * width)
+
+
+def _settle_steps(state: TrainerState, knowledge: Tensor, steps: list[_Step],
+                  sums: list[float]) -> None:
+    """Evaluate the deferred alignment terms of ``steps`` in one batch, then
+    check each step's terms in step order and add them to ``sums``.
+
+    The negatives take one word of the stream per step, in step order, and
+    the alignment loss is computed row by row, so each step gets the bits
+    it would have had on its own.
+    """
+    cfg = state.cfg
+    deferred = [s for s in steps if s.align is None]
+    if deferred:
+        positives = np.concatenate([s.positives for s in deferred])
+        negatives = sample_negatives_batch(positives, knowledge.shape[0], cfg.n_negatives,
+                                           state.rng, [s.rows for s in deferred])
+        per_row = align_loss_rows(Tensor(np.concatenate([s.fused for s in deferred])),
+                                  knowledge, positives, negatives, cfg.tau,
+                                  cfg.denominator, state.cached_norms).data
+        lo = 0
+        for s in deferred:
+            s.align = float(per_row[lo:lo + s.rows].mean())
+            lo += s.rows
+    for s in steps:
+        _check_finite(s.align, s.number, "alignment loss")
+        _check_finite(s.task, s.number, "task loss")
+        total = s.align * float(cfg.lambda1) + s.task * float(cfg.lambda2)
+        _check_finite(total, s.number, "total loss")
+        sums[0] += total * s.rows
+        sums[1] += s.task * s.rows
+    steps.clear()
 
 
 def pretrain_epoch(state: TrainerState, dataset: Batch | list[Example]) -> dict:
@@ -206,7 +274,7 @@ def pretrain_epoch(state: TrainerState, dataset: Batch | list[Example]) -> dict:
             loss = align_loss_batch(fused, knowledge, positives, negatives,
                                     cfg.tau, cfg.denominator)
         value = loss.item()
-        _check_finite(value, state, "alignment loss")
+        _check_finite(value, state.opt.t + 1, "alignment loss")
         backward(loss, tape)
         adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         total += value * len(batch)
@@ -217,7 +285,16 @@ def pretrain_epoch(state: TrainerState, dataset: Batch | list[Example]) -> dict:
 
 def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
                    variant: PipelineVariant = FULL_PIPELINE) -> dict:
-    """One epoch of task fine-tuning under the configured freeze policy."""
+    """One epoch of task fine-tuning under the configured freeze policy.
+
+    When the fused rows and the knowledge matrix are both frozen, the
+    alignment term adds a constant to a step's loss and nothing to its
+    gradient. Its negatives and values are then drawn and evaluated for
+    several steps at once, as many as fit in ``_DEFERRED_WORDS``, after
+    those steps' updates and with the same bits. A non-finite loss still
+    raises with the first failing step and term, but the run may have
+    stepped past it.
+    """
     if state.stage != STAGE_FINETUNE:
         raise RuntimeError("state is not in the fine-tuning stage")
     dataset = collate_dataset(state, dataset)
@@ -225,36 +302,42 @@ def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
     loss_cfg = state.loss_config()
     order = list(range(len(dataset)))
     state.rng.shuffle(order)
-    total_loss, total_task, correct, count = 0.0, 0.0, 0, 0
+    sums = [0.0, 0.0]  # total and task loss, summed over examples
+    pending: list[_Step] = []
+    correct, count = 0, 0
     for batch in _batches(dataset, cfg.batch_size, order):
         with Tape() as tape:
             knowledge = _knowledge_matrix(state)
             logits, fused, _, retrieved = forward_task_batch(
-                state.model, knowledge, batch, variant)
+                state.model, knowledge, batch, variant, state.cached_norms)
             task = loss_cls_batch(logits, batch.labels)
+            step = _Step(state.opt.t + 1, len(batch), task.item(), 0.0)
+            align = Tensor(np.asarray(0.0))
             if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
                 positives = _positive_indices(cfg, batch, fused, knowledge, retrieved)
-                negatives = _negative_indices(state, positives, knowledge.shape[0])
-                align = align_loss_batch(fused, knowledge, positives, negatives,
-                                         cfg.tau, cfg.denominator)
-            else:
-                align = Tensor(np.asarray(0.0))
-            _check_finite(align.item(), state, "alignment loss")
-            _check_finite(task.item(), state, "task loss")
+                if fused.requires_grad or knowledge.requires_grad:
+                    negatives = _negative_indices(state, positives, knowledge.shape[0])
+                    align = align_loss_batch(fused, knowledge, positives, negatives,
+                                             cfg.tau, cfg.denominator, state.cached_norms)
+                    step.align = align.item()
+                else:
+                    step.align, step.fused, step.positives = None, fused.data, positives
+            pending.append(step)
+            if (step.align is not None or not math.isfinite(step.task)
+                    or _deferred_words(pending, knowledge, cfg) >= _DEFERRED_WORDS):
+                _settle_steps(state, knowledge, pending, sums)
             loss = loss_total(align, task, loss_cfg)
-        value = loss.item()
-        _check_finite(value, state, "total loss")
         backward(loss, tape)
         adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         predictions = logits.data.argmax(axis=1)
         correct += int((predictions == batch.labels).sum())
-        total_loss += value * len(batch)
-        total_task += task.item() * len(batch)
         count += len(batch)
+    if pending:
+        _settle_steps(state, knowledge, pending, sums)
     state.epochs_done += 1
     return {
-        "mean_total_loss": total_loss / count,
-        "mean_task_loss": total_task / count,
+        "mean_total_loss": sums[0] / count,
+        "mean_task_loss": sums[1] / count,
         "accuracy": correct / count,
     }
 
@@ -265,10 +348,11 @@ def evaluate(state: TrainerState, dataset: Batch | list[Example],
     retrieved node matches their annotated gold node."""
     dataset = collate_dataset(state, dataset)
     knowledge = _knowledge_matrix(state)
+    norms = row_norms(knowledge.data)
     loss_sum, correct, hits, with_gold, count = 0.0, 0, 0, 0, 0
     for batch in _batches(dataset, state.cfg.batch_size, np.arange(len(dataset))):
         logits, _, _, retrieved = forward_task_batch(
-            state.model, knowledge, batch, variant)
+            state.model, knowledge, batch, variant, norms)
         loss_sum += sum_all(cross_entropy_rows(logits, batch.labels)).item()
         predictions = logits.data.argmax(axis=1)
         correct += int((predictions == batch.labels).sum())

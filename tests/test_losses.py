@@ -6,15 +6,26 @@ import numpy as np
 import pytest
 
 from akgp.losses import (
+    DENOMINATOR_MODES,
     LossConfig,
     align_loss_batch,
+    align_loss_rows,
     loss_align,
     loss_cls,
     loss_cls_batch,
     loss_gen,
     loss_total,
 )
-from akgp.tensor import Tensor, fd_check, from_array, reshape, sum_all, uniform, zeros
+from akgp.tensor import (
+    Tensor,
+    fd_check,
+    from_array,
+    reshape,
+    row_norms,
+    sum_all,
+    uniform,
+    zeros,
+)
 
 
 def unit(vec):
@@ -96,6 +107,24 @@ def test_batch_align_matches_per_example_loop(denominator):
         k_negs = [from_array(knowledge.data[j]) for j in neg[i]]
         per_example.append(loss_align(m, k_pos, k_negs, 0.07, denominator).item())
     assert batch_val == pytest.approx(np.mean(per_example), abs=1e-12)
+
+
+@pytest.mark.parametrize("denominator", DENOMINATOR_MODES)
+def test_align_rows_do_not_depend_on_their_batch(denominator):
+    rng = np.random.default_rng(8)
+    knowledge = Tensor(rng.normal(size=(20, 6)))
+    fused = rng.normal(size=(12, 6))
+    pos = rng.integers(0, 20, 12)
+    neg = rng.integers(0, 20, (12, 5))
+    norms = row_norms(knowledge.data)
+    whole = align_loss_rows(Tensor(fused), knowledge, pos, neg, 0.07, denominator).data
+    for lo, hi in ((0, 5), (5, 12), (3, 4)):
+        part = align_loss_rows(Tensor(fused[lo:hi]), knowledge, pos[lo:hi], neg[lo:hi],
+                               0.07, denominator, norms).data
+        assert np.array_equal(part, whole[lo:hi])
+        mean = align_loss_batch(Tensor(fused[lo:hi]), knowledge, pos[lo:hi], neg[lo:hi],
+                                0.07, denominator).item()
+        assert mean == float(whole[lo:hi].mean())
 
 
 def test_batch_align_gradient_passes_fd():

@@ -18,6 +18,7 @@ from akgp.tensor import (
     backward,
     cosine_sim,
     from_array,
+    row_norms,
     sum_all,
     uniform,
 )
@@ -183,3 +184,32 @@ def test_negatives_batch_equals_full_sort(n_nodes, count):
 def test_negatives_too_many_rejected():
     with pytest.raises(ValueError):
         sample_negatives_batch([0], 5, 5, Rng(1))
+
+
+def test_negatives_in_groups_equal_one_call_per_group():
+    sizes, n_nodes, count = [5, 3, 1, 4], 9, 4
+    positives = np.random.default_rng(0).integers(0, n_nodes, sum(sizes))
+    for seed in range(20):
+        grouped_rng, separate_rng = Rng(seed), Rng(seed)
+        grouped = sample_negatives_batch(positives, n_nodes, count, grouped_rng, sizes)
+        bounds = np.cumsum([0] + sizes)
+        separate = [sample_negatives_batch(positives[lo:hi], n_nodes, count, separate_rng)
+                    for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(grouped, np.concatenate(separate))
+        assert grouped_rng.get_state() == separate_rng.get_state()
+
+
+def test_negative_groups_must_cover_the_rows():
+    with pytest.raises(ValueError):
+        sample_negatives_batch([0, 1, 2], 5, 2, Rng(1), [2, 2])
+
+
+def test_scores_with_given_table_norms_are_bit_equal():
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(30, 7))
+    table[4] = 0.0  # a dead row scores 0 either way
+    queries = rng.normal(size=(9, 7))
+    assert np.array_equal(cosine_scores(queries, table, row_norms(table)),
+                          cosine_scores(queries, table))
+    assert np.array_equal(batch_top1_indices(queries, table, row_norms(table)),
+                          batch_top1_indices(queries, table))

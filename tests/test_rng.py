@@ -3,7 +3,7 @@ run's bits rest on."""
 
 import pytest
 
-from akgp.rng import Rng, derive_seed, fnv1a_64
+from akgp.rng import Rng, derive_seed, fnv1a_64, splitmix64, splitmix64_array
 
 
 def test_fnv1a_known_vectors():
@@ -16,6 +16,23 @@ def test_fnv1a_known_vectors():
 def test_derive_seed_is_pinned():
     # the graph seed of every default run; a change here changes every result
     assert derive_seed(0, "graph") == 0x462A81274F877372
+
+
+def _sequential_splitmix64(seed, count):
+    out = []
+    for _ in range(count):
+        seed, word = splitmix64(seed)
+        out.append(word)
+    return out
+
+
+def test_splitmix64_array_equals_sequential_splitmix64():
+    seeds = [0, 1, 0x9E3779B97F4A7C15, (1 << 64) - 1, derive_seed(3, "negatives")]
+    for seed in seeds:
+        assert splitmix64_array(seed, 50).tolist() == _sequential_splitmix64(seed, 50)
+    rows = splitmix64_array(seeds, 50)
+    assert rows.shape == (len(seeds), 50)
+    assert rows.tolist() == [_sequential_splitmix64(seed, 50) for seed in seeds]
 
 
 @pytest.mark.parametrize("n, low, high", [(0, 0.0, 1.0), (1, -1.0, 1.0), (977, -0.3, 2.5),

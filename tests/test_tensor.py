@@ -32,6 +32,7 @@ from akgp.tensor import (
     mul,
     relu,
     reshape,
+    row_norms,
     scale,
     sigmoid,
     softmax_row,
@@ -208,6 +209,20 @@ def test_backward_rules_skip_inputs_without_grad():
                       [[0, 2], [1, 1], [4, 3], [2, 0]])
     grad_q, grad_table = tape.records[0].backward(np.ones((4, 2)))
     assert grad_q.shape == (4, 3) and grad_table is None
+
+
+def test_cosine_select_with_table_norms_is_bit_equal():
+    table = rand([7, 4], 5)
+    table.data[3] = 0.0  # a dead row scores 0 either way
+    indices = [[0, 3, 6], [3, 3, 1], [5, 2, 0]]
+    outputs = []
+    for norms in (None, row_norms(table.data)):
+        queries = Tensor(rand([3, 4], 6).data, requires_grad=True)
+        with Tape() as tape:
+            loss = sum_all(cosine_select(queries, table, indices, norms))
+        backward(loss, tape)
+        outputs.append((loss.data.tobytes(), queries.grad.tobytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_backward_requires_scalar_loss():

@@ -5,13 +5,20 @@ import pytest
 
 from akgp.config import TrainConfig, WorldConfig
 from akgp.kg import build_graph
+from akgp.losses import align_loss_batch, loss_cls_batch, loss_total
+from akgp.optim import adam_step
+from akgp.retrieval import sample_negatives_batch
 from akgp.rng import derive_seed
 from akgp.synthbench import gen_dataset, gen_world
+from akgp import trainer
+from akgp.tensor import Tape, Tensor, backward
 from akgp.trainer import (
     FULL_PIPELINE,
     STAGE_FINETUNE,
     NumericError,
     PipelineVariant,
+    _knowledge_matrix,
+    _positive_indices,
     collate_dataset,
     evaluate,
     finetune_epoch,
@@ -279,3 +286,94 @@ def test_collated_dataset_trains_like_the_example_list():
         stats += [finetune_epoch(state, dataset), evaluate(state, dataset)]
         runs.append((stats, [t.data.tobytes() for _, t in state.model.named_tensors()]))
     assert runs[0] == runs[1]
+
+
+def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
+    """Oracle: every step draws its negatives and evaluates its alignment
+    term and checks inside the step, as fine-tuning did before frozen
+    alignment terms were evaluated several steps at a time."""
+    cfg = state.cfg
+    dataset = collate_dataset(state, data)
+    order = list(range(len(dataset)))
+    state.rng.shuffle(order)
+    total_loss, total_task, correct = 0.0, 0.0, 0
+    for lo in range(0, len(order), cfg.batch_size):
+        batch = dataset.take(order[lo:lo + cfg.batch_size])
+        step = state.opt.t + 1
+        with Tape() as tape:
+            knowledge = _knowledge_matrix(state)
+            logits, fused, _, retrieved = forward_task_batch(
+                state.model, knowledge, batch, variant)
+            task = loss_cls_batch(logits, batch.labels)
+            align = Tensor(np.asarray(0.0))
+            if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
+                positives = _positive_indices(cfg, batch, fused, knowledge, retrieved)
+                negatives = sample_negatives_batch(positives, knowledge.shape[0],
+                                                   cfg.n_negatives, state.rng)
+                align = align_loss_batch(fused, knowledge, positives, negatives,
+                                         cfg.tau, cfg.denominator)
+            for what, value in (("alignment loss", align.item()), ("task loss", task.item())):
+                if not np.isfinite(value):
+                    raise NumericError(step, f"{what} became non-finite")
+            loss = loss_total(align, task, state.loss_config())
+        if not np.isfinite(loss.item()):
+            raise NumericError(step, "total loss became non-finite")
+        backward(loss, tape)
+        adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
+        total_loss += loss.item() * len(batch)
+        total_task += task.item() * len(batch)
+    state.epochs_done += 1
+    return {"mean_total_loss": total_loss / len(order),
+            "mean_task_loss": total_task / len(order), "accuracy": correct / len(order)}
+
+
+def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE):
+    # 300 examples in batches of 16: 18 full steps and a last one of 12
+    cfg, _, data, graph = tiny_setup(n_examples=300, **overrides)
+    state = make_run(cfg, graph)
+    start_stage(state, STAGE_FINETUNE)
+    if perturb is not None:
+        perturb(state)
+    try:
+        stats = [run_epoch(state, data, variant) for _ in range(2)]
+    except NumericError as exc:
+        return ("error", exc.step, str(exc))
+    return (stats, state.rng.get_state(), state.opt.t,
+            [t.data.tobytes() for _, t in state.model.named_tensors()])
+
+
+@pytest.mark.parametrize("words", [None, 1, 4000])  # default, every step, 4 steps
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"denominator": "negatives_only"},
+    {"positive_source": "retrieved"},
+    {"freeze": ["theta_v", "theta_t", "theta_m"]},  # knowledge trains: no deferral
+])
+def test_fine_tuning_equals_step_by_step_oracle(overrides, words, monkeypatch):
+    if words is not None:
+        monkeypatch.setattr(trainer, "_DEFERRED_WORDS", words)
+    outcome = _fine_tune_outcome(finetune_epoch, overrides)
+    assert outcome[0][0]["mean_total_loss"] != outcome[0][0]["mean_task_loss"]
+    assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides)
+
+
+def _nan_knowledge_row(state):
+    state.cached_knowledge.data[2] = np.nan
+
+
+def _nan_adaptor_weight(state):
+    state.model.theta_a["w_out"].data[0, 0] = np.nan
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the oracle's scaled term
+@pytest.mark.parametrize("overrides,perturb,term", [
+    ({}, _nan_knowledge_row, "alignment loss"),   # checked before the task term
+    ({}, _nan_adaptor_weight, "task loss"),
+    ({"lambda1": 1e308}, None, "total loss"),      # finite terms, overflowing sum
+])
+def test_fine_tuning_fails_at_the_oracle_step_and_term(overrides, perturb, term):
+    outcome = _fine_tune_outcome(finetune_epoch, overrides, perturb)
+    assert outcome[0] == "error" and term in outcome[2]
+    assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides, perturb)
+
