@@ -36,12 +36,12 @@ from .synthbench import (
     run_ablation,
     split_dataset,
 )
-from .tensor import Tensor
 from .trainer import (
     STAGE_FINETUNE,
     STAGE_PRETRAIN,
     NumericError,
     collate_dataset,
+    encode_rows,
     evaluate,
     finetune_epoch,
     make_run,
@@ -270,15 +270,13 @@ def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
     dataset = read_examples(args.data)
     state = _eval_state(cfg, args)
-    from .encoders import encode_batch
     from .trainer import _knowledge_matrix
 
     knowledge = _knowledge_matrix(state)
     batch = collate_dataset(state, dataset)
-    fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
-                         state.model.encoder_params())
+    fused = encode_rows(state.model, batch, cfg.batch_size)
     k = min(cfg.retrieve_k, state.graph.n_nodes)
-    scores = cosine_scores(fused.data, knowledge.data)
+    scores = cosine_scores(fused, knowledge.data)
     top = topk_indices(scores, k)
     sims = np.take_along_axis(scores, top, axis=1)
     for indices, similarities in zip(top, sims):

@@ -6,7 +6,8 @@ prototype, so the label is statistically unrelated to the input features
 given the entity: a model can only do better than memorizing entities by
 reading the attribute off the knowledge graph. The ablation trains five
 configurations of increasing knowledge integration on identical data and
-reports per-seed accuracies.
+reports per-seed accuracies; a seed's configurations share its graph,
+initial model and pretraining.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig, WorldConfig
-from .data import Example
+from .data import Batch, Example
 from .kg import Triple, build_graph
 from .rng import Rng, derive_seed
 from .trainer import (
     STAGE_FINETUNE,
     PipelineVariant,
+    TrainerState,
     collate_dataset,
     evaluate,
     finetune_epoch,
@@ -179,21 +181,40 @@ ABLATION_CONFIGS: list[tuple[str, PipelineVariant, bool]] = [
 ]
 
 
-def run_cell(triples: list[Triple], train: list[Example], test: list[Example],
-             cfg: TrainConfig, variant: PipelineVariant, pretrain: bool,
-             seed: int) -> float:
-    """Train one (configuration, seed) cell from scratch; returns test accuracy."""
-    cell_cfg = replace(cfg, seed=seed)
-    graph = build_graph(triples, cell_cfg.d_k, derive_seed(seed, "graph"))
-    state = make_run(cell_cfg, graph)
-    train_batch = collate_dataset(state, train)
-    if pretrain:
-        for _ in range(cell_cfg.pretrain_epochs):
-            pretrain_epoch(state, train_batch)
+def run_cell(state: TrainerState, weights: dict[str, np.ndarray], train: Batch,
+             test: list[Example], variant: PipelineVariant) -> float:
+    """Fine-tune one (configuration, seed) cell on its seed's run, starting
+    from ``weights`` (every named tensor); returns test accuracy."""
+    for name, tensor in state.model.named_tensors():
+        tensor.data[...] = weights[name]
     start_stage(state, STAGE_FINETUNE)
-    for _ in range(cell_cfg.finetune_epochs):
-        finetune_epoch(state, train_batch, variant)
+    for _ in range(state.cfg.finetune_epochs):
+        finetune_epoch(state, train, variant)
     return evaluate(state, test, variant)["accuracy"]
+
+
+def _weights(state: TrainerState) -> dict[str, np.ndarray]:
+    return {name: tensor.data.copy() for name, tensor in state.model.named_tensors()}
+
+
+def _seed_cells(triples: list[Triple], train: list[Example], test: list[Example],
+                cfg: TrainConfig, seed: int) -> list[float]:
+    """Test accuracy of every configuration for one seed.
+
+    The cells share the seed's graph, initial model and collated training
+    set, and those that pretrain share one pretraining: it never reads the
+    variant, so each would reach the same weights.
+    """
+    seed_cfg = replace(cfg, seed=seed)
+    graph = build_graph(triples, seed_cfg.d_k, derive_seed(seed, "graph"))
+    state = make_run(seed_cfg, graph)
+    train_batch = collate_dataset(state, train)
+    initial = _weights(state)
+    for _ in range(seed_cfg.pretrain_epochs):
+        pretrain_epoch(state, train_batch)
+    pretrained = _weights(state)
+    return [run_cell(state, pretrained if pretrain else initial, train_batch, test, variant)
+            for _, variant, pretrain in ABLATION_CONFIGS]
 
 
 def run_ablation(triples: list[Triple], train: list[Example],
@@ -201,7 +222,7 @@ def run_ablation(triples: list[Triple], train: list[Example],
                  n_threads: int = 1) -> list[AblationRow]:
     """Train and evaluate all five configurations on identical splits.
 
-    Cells are independent; with ``n_threads`` > 1 they run in a thread pool
+    Seeds are independent; with ``n_threads`` > 1 they run in a thread pool
     and results are aggregated in (configuration, seed) order regardless of
     completion order.
     """
@@ -211,27 +232,19 @@ def run_ablation(triples: list[Triple], train: list[Example],
     if any(id(ex) in train_ids for ex in test):
         raise ValueError("train and test splits overlap")
 
-    cells = [(ci, seed) for ci in range(len(ABLATION_CONFIGS)) for seed in seeds]
+    def run_seed(seed):
+        return _seed_cells(triples, train, test, cfg, seed)
 
-    def run_one(cell):
-        ci, seed = cell
-        name, variant, pretrain = ABLATION_CONFIGS[ci]
-        return cell, run_cell(triples, train, test, cfg, variant, pretrain, seed)
-
-    results: dict[tuple[int, int], float] = {}
     if n_threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for cell, acc in pool.map(run_one, cells):
-                results[cell] = acc
+            per_seed = list(pool.map(run_seed, seeds))
     else:
-        for cell in cells:
-            key, acc = run_one(cell)
-            results[key] = acc
+        per_seed = [run_seed(seed) for seed in seeds]
 
     rows: list[AblationRow] = []
     baseline_mean = None
     for ci, (name, _, _) in enumerate(ABLATION_CONFIGS):
-        accs = [results[(ci, seed)] for seed in seeds]
+        accs = [cells[ci] for cells in per_seed]
         mean = sum(accs) / len(accs)
         if baseline_mean is None:
             baseline_mean = mean

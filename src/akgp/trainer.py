@@ -6,7 +6,10 @@ alignment loss. Stage 2 applies the configured freeze policy (by default
 only the gate and adaptor train) and minimizes the weighted sum of
 alignment and classification losses with hard top-1 retrieval. Each stage
 starts a fresh optimizer and its own seeded random stream so runs are
-bit-reproducible and resumable from checkpoints.
+bit-reproducible and resumable from checkpoints. What a stage keeps frozen
+is computed once per stage: the knowledge matrix when the knowledge group
+is frozen, and each example's fused row (and its top-1 retrieval) when the
+encoders are.
 """
 
 from __future__ import annotations
@@ -72,6 +75,16 @@ class PipelineVariant:
 
 FULL_PIPELINE = PipelineVariant()
 
+@dataclass
+class EncodedDataset:
+    """A collated dataset's inputs as frozen encoders see them: each row's
+    fused vector and, once a step retrieves against frozen knowledge, its
+    top-1 node."""
+
+    batch: Batch  # the collated dataset the rows were encoded from
+    fused: np.ndarray  # (N, d_m)
+    retrieved: np.ndarray | None = None  # (N,) int64
+
 
 @dataclass
 class TrainerState:
@@ -84,6 +97,7 @@ class TrainerState:
     epochs_done: int = 0
     cached_knowledge: Tensor | None = None
     cached_norms: np.ndarray | None = None  # row norms of cached_knowledge
+    cached_inputs: EncodedDataset | None = None  # the stage's frozen-encoder rows
 
     def loss_config(self) -> LossConfig:
         c = self.cfg
@@ -101,8 +115,8 @@ def make_run(cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
 
 def start_stage(state: TrainerState, stage: int) -> None:
     """Enter a stage: set trainability, reset the optimizer, reseed the
-    stage's random stream, and cache knowledge embeddings and their row
-    norms if they are frozen."""
+    stage's random stream, drop the last stage's encoded inputs, and cache
+    knowledge embeddings and their row norms if they are frozen."""
     state.stage = stage
     state.epochs_done = 0
     state.opt = AdamState()
@@ -113,7 +127,7 @@ def start_stage(state: TrainerState, stage: int) -> None:
         policy = FreezePolicy.from_frozen(state.cfg.freeze)
         state.rng = Rng(derive_seed(state.cfg.seed, "stage.finetune"))
     apply_freeze_policy(state.model, policy)
-    state.cached_knowledge = state.cached_norms = None
+    state.cached_knowledge = state.cached_norms = state.cached_inputs = None
     if stage == STAGE_FINETUNE and not policy.theta_k:
         frozen_k = encode_knowledge(state.graph, state.model.gnn_params())
         state.cached_knowledge = Tensor(frozen_k.data.copy())
@@ -136,25 +150,75 @@ def collate_dataset(state: TrainerState, dataset: Batch | list[Example]) -> Batc
     return collate(dataset, state.cfg.vocab_size, state.graph.node_index)
 
 
-def _batches(dataset: Batch, batch_size: int, order):
-    """Cut the dataset into batches along ``order``, one at a time."""
+def _row_chunks(order, batch_size: int):
+    """The row indices of each batch along ``order``, one batch at a time."""
     order = np.asarray(order, dtype=np.int64)
     for lo in range(0, order.shape[0], batch_size):
-        yield dataset.take(order[lo:lo + batch_size])
+        yield order[lo:lo + batch_size]
 
 
-def _positive_indices(cfg: TrainConfig, batch: Batch, fused: Tensor,
+def _batches(dataset: Batch, batch_size: int, order):
+    """Cut the dataset into batches along ``order``, one at a time."""
+    for rows in _row_chunks(order, batch_size):
+        yield dataset.take(rows)
+
+
+def _encode(model: ModelParams, batch: Batch) -> Tensor:
+    return encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
+                        model.encoder_params())
+
+
+def encode_rows(model: ModelParams, dataset: Batch, batch_size: int) -> np.ndarray:
+    """(N, d_m) fused rows of a collated dataset, encoded ``batch_size`` rows
+    at a time in dataset order.
+
+    Each product has the shape of a training step's, so every row gets the
+    bits its step would compute, and no (N, V) bag-of-tokens matrix exists.
+    """
+    n = len(dataset)
+    fused = np.empty((n, model.theta_m["bias"].shape[0]))
+    for lo in range(0, n, batch_size):
+        hi = min(lo + batch_size, n)
+        fused[lo:hi] = _encode(model, dataset.take(np.arange(lo, hi))).data
+    return fused
+
+
+def _encoded_dataset(state: TrainerState, dataset: Batch,
+                     variant: PipelineVariant) -> EncodedDataset | None:
+    """The stage's encoded rows of ``dataset``, built on first use, with
+    each row's top-1 node once the variant retrieves against frozen
+    knowledge; None while any encoder group trains."""
+    model = state.model
+    if any(t.requires_grad for t in vars(model.encoder_params()).values()):
+        return None
+    batch_size = state.cfg.batch_size
+    cache = state.cached_inputs
+    if cache is None or cache.batch is not dataset:
+        cache = state.cached_inputs = EncodedDataset(
+            dataset, encode_rows(model, dataset, batch_size))
+    if (variant.knowledge == "retrieve" and cache.retrieved is None
+            and state.cached_knowledge is not None):
+        cache.retrieved = np.empty(len(dataset), dtype=np.int64)
+        for lo in range(0, len(dataset), batch_size):
+            cache.retrieved[lo:lo + batch_size] = batch_top1_indices(
+                cache.fused[lo:lo + batch_size], state.cached_knowledge.data,
+                state.cached_norms)
+    return cache
+
+
+def _positive_indices(cfg: TrainConfig, gold: np.ndarray, fused: Tensor,
                       knowledge: Tensor,
                       retrieved: np.ndarray | None = None) -> np.ndarray:
-    """Positive node per example: annotated gold when present (and selected
-    as the source), otherwise the current top-1 retrieval."""
-    if cfg.positive_source == "gold_node" and np.all(batch.gold_indices >= 0):
-        return batch.gold_indices.copy()
+    """Positive node per example: annotated gold (``gold`` >= 0) when
+    present and selected as the source, otherwise the current top-1
+    retrieval."""
+    if cfg.positive_source == "gold_node" and np.all(gold >= 0):
+        return gold.copy()
     if retrieved is None:
         retrieved = batch_top1_indices(fused.data, knowledge.data)
     if cfg.positive_source == "retrieved":
         return retrieved
-    return np.where(batch.gold_indices >= 0, batch.gold_indices, retrieved)
+    return np.where(gold >= 0, gold, retrieved)
 
 
 def _negative_indices(state: TrainerState, positives: np.ndarray,
@@ -172,18 +236,33 @@ def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
     retrieved indices are None unless the variant retrieves.
     ``knowledge_norms``, when given, are the knowledge matrix's row norms.
     """
-    fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
-                         model.encoder_params())
-    b = len(batch)
-    retrieved = None
+    fused = _encode(model, batch)
+    logits, k_star, retrieved = _task_head(model, knowledge, fused, variant, knowledge_norms)
+    return logits, fused, k_star, retrieved
+
+
+def _task_head(model: ModelParams, knowledge: Tensor, fused: Tensor,
+              variant: PipelineVariant, knowledge_norms: np.ndarray | None = None,
+              retrieved: np.ndarray | None = None):
+    """The task pipeline after the encoders: knowledge, gate and adaptor.
+
+    Returns (logits, knowledge_vectors, retrieved_indices). The retrieved
+    indices are None unless the variant retrieves; ``retrieved``, when
+    given, is each row's top-1 node, taken earlier against the same
+    knowledge matrix, and a retrieving variant uses it instead of taking it.
+    """
+    b = fused.shape[0]
     if variant.knowledge == "none":
+        retrieved = None
         k_star = Tensor(np.zeros((b, fused.shape[1])))
     elif variant.knowledge == "mean":
+        retrieved = None
         n = knowledge.shape[0]
         pool = matmul(Tensor(np.full((1, n), 1.0 / n)), knowledge)
         k_star = matmul(Tensor(np.ones((b, 1))), pool)
     elif variant.knowledge == "retrieve":
-        retrieved = batch_top1_indices(fused.data, knowledge.data, knowledge_norms)
+        if retrieved is None:
+            retrieved = batch_top1_indices(fused.data, knowledge.data, knowledge_norms)
         k_star = gather_rows(knowledge, retrieved)
     else:
         raise ValueError(f"unknown knowledge mode {variant.knowledge!r}")
@@ -191,7 +270,7 @@ def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
     if variant.gate and variant.knowledge != "none":
         integrated = gate_integrate(fused, k_star, model.gate_params())
     logits = adapt_task(integrated, k_star, model.adaptor_params())
-    return logits, fused, k_star, retrieved
+    return logits, k_star, retrieved
 
 
 def _check_finite(value: float, step: int, what: str) -> None:
@@ -267,9 +346,8 @@ def pretrain_epoch(state: TrainerState, dataset: Batch | list[Example]) -> dict:
     for batch in _batches(dataset, cfg.batch_size, order):
         with Tape() as tape:
             knowledge = _knowledge_matrix(state)
-            fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
-                                 state.model.encoder_params())
-            positives = _positive_indices(cfg, batch, fused, knowledge)
+            fused = _encode(state.model, batch)
+            positives = _positive_indices(cfg, batch.gold_indices, fused, knowledge)
             negatives = _negative_indices(state, positives, knowledge.shape[0])
             loss = align_loss_batch(fused, knowledge, positives, negatives,
                                     cfg.tau, cfg.denominator)
@@ -287,6 +365,12 @@ def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
                    variant: PipelineVariant = FULL_PIPELINE) -> dict:
     """One epoch of task fine-tuning under the configured freeze policy.
 
+    When the encoders are frozen, the dataset's fused rows are encoded once
+    per stage (see :func:`encode_rows`) and each step gathers its rows; when
+    the knowledge is frozen too, so is each row's top-1 retrieval. The
+    cache belongs to the collated ``dataset``: pass the same :class:`Batch`
+    to every epoch to reuse it.
+
     When the fused rows and the knowledge matrix are both frozen, the
     alignment term adds a constant to a step's loss and nothing to its
     gradient. Its negatives and values are then drawn and evaluated for
@@ -300,21 +384,29 @@ def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
     dataset = collate_dataset(state, dataset)
     cfg = state.cfg
     loss_cfg = state.loss_config()
+    encoded = _encoded_dataset(state, dataset, variant)
     order = list(range(len(dataset)))
     state.rng.shuffle(order)
     sums = [0.0, 0.0]  # total and task loss, summed over examples
     pending: list[_Step] = []
     correct, count = 0, 0
-    for batch in _batches(dataset, cfg.batch_size, order):
+    for rows in _row_chunks(order, cfg.batch_size):
+        labels = dataset.labels[rows]
         with Tape() as tape:
             knowledge = _knowledge_matrix(state)
-            logits, fused, _, retrieved = forward_task_batch(
-                state.model, knowledge, batch, variant, state.cached_norms)
-            task = loss_cls_batch(logits, batch.labels)
-            step = _Step(state.opt.t + 1, len(batch), task.item(), 0.0)
+            if encoded is None:
+                fused, retrieved = _encode(state.model, dataset.take(rows)), None
+            else:
+                fused = Tensor(encoded.fused[rows])
+                retrieved = None if encoded.retrieved is None else encoded.retrieved[rows]
+            logits, _, retrieved = _task_head(state.model, knowledge, fused, variant,
+                                              state.cached_norms, retrieved)
+            task = loss_cls_batch(logits, labels)
+            step = _Step(state.opt.t + 1, len(rows), task.item(), 0.0)
             align = Tensor(np.asarray(0.0))
             if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
-                positives = _positive_indices(cfg, batch, fused, knowledge, retrieved)
+                positives = _positive_indices(cfg, dataset.gold_indices[rows], fused,
+                                              knowledge, retrieved)
                 if fused.requires_grad or knowledge.requires_grad:
                     negatives = _negative_indices(state, positives, knowledge.shape[0])
                     align = align_loss_batch(fused, knowledge, positives, negatives,
@@ -330,8 +422,8 @@ def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
         backward(loss, tape)
         adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
         predictions = logits.data.argmax(axis=1)
-        correct += int((predictions == batch.labels).sum())
-        count += len(batch)
+        correct += int((predictions == labels).sum())
+        count += len(rows)
     if pending:
         _settle_steps(state, knowledge, pending, sums)
     state.epochs_done += 1

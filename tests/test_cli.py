@@ -187,6 +187,46 @@ def test_retrieve_prints_json_lines(workdir, capsys):
         assert set(record) == {"node_id", "similarity"}
 
 
+def test_retrieve_encodes_in_batches_and_matches_one_batch_oracle(workdir, capsys,
+                                                                  monkeypatch):
+    from akgp import trainer
+    from akgp.config import parse_config
+    from akgp.data import collate, read_examples
+    from akgp.kg import build_graph, load_triples
+    from akgp.retrieval import cosine_scores, topk_indices
+    from akgp.rng import derive_seed
+    from akgp.tensor import Tensor
+
+    encode_batch = trainer.encode_batch
+    rows = []
+
+    def counted(images, token_bow, params):
+        rows.append(images.shape[0])
+        return encode_batch(images, token_bow, params)
+
+    monkeypatch.setattr(trainer, "encode_batch", counted)
+    assert main(["retrieve", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", workdir["data"]]) == 0
+    printed = capsys.readouterr().out
+    examples = read_examples(workdir["data"])
+    assert sum(rows) == len(examples) > TINY["batch_size"] == max(rows)
+
+    # oracle: every query encoded in one batch
+    cfg = parse_config(workdir["config"])
+    graph = build_graph(load_triples(workdir["kg"]), cfg.d_k, derive_seed(cfg.seed, "graph"))
+    state = trainer.make_run(cfg, graph)
+    trainer.start_stage(state, trainer.STAGE_FINETUNE)
+    batch = collate(examples, cfg.vocab_size, graph.node_index)
+    fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
+                         state.model.encoder_params())
+    scores = cosine_scores(fused.data, state.cached_knowledge.data)
+    top = topk_indices(scores, min(cfg.retrieve_k, graph.n_nodes))
+    assert printed == "".join(
+        json.dumps({"node_id": graph.node_ids[i], "similarity": float(scores[q, i])},
+                   sort_keys=True) + "\n"
+        for q, row in enumerate(top) for i in row)
+
+
 def test_ablate_writes_reports(workdir, tmp_path, capsys):
     out = tmp_path / "abl"
     assert main(["ablate", "--config", workdir["config"], "--kg", workdir["kg"],

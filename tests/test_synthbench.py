@@ -1,9 +1,14 @@
 """World generation, dataset construction, and ablation harness mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from akgp import synthbench
 from akgp.config import TrainConfig, WorldConfig
+from akgp.kg import build_graph
+from akgp.rng import derive_seed
 from akgp.synthbench import (
     ABLATION_CONFIGS,
     HAS_ATTRIBUTE,
@@ -16,10 +21,35 @@ from akgp.synthbench import (
     gen_dataset,
     gen_world,
     run_ablation,
-    run_cell,
     shuffle_labels,
     split_dataset,
 )
+from akgp.trainer import (
+    STAGE_FINETUNE,
+    collate_dataset,
+    evaluate,
+    finetune_epoch,
+    make_run,
+    pretrain_epoch,
+    start_stage,
+)
+
+
+def run_cell_from_scratch(triples, train, test, cfg, variant, pretrain, seed):
+    """Oracle: one (configuration, seed) cell trained from scratch, as the
+    ablation ran each cell before a seed's cells shared their graph, initial
+    model and pretraining; returns the test ``evaluate`` dict."""
+    cell_cfg = replace(cfg, seed=seed)
+    graph = build_graph(triples, cell_cfg.d_k, derive_seed(seed, "graph"))
+    state = make_run(cell_cfg, graph)
+    train_batch = collate_dataset(state, train)
+    if pretrain:
+        for _ in range(cell_cfg.pretrain_epochs):
+            pretrain_epoch(state, train_batch)
+    start_stage(state, STAGE_FINETUNE)
+    for _ in range(cell_cfg.finetune_epochs):
+        finetune_epoch(state, train_batch, variant)
+    return evaluate(state, test, variant)
 
 
 def small_spec(**overrides):
@@ -162,6 +192,42 @@ def test_run_ablation_threaded_matches_serial():
     assert [r.accuracies for r in serial] == [r.accuracies for r in threaded]
 
 
+@pytest.mark.parametrize("freeze", [None, ["theta_k"], []],  # None: the default
+                         ids=["default", "theta_k", "nothing"])
+def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
+    cfg = tiny_cfg() if freeze is None else replace(tiny_cfg(), freeze=freeze)
+    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
+    train, test = split_dataset(gen_dataset(world, 60, seed=23))
+    seeds = [0, 1, 2]
+    got = []
+
+    def recorded(*args):
+        got.append(evaluate(*args))
+        return got[-1]
+
+    monkeypatch.setattr(synthbench, "evaluate", recorded)
+    run_ablation(world.triples, train, test, cfg, seeds)
+    want = [run_cell_from_scratch(world.triples, train, test, cfg, variant, pretrain, seed)
+            for seed in seeds for _, variant, pretrain in ABLATION_CONFIGS]
+    assert got == want
+
+
+def test_ablation_work_counts(monkeypatch):
+    # work-count guard: a seed's cells share one graph and one pretraining
+    cfg = tiny_cfg()
+    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
+    train, test = split_dataset(gen_dataset(world, 60, seed=24))
+    calls = {"build_graph": 0, "pretrain_epoch": 0, "run_cell": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(synthbench, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(synthbench, name, counted)
+    run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
+    assert calls == {"build_graph": 3, "pretrain_epoch": 3 * cfg.pretrain_epochs,
+                     "run_cell": 3 * len(ABLATION_CONFIGS)}
+
+
 def test_run_ablation_validation():
     cfg = tiny_cfg()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
@@ -193,7 +259,8 @@ def test_label_shuffled_control_trains_to_chance():
     data = shuffle_labels(gen_dataset(world, 400, seed=21), seed=22)
     train, test = split_dataset(data)
     name, variant, pretrain = ABLATION_CONFIGS[-1]  # the full pipeline
-    acc = run_cell(world.triples, train, test, cfg, variant, pretrain, seed=0)
+    acc = run_cell_from_scratch(world.triples, train, test, cfg, variant, pretrain,
+                                seed=0)["accuracy"]
     assert abs(acc - 0.5) <= 0.15  # chance for 2 classes, within sampling slack
 
 
@@ -206,5 +273,6 @@ def test_label_shuffled_control_at_default_scale():
                                       seed=cfg.world.seed), seed=31)
     train, test = split_dataset(data)
     name, variant, pretrain = ABLATION_CONFIGS[-1]
-    acc = run_cell(world.triples, train, test, cfg, variant, pretrain, seed=0)
+    acc = run_cell_from_scratch(world.triples, train, test, cfg, variant, pretrain,
+                                seed=0)["accuracy"]
     assert abs(acc - 0.25) <= 0.05

@@ -307,7 +307,8 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
             task = loss_cls_batch(logits, batch.labels)
             align = Tensor(np.asarray(0.0))
             if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
-                positives = _positive_indices(cfg, batch, fused, knowledge, retrieved)
+                positives = _positive_indices(cfg, batch.gold_indices, fused, knowledge,
+                                              retrieved)
                 negatives = sample_negatives_batch(positives, knowledge.shape[0],
                                                    cfg.n_negatives, state.rng)
                 align = align_loss_batch(fused, knowledge, positives, negatives,
@@ -333,10 +334,11 @@ def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE
     cfg, _, data, graph = tiny_setup(n_examples=300, **overrides)
     state = make_run(cfg, graph)
     start_stage(state, STAGE_FINETUNE)
+    dataset = collate_dataset(state, data)  # one batch: the epochs share its cache
     if perturb is not None:
         perturb(state)
     try:
-        stats = [run_epoch(state, data, variant) for _ in range(2)]
+        stats = [run_epoch(state, dataset, variant) for _ in range(2)]
     except NumericError as exc:
         return ("error", exc.step, str(exc))
     return (stats, state.rng.get_state(), state.opt.t,
@@ -356,6 +358,65 @@ def test_fine_tuning_equals_step_by_step_oracle(overrides, words, monkeypatch):
     outcome = _fine_tune_outcome(finetune_epoch, overrides)
     assert outcome[0][0]["mean_total_loss"] != outcome[0][0]["mean_task_loss"]
     assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides)
+
+
+ENCODERS = ["theta_v", "theta_t", "theta_m"]
+
+
+@pytest.mark.parametrize("variant", [
+    PipelineVariant(knowledge=knowledge, gate=gate)
+    for knowledge in ("none", "mean", "retrieve") for gate in (False, True)])
+@pytest.mark.parametrize("freeze,cached,retrieved", [
+    (None, True, True),         # the default: encoders and knowledge frozen
+    (ENCODERS, True, False),    # knowledge trains: fused rows cached, retrieval per step
+    ([], False, False),         # encoders train: every step encodes
+])
+def test_encoded_dataset_equals_per_step_oracle(variant, freeze, cached, retrieved):
+    overrides = {} if freeze is None else {"freeze": freeze}
+    outcome = _fine_tune_outcome(finetune_epoch, overrides, variant=variant)
+    assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides,
+                                         variant=variant)
+
+    cfg, _, data, graph = tiny_setup(n_examples=40, **overrides)
+    state = make_run(cfg, graph)
+    start_stage(state, STAGE_FINETUNE)
+    finetune_epoch(state, collate_dataset(state, data), variant)
+    assert (state.cached_inputs is not None) == cached
+    takes_top1 = retrieved and variant.knowledge == "retrieve"
+    assert cached is False or (state.cached_inputs.retrieved is not None) == takes_top1
+
+
+def _count_encodes(monkeypatch) -> list[int]:
+    """Row counts of every encode_batch call the trainer makes."""
+    rows = []
+    encode = trainer.encode_batch
+
+    def counted(images, token_bow, params):
+        rows.append(images.shape[0])
+        return encode(images, token_bow, params)
+
+    monkeypatch.setattr(trainer, "encode_batch", counted)
+    return rows
+
+
+def test_frozen_encoders_encode_each_row_once_per_stage(monkeypatch):
+    # work-count guard: 50 examples in batches of 16 are 4 encodes per stage
+    cfg, _, data, graph = tiny_setup(n_examples=50)
+    state = make_run(cfg, graph)
+    start_stage(state, STAGE_FINETUNE)
+    dataset = collate_dataset(state, data)
+    rows = _count_encodes(monkeypatch)
+    for _ in range(3):
+        finetune_epoch(state, dataset)
+    assert rows == [16, 16, 16, 2]
+
+    start_stage(state, STAGE_FINETUNE)  # a new stage drops the cache
+    assert state.cached_inputs is None
+    finetune_epoch(state, dataset)
+    assert len(rows) == 8
+    other = collate_dataset(state, data)  # a different batch rebuilds it
+    finetune_epoch(state, other)
+    assert len(rows) == 12 and state.cached_inputs.batch is other
 
 
 def _nan_knowledge_row(state):
