@@ -289,9 +289,10 @@ def test_collated_dataset_trains_like_the_example_list():
 
 
 def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
-    """Oracle: every step draws its negatives and evaluates its alignment
-    term and checks inside the step, as fine-tuning did before frozen
-    alignment terms were evaluated several steps at a time."""
+    """Oracle: every step encodes its batch, retrieves, draws its negatives,
+    and evaluates its alignment term and checks inside the step, as
+    fine-tuning did before frozen inputs were encoded once per stage and
+    frozen alignment terms were evaluated several steps at a time."""
     cfg = state.cfg
     dataset = collate_dataset(state, data)
     order = list(range(len(dataset)))
