@@ -5,6 +5,7 @@ and validation that names the offending key."""
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 
@@ -148,6 +149,13 @@ def _has_type(value, annotation) -> bool:
     return isinstance(value, annotation)
 
 
+def _is_finite(number) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _typed_fields(cls, raw: dict, prefix: str, path_hint: str) -> dict:
     """``raw``'s entries after checking each key and value against ``cls``."""
     hints = typing.get_type_hints(cls)
@@ -159,6 +167,9 @@ def _typed_fields(cls, raw: dict, prefix: str, path_hint: str) -> dict:
             expected = str(hint) if typing.get_origin(hint) else hint.__name__
             raise ConfigError(f"{path_hint}{prefix}{key}: expected {expected}, "
                               f"got {type(value).__name__} {value!r}")
+        if hint is float and not _is_finite(value):
+            raise ConfigError(f"{path_hint}{prefix}{key}: must be a finite number, "
+                              f"got {value!r}")
     return dict(raw)
 
 

@@ -182,7 +182,7 @@ ABLATION_CONFIGS: list[tuple[str, PipelineVariant, bool]] = [
 
 
 def run_cell(state: TrainerState, weights: dict[str, np.ndarray], train: Batch,
-             test: list[Example], variant: PipelineVariant) -> float:
+             test: Batch, variant: PipelineVariant) -> float:
     """Fine-tune one (configuration, seed) cell on its seed's run, starting
     from ``weights`` (every named tensor); returns test accuracy."""
     for name, tensor in state.model.named_tensors():
@@ -201,20 +201,20 @@ def _seed_cells(triples: list[Triple], train: list[Example], test: list[Example]
                 cfg: TrainConfig, seed: int) -> list[float]:
     """Test accuracy of every configuration for one seed.
 
-    The cells share the seed's graph, initial model and collated training
-    set, and those that pretrain share one pretraining: it never reads the
+    The cells share the seed's graph, initial model and collated splits,
+    and those that pretrain share one pretraining: it never reads the
     variant, so each would reach the same weights.
     """
     seed_cfg = replace(cfg, seed=seed)
     graph = build_graph(triples, seed_cfg.d_k, derive_seed(seed, "graph"))
     state = make_run(seed_cfg, graph)
-    train_batch = collate_dataset(state, train)
+    train_batch, test_batch = collate_dataset(state, train), collate_dataset(state, test)
     initial = _weights(state)
     for _ in range(seed_cfg.pretrain_epochs):
         pretrain_epoch(state, train_batch)
     pretrained = _weights(state)
-    return [run_cell(state, pretrained if pretrain else initial, train_batch, test, variant)
-            for _, variant, pretrain in ABLATION_CONFIGS]
+    return [run_cell(state, pretrained if pretrain else initial, train_batch, test_batch,
+                     variant) for _, variant, pretrain in ABLATION_CONFIGS]
 
 
 def run_ablation(triples: list[Triple], train: list[Example],

@@ -9,13 +9,15 @@ starts a fresh optimizer and its own seeded random stream so runs are
 bit-reproducible and resumable from checkpoints. What a stage keeps frozen
 is computed once per stage: the knowledge matrix when the knowledge group
 is frozen, and each example's fused row (and its top-1 retrieval) when the
-encoders are.
+encoders are. Both stages run one epoch loop. When a step's fused rows and
+the knowledge are both frozen, its alignment term has no gradient and is
+evaluated ahead of the epoch's steps; otherwise it is taken on the tape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,11 +123,10 @@ def start_stage(state: TrainerState, stage: int) -> None:
     state.epochs_done = 0
     state.opt = AdamState()
     if stage == STAGE_PRETRAIN:
-        policy = FreezePolicy.pretrain_default()
-        state.rng = Rng(derive_seed(state.cfg.seed, "stage.pretrain"))
+        policy, stream = FreezePolicy.pretrain_default(), "stage.pretrain"
     else:
-        policy = FreezePolicy.from_frozen(state.cfg.freeze)
-        state.rng = Rng(derive_seed(state.cfg.seed, "stage.finetune"))
+        policy, stream = FreezePolicy.from_frozen(state.cfg.freeze), "stage.finetune"
+    state.rng = Rng(derive_seed(state.cfg.seed, stream))
     apply_freeze_policy(state.model, policy)
     state.cached_knowledge = state.cached_norms = state.cached_inputs = None
     if stage == STAGE_FINETUNE and not policy.theta_k:
@@ -157,12 +158,6 @@ def _row_chunks(order, batch_size: int):
         yield order[lo:lo + batch_size]
 
 
-def _batches(dataset: Batch, batch_size: int, order):
-    """Cut the dataset into batches along ``order``, one at a time."""
-    for rows in _row_chunks(order, batch_size):
-        yield dataset.take(rows)
-
-
 def _encode(model: ModelParams, batch: Batch) -> Tensor:
     return encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
                         model.encoder_params())
@@ -175,11 +170,9 @@ def encode_rows(model: ModelParams, dataset: Batch, batch_size: int) -> np.ndarr
     Each product has the shape of a training step's, so every row gets the
     bits its step would compute, and no (N, V) bag-of-tokens matrix exists.
     """
-    n = len(dataset)
-    fused = np.empty((n, model.theta_m["bias"].shape[0]))
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
-        fused[lo:hi] = _encode(model, dataset.take(np.arange(lo, hi))).data
+    fused = np.empty((len(dataset), model.theta_m["bias"].shape[0]))
+    for rows in _row_chunks(np.arange(len(dataset)), batch_size):
+        fused[rows] = _encode(model, dataset.take(rows)).data
     return fused
 
 
@@ -206,12 +199,12 @@ def _encoded_dataset(state: TrainerState, dataset: Batch,
     return cache
 
 
-def _positive_indices(cfg: TrainConfig, gold: np.ndarray, fused: Tensor,
+def _positive_indices(cfg: TrainConfig, gold: np.ndarray, fused: Tensor | None,
                       knowledge: Tensor,
                       retrieved: np.ndarray | None = None) -> np.ndarray:
     """Positive node per example: annotated gold (``gold`` >= 0) when
-    present and selected as the source, otherwise the current top-1
-    retrieval."""
+    present and selected as the source, otherwise the top-1 retrieval,
+    ``retrieved`` when given and taken from ``fused`` otherwise."""
     if cfg.positive_source == "gold_node" and np.all(gold >= 0):
         return gold.copy()
     if retrieved is None:
@@ -219,26 +212,6 @@ def _positive_indices(cfg: TrainConfig, gold: np.ndarray, fused: Tensor,
     if cfg.positive_source == "retrieved":
         return retrieved
     return np.where(gold >= 0, gold, retrieved)
-
-
-def _negative_indices(state: TrainerState, positives: np.ndarray,
-                      n_nodes: int) -> np.ndarray:
-    return sample_negatives_batch(positives, n_nodes, state.cfg.n_negatives,
-                                  state.rng)
-
-
-def forward_task_batch(model: ModelParams, knowledge: Tensor, batch: Batch,
-                       variant: PipelineVariant,
-                       knowledge_norms: np.ndarray | None = None):
-    """Run the task pipeline over one batch.
-
-    Returns (logits, fused, knowledge_vectors, retrieved_indices). The
-    retrieved indices are None unless the variant retrieves.
-    ``knowledge_norms``, when given, are the knowledge matrix's row norms.
-    """
-    fused = _encode(model, batch)
-    logits, k_star, retrieved = _task_head(model, knowledge, fused, variant, knowledge_norms)
-    return logits, fused, k_star, retrieved
 
 
 def _task_head(model: ModelParams, knowledge: Tensor, fused: Tensor,
@@ -278,87 +251,107 @@ def _check_finite(value: float, step: int, what: str) -> None:
         raise NumericError(step, f"{what} became non-finite")
 
 
-# 8-byte words of working memory (512 KB) that the deferred alignment
-# terms of a run of fine-tuning steps may reach before they are evaluated
-_DEFERRED_WORDS = 1 << 16
+# 8-byte words of working memory (512 KB) one evaluation of frozen
+# alignment terms works on: it takes whole steps until their rows reach it
+_ALIGN_WORDS = 1 << 16
 
 
-@dataclass
-class _Step:
-    """One fine-tuning step's loss terms, checked and summed in step order."""
+def _frozen_align_terms(state: TrainerState, dataset: Batch, encoded: EncodedDataset,
+                        steps: list[np.ndarray]) -> list[float]:
+    """Each step's alignment term, a constant of its loss when the fused
+    rows and the knowledge are frozen.
 
-    number: int
-    rows: int
-    task: float
-    align: float | None = None  # None until a deferred term is evaluated
-    fused: np.ndarray | None = field(default=None, repr=False)
-    positives: np.ndarray | None = field(default=None, repr=False)
-
-
-def _deferred_words(steps: list[_Step], knowledge: Tensor, cfg: TrainConfig) -> int:
-    """Words the batched evaluation of ``steps`` works on: each row's
-    negative-sampling keys and its gathered knowledge rows."""
-    n_nodes, width = knowledge.shape
-    return sum(s.rows for s in steps) * (n_nodes + (cfg.n_negatives + 1) * width)
-
-
-def _settle_steps(state: TrainerState, knowledge: Tensor, steps: list[_Step],
-                  sums: list[float]) -> None:
-    """Evaluate the deferred alignment terms of ``steps`` in one batch, then
-    check each step's terms in step order and add them to ``sums``.
-
-    The negatives take one word of the stream per step, in step order, and
-    the alignment loss is computed row by row, so each step gets the bits
-    it would have had on its own.
+    Whole steps are evaluated together until their rows' working memory
+    (``row_words`` each) reaches ``_ALIGN_WORDS``. Negatives take one stream
+    word per step, in step order, and the loss is row by row, so each step
+    gets the bits it would have had alone.
     """
     cfg = state.cfg
-    deferred = [s for s in steps if s.align is None]
-    if deferred:
-        positives = np.concatenate([s.positives for s in deferred])
-        negatives = sample_negatives_batch(positives, knowledge.shape[0], cfg.n_negatives,
-                                           state.rng, [s.rows for s in deferred])
-        per_row = align_loss_rows(Tensor(np.concatenate([s.fused for s in deferred])),
-                                  knowledge, positives, negatives, cfg.tau,
-                                  cfg.denominator, state.cached_norms).data
-        lo = 0
-        for s in deferred:
-            s.align = float(per_row[lo:lo + s.rows].mean())
-            lo += s.rows
-    for s in steps:
-        _check_finite(s.align, s.number, "alignment loss")
-        _check_finite(s.task, s.number, "task loss")
-        total = s.align * float(cfg.lambda1) + s.task * float(cfg.lambda2)
-        _check_finite(total, s.number, "total loss")
-        sums[0] += total * s.rows
-        sums[1] += s.task * s.rows
-    steps.clear()
+    knowledge = state.cached_knowledge
+    n_nodes, width = knowledge.shape
+    row_words = n_nodes + (cfg.n_negatives + 1) * width  # sampling keys, knowledge rows
+    terms, group = [], []
+    for i, rows in enumerate(steps):
+        group.append(rows)
+        if i + 1 < len(steps) and sum(map(len, group)) * row_words < _ALIGN_WORDS:
+            continue
+        sizes = [len(r) for r in group]
+        positives = np.concatenate([
+            _positive_indices(cfg, dataset.gold_indices[r], None, knowledge,
+                              encoded.retrieved[r]) for r in group])
+        negatives = sample_negatives_batch(positives, n_nodes, cfg.n_negatives,
+                                           state.rng, sizes)
+        per_row = align_loss_rows(Tensor(encoded.fused[np.concatenate(group)]), knowledge,
+                                  positives, negatives, cfg.tau, cfg.denominator,
+                                  state.cached_norms).data
+        terms += [float(r.mean()) for r in np.split(per_row, np.cumsum(sizes)[:-1])]
+        group = []
+    return terms
+
+
+def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
+               variant: PipelineVariant) -> dict:
+    """One epoch of either stage: see pretrain_epoch and finetune_epoch."""
+    if state.stage != stage:
+        raise RuntimeError(f"state is not in the {('pretraining', 'fine-tuning')[stage]} stage")
+    finetune = stage == STAGE_FINETUNE
+    dataset = collate_dataset(state, dataset)
+    cfg = state.cfg
+    encoded = _encoded_dataset(state, dataset, variant)
+    order = list(range(len(dataset)))
+    state.rng.shuffle(order)
+    steps = list(_row_chunks(order, cfg.batch_size))
+    fixed_align = None  # each step's alignment term when it has no gradient
+    if finetune and not (variant.knowledge == "retrieve" and cfg.lambda1 > 0):
+        fixed_align = [0.0] * len(steps)
+    elif encoded is not None and state.cached_knowledge is not None:
+        fixed_align = _frozen_align_terms(state, dataset, encoded, steps)
+    loss_sum, task_sum, correct = 0.0, 0.0, 0
+    for i, rows in enumerate(steps):
+        step = state.opt.t + 1
+        with Tape() as tape:
+            knowledge = _knowledge_matrix(state)
+            if encoded is None:
+                fused, retrieved = _encode(state.model, dataset.take(rows)), None
+            else:
+                fused = Tensor(encoded.fused[rows])
+                retrieved = None if encoded.retrieved is None else encoded.retrieved[rows]
+            if finetune:
+                logits, _, retrieved = _task_head(state.model, knowledge, fused, variant,
+                                                  state.cached_norms, retrieved)
+                task = loss_cls_batch(logits, dataset.labels[rows])
+            if fixed_align is not None:
+                align = Tensor(np.asarray(fixed_align[i]))
+            else:
+                positives = _positive_indices(cfg, dataset.gold_indices[rows], fused,
+                                              knowledge, retrieved)
+                negatives = sample_negatives_batch(positives, knowledge.shape[0],
+                                                   cfg.n_negatives, state.rng)
+                align = align_loss_batch(fused, knowledge, positives, negatives,
+                                         cfg.tau, cfg.denominator, state.cached_norms)
+            _check_finite(align.item(), step, "alignment loss")
+            loss = align
+            if finetune:
+                _check_finite(task.item(), step, "task loss")
+                loss = loss_total(align, task, state.loss_config())
+                _check_finite(loss.item(), step, "total loss")
+        backward(loss, tape)
+        adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        loss_sum += loss.item() * len(rows)
+        if finetune:
+            task_sum += task.item() * len(rows)
+            correct += int((logits.data.argmax(axis=1) == dataset.labels[rows]).sum())
+    state.epochs_done += 1
+    n = len(order)
+    if not finetune:
+        return {"mean_align_loss": loss_sum / n}
+    return {"mean_total_loss": loss_sum / n, "mean_task_loss": task_sum / n,
+            "accuracy": correct / n}
 
 
 def pretrain_epoch(state: TrainerState, dataset: Batch | list[Example]) -> dict:
     """One epoch of alignment-only training; returns {"mean_align_loss"}."""
-    if state.stage != STAGE_PRETRAIN:
-        raise RuntimeError("state is not in the pretraining stage")
-    dataset = collate_dataset(state, dataset)
-    cfg = state.cfg
-    order = list(range(len(dataset)))
-    state.rng.shuffle(order)
-    total, count = 0.0, 0
-    for batch in _batches(dataset, cfg.batch_size, order):
-        with Tape() as tape:
-            knowledge = _knowledge_matrix(state)
-            fused = _encode(state.model, batch)
-            positives = _positive_indices(cfg, batch.gold_indices, fused, knowledge)
-            negatives = _negative_indices(state, positives, knowledge.shape[0])
-            loss = align_loss_batch(fused, knowledge, positives, negatives,
-                                    cfg.tau, cfg.denominator)
-        value = loss.item()
-        _check_finite(value, state.opt.t + 1, "alignment loss")
-        backward(loss, tape)
-        adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        total += value * len(batch)
-        count += len(batch)
-    state.epochs_done += 1
-    return {"mean_align_loss": total / count}
+    return _run_epoch(state, dataset, STAGE_PRETRAIN, FULL_PIPELINE)
 
 
 def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
@@ -373,65 +366,12 @@ def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
 
     When the fused rows and the knowledge matrix are both frozen, the
     alignment term adds a constant to a step's loss and nothing to its
-    gradient. Its negatives and values are then drawn and evaluated for
-    several steps at once, as many as fit in ``_DEFERRED_WORDS``, after
-    those steps' updates and with the same bits. A non-finite loss still
-    raises with the first failing step and term, but the run may have
-    stepped past it.
+    gradient, and every step's term is evaluated right after the epoch's
+    shuffle (see :func:`_frozen_align_terms`). Each step checks its
+    alignment, task and total loss, in that order, before its update: a
+    non-finite loss raises :class:`NumericError` naming the step and term.
     """
-    if state.stage != STAGE_FINETUNE:
-        raise RuntimeError("state is not in the fine-tuning stage")
-    dataset = collate_dataset(state, dataset)
-    cfg = state.cfg
-    loss_cfg = state.loss_config()
-    encoded = _encoded_dataset(state, dataset, variant)
-    order = list(range(len(dataset)))
-    state.rng.shuffle(order)
-    sums = [0.0, 0.0]  # total and task loss, summed over examples
-    pending: list[_Step] = []
-    correct, count = 0, 0
-    for rows in _row_chunks(order, cfg.batch_size):
-        labels = dataset.labels[rows]
-        with Tape() as tape:
-            knowledge = _knowledge_matrix(state)
-            if encoded is None:
-                fused, retrieved = _encode(state.model, dataset.take(rows)), None
-            else:
-                fused = Tensor(encoded.fused[rows])
-                retrieved = None if encoded.retrieved is None else encoded.retrieved[rows]
-            logits, _, retrieved = _task_head(state.model, knowledge, fused, variant,
-                                              state.cached_norms, retrieved)
-            task = loss_cls_batch(logits, labels)
-            step = _Step(state.opt.t + 1, len(rows), task.item(), 0.0)
-            align = Tensor(np.asarray(0.0))
-            if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
-                positives = _positive_indices(cfg, dataset.gold_indices[rows], fused,
-                                              knowledge, retrieved)
-                if fused.requires_grad or knowledge.requires_grad:
-                    negatives = _negative_indices(state, positives, knowledge.shape[0])
-                    align = align_loss_batch(fused, knowledge, positives, negatives,
-                                             cfg.tau, cfg.denominator, state.cached_norms)
-                    step.align = align.item()
-                else:
-                    step.align, step.fused, step.positives = None, fused.data, positives
-            pending.append(step)
-            if (step.align is not None or not math.isfinite(step.task)
-                    or _deferred_words(pending, knowledge, cfg) >= _DEFERRED_WORDS):
-                _settle_steps(state, knowledge, pending, sums)
-            loss = loss_total(align, task, loss_cfg)
-        backward(loss, tape)
-        adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-        predictions = logits.data.argmax(axis=1)
-        correct += int((predictions == labels).sum())
-        count += len(rows)
-    if pending:
-        _settle_steps(state, knowledge, pending, sums)
-    state.epochs_done += 1
-    return {
-        "mean_total_loss": sums[0] / count,
-        "mean_task_loss": sums[1] / count,
-        "accuracy": correct / count,
-    }
+    return _run_epoch(state, dataset, STAGE_FINETUNE, variant)
 
 
 def evaluate(state: TrainerState, dataset: Batch | list[Example],
@@ -441,23 +381,20 @@ def evaluate(state: TrainerState, dataset: Batch | list[Example],
     dataset = collate_dataset(state, dataset)
     knowledge = _knowledge_matrix(state)
     norms = row_norms(knowledge.data)
-    loss_sum, correct, hits, with_gold, count = 0.0, 0, 0, 0, 0
-    for batch in _batches(dataset, state.cfg.batch_size, np.arange(len(dataset))):
-        logits, _, _, retrieved = forward_task_batch(
-            state.model, knowledge, batch, variant, norms)
+    loss_sum, correct, hits, with_gold = 0.0, 0, 0, 0
+    for rows in _row_chunks(np.arange(len(dataset)), state.cfg.batch_size):
+        batch = dataset.take(rows)
+        logits, _, retrieved = _task_head(state.model, knowledge,
+                                          _encode(state.model, batch), variant, norms)
         loss_sum += sum_all(cross_entropy_rows(logits, batch.labels)).item()
-        predictions = logits.data.argmax(axis=1)
-        correct += int((predictions == batch.labels).sum())
-        count += len(batch)
+        correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
         if retrieved is not None:
             has_gold = batch.gold_indices >= 0
             with_gold += int(has_gold.sum())
             hits += int((retrieved[has_gold] == batch.gold_indices[has_gold]).sum())
-    return {
-        "accuracy": correct / count,
-        "mean_loss": loss_sum / count,
-        "retrieval_hit_rate": hits / with_gold if with_gold else 0.0,
-    }
+    n = len(dataset)
+    return {"accuracy": correct / n, "mean_loss": loss_sum / n,
+            "retrieval_hit_rate": hits / with_gold if with_gold else 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +403,9 @@ def evaluate(state: TrainerState, dataset: Batch | list[Example],
 
 def save_state(path, state: TrainerState) -> None:
     tensors = {name: t.data for name, t in state.model.named_tensors()}
-    buffers = {}
-    for name in sorted(state.opt.m):
-        buffers[f"m.{name}"] = state.opt.m[name]
-    for name in sorted(state.opt.v):
-        buffers[f"v.{name}"] = state.opt.v[name]
+    buffers = {f"{kind}.{name}": moments[name]
+               for kind, moments in (("m", state.opt.m), ("v", state.opt.v))
+               for name in sorted(moments)}
     save_checkpoint(path, state.cfg.snapshot_json(), tensors, buffers,
                     stage=state.stage, epochs_done=state.epochs_done,
                     adam_t=state.opt.t, rng_state=state.rng.get_state())

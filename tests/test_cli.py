@@ -297,6 +297,19 @@ def test_config_value_of_wrong_type_is_data_error(workdir, tmp_path, capsys, pay
     assert err["code"] == 2 and key in err["message"]
 
 
+@pytest.mark.parametrize("key, text", [
+    ("lr", "NaN"), ("lr", "1e400"), ("tau", "NaN"), ("lambda1", "Infinity"),
+])
+def test_non_finite_config_value_is_data_error(workdir, tmp_path, capsys, key, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(TINY)[:-1] + f', "{key}": {text}}}')
+    code = main(["pretrain", "--config", str(bad), "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(tmp_path / "run")])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2 and err["code"] == 2
+    assert f" {key}: must be a finite number" in err["message"]
+
+
 def test_unknown_config_key_is_data_error(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"temperature": 0.1}')

@@ -2,10 +2,11 @@
 
 import json
 import re
+import typing
 
 import pytest
 
-from akgp.config import ConfigError, TrainConfig, parse_config
+from akgp.config import ConfigError, TrainConfig, WorldConfig, parse_config
 
 
 def write(tmp_path, payload):
@@ -100,3 +101,26 @@ def test_value_of_wrong_type_names_key(tmp_path, payload, key):
 def test_integer_accepted_for_float_field(tmp_path):
     cfg = parse_config(write(tmp_path, {"lr": 1, "world": {"sigma_noise": 0}}))
     assert cfg.lr == 1 and cfg.world.sigma_noise == 0
+
+
+def _float_keys():
+    """Every float field, qualified as a config file names it."""
+    keys = [k for k, t in typing.get_type_hints(TrainConfig).items() if t is float]
+    return keys + [f"world.{k}" for k, t in typing.get_type_hints(WorldConfig).items()
+                   if t is float]
+
+
+def test_float_keys_cover_both_sections():
+    assert {"lr", "tau", "lambda1", "world.sigma_noise"} <= set(_float_keys())
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400",
+                                  pytest.param("1" + "0" * 400, id="10**400")])
+@pytest.mark.parametrize("key", _float_keys())
+def test_non_finite_float_names_key(tmp_path, key, text):
+    section, _, name = key.rpartition(".")
+    value = f'{{"{name}": {text}}}'
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{section}": {value}}}' if section else value)
+    with pytest.raises(ConfigError, match=rf" {re.escape(key)}: must be a finite number"):
+        parse_config(path)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from akgp import synthbench
+from akgp import synthbench, trainer
 from akgp.config import TrainConfig, WorldConfig
 from akgp.kg import build_graph
 from akgp.rng import derive_seed
@@ -213,19 +213,21 @@ def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
 
 
 def test_ablation_work_counts(monkeypatch):
-    # work-count guard: a seed's cells share one graph and one pretraining
+    # work-count guard: a seed's cells share one graph, one pretraining and
+    # one collation of each split
     cfg = tiny_cfg()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     train, test = split_dataset(gen_dataset(world, 60, seed=24))
-    calls = {"build_graph": 0, "pretrain_epoch": 0, "run_cell": 0}
+    calls = {"build_graph": 0, "pretrain_epoch": 0, "run_cell": 0, "collate": 0}
     for name in calls:
-        def counted(*args, _name=name, _fn=getattr(synthbench, name)):
+        module = trainer if name == "collate" else synthbench
+        def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(synthbench, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
     assert calls == {"build_graph": 3, "pretrain_epoch": 3 * cfg.pretrain_epochs,
-                     "run_cell": 3 * len(ABLATION_CONFIGS)}
+                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 3 * 2}
 
 
 def test_run_ablation_validation():

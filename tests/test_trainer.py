@@ -22,7 +22,6 @@ from akgp.trainer import (
     collate_dataset,
     evaluate,
     finetune_epoch,
-    forward_task_batch,
     make_run,
     pretrain_epoch,
     start_stage,
@@ -234,16 +233,14 @@ def test_evaluate_matches_loop_oracle():
     from akgp.data import collate
     from akgp.losses import loss_cls
     from akgp.tensor import from_array
-    from akgp.trainer import _knowledge_matrix
-
     knowledge = _knowledge_matrix(state)
     correct = 0
     hits = 0
     losses = []
     for ex in data:
         batch = collate([ex], cfg.vocab_size, graph.node_index)
-        logits, _, _, retrieved = forward_task_batch(state.model, knowledge, batch,
-                                                     FULL_PIPELINE)
+        logits, _, retrieved = trainer._task_head(
+            state.model, knowledge, trainer._encode(state.model, batch), FULL_PIPELINE)
         pred = int(np.argmax(logits.data[0]))
         correct += pred == ex.label
         losses.append(loss_cls(from_array(logits.data[0]), ex.label).item())
@@ -292,7 +289,7 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
     """Oracle: every step encodes its batch, retrieves, draws its negatives,
     and evaluates its alignment term and checks inside the step, as
     fine-tuning did before frozen inputs were encoded once per stage and
-    frozen alignment terms were evaluated several steps at a time."""
+    frozen alignment terms were evaluated ahead of the steps."""
     cfg = state.cfg
     dataset = collate_dataset(state, data)
     order = list(range(len(dataset)))
@@ -303,8 +300,8 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
         step = state.opt.t + 1
         with Tape() as tape:
             knowledge = _knowledge_matrix(state)
-            logits, fused, _, retrieved = forward_task_batch(
-                state.model, knowledge, batch, variant)
+            fused = trainer._encode(state.model, batch)
+            logits, _, retrieved = trainer._task_head(state.model, knowledge, fused, variant)
             task = loss_cls_batch(logits, batch.labels)
             align = Tensor(np.asarray(0.0))
             if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
@@ -330,6 +327,53 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
             "mean_task_loss": total_task / len(order), "accuracy": correct / len(order)}
 
 
+def pretrain_epoch_step_by_step(state, data):
+    """Oracle: the pretraining loop as it was before both stages shared one
+    epoch loop, with its batching and negative-sampling helpers inlined."""
+    if state.stage != trainer.STAGE_PRETRAIN:
+        raise RuntimeError("state is not in the pretraining stage")
+    dataset = collate_dataset(state, data)
+    cfg = state.cfg
+    order = list(range(len(dataset)))
+    state.rng.shuffle(order)
+    total, count = 0.0, 0
+    for lo in range(0, len(order), cfg.batch_size):
+        batch = dataset.take(np.asarray(order[lo:lo + cfg.batch_size], dtype=np.int64))
+        with Tape() as tape:
+            knowledge = _knowledge_matrix(state)
+            fused = trainer._encode(state.model, batch)
+            positives = _positive_indices(cfg, batch.gold_indices, fused, knowledge)
+            negatives = sample_negatives_batch(positives, knowledge.shape[0],
+                                               cfg.n_negatives, state.rng)
+            loss = align_loss_batch(fused, knowledge, positives, negatives,
+                                    cfg.tau, cfg.denominator)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NumericError(state.opt.t + 1, "alignment loss became non-finite")
+        backward(loss, tape)
+        adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+        total += value * len(batch)
+        count += len(batch)
+    state.epochs_done += 1
+    return {"mean_align_loss": total / count}
+
+
+@pytest.mark.parametrize("denominator", ["positive_included", "negatives_only"])
+@pytest.mark.parametrize("positive_source", ["gold_node", "retrieved"])
+def test_pretraining_equals_step_by_step_oracle(positive_source, denominator):
+    outcomes = []
+    for run_epoch in (pretrain_epoch, pretrain_epoch_step_by_step):
+        # 70 examples in batches of 16: 4 full steps and a last one of 6
+        cfg, _, data, graph = tiny_setup(n_examples=70, positive_source=positive_source,
+                                         denominator=denominator)
+        state = make_run(cfg, graph)
+        dataset = collate_dataset(state, data)
+        stats = [run_epoch(state, dataset) for _ in range(2)]
+        outcomes.append((stats, state.rng.get_state(), state.opt.t, state.epochs_done,
+                         [t.data.tobytes() for _, t in state.model.named_tensors()]))
+    assert outcomes[0] == outcomes[1]
+
+
 def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE):
     # 300 examples in batches of 16: 18 full steps and a last one of 12
     cfg, _, data, graph = tiny_setup(n_examples=300, **overrides)
@@ -338,12 +382,14 @@ def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE
     dataset = collate_dataset(state, data)  # one batch: the epochs share its cache
     if perturb is not None:
         perturb(state)
+    def params():
+        return [t.data.tobytes() for _, t in state.model.named_tensors()]
+
     try:
         stats = [run_epoch(state, dataset, variant) for _ in range(2)]
-    except NumericError as exc:
-        return ("error", exc.step, str(exc))
-    return (stats, state.rng.get_state(), state.opt.t,
-            [t.data.tobytes() for _, t in state.model.named_tensors()])
+    except NumericError as exc:  # where the run stopped, too
+        return ("error", exc.step, str(exc), state.opt.t, params())
+    return (stats, state.rng.get_state(), state.opt.t, params())
 
 
 @pytest.mark.parametrize("words", [None, 1, 4000])  # default, every step, 4 steps
@@ -351,11 +397,11 @@ def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE
     {},
     {"denominator": "negatives_only"},
     {"positive_source": "retrieved"},
-    {"freeze": ["theta_v", "theta_t", "theta_m"]},  # knowledge trains: no deferral
+    {"freeze": ["theta_v", "theta_t", "theta_m"]},  # knowledge trains: term on the tape
 ])
 def test_fine_tuning_equals_step_by_step_oracle(overrides, words, monkeypatch):
     if words is not None:
-        monkeypatch.setattr(trainer, "_DEFERRED_WORDS", words)
+        monkeypatch.setattr(trainer, "_ALIGN_WORDS", words)
     outcome = _fine_tune_outcome(finetune_epoch, overrides)
     assert outcome[0][0]["mean_total_loss"] != outcome[0][0]["mean_task_loss"]
     assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides)
