@@ -5,8 +5,7 @@ Subcommands: ``gen-data`` (synthetic world to files), ``pretrain``,
 
 Exit codes: 0 success, 1 usage error, 2 data or config error, 3 numeric
 failure mid-run. Errors go to standard error as one JSON line
-``{"code": N, "message": "..."}``. ``AKGP_THREADS`` caps ablation
-parallelism (default 1).
+``{"code": N, "message": "..."}``.
 """
 
 from __future__ import annotations
@@ -297,8 +296,7 @@ def cmd_ablate(args) -> int:
     train, test = split_dataset(examples)
     seeds = (list(DEFAULT_ABLATION_SEEDS) if args.seed is None
              else [args.seed, args.seed + 1, args.seed + 2])
-    threads = int(os.environ.get("AKGP_THREADS", "1"))
-    rows = run_ablation(triples, train, test, cfg, seeds, n_threads=threads)
+    rows = run_ablation(triples, train, test, cfg, seeds)
     csv_text = ablation_csv(rows, seeds)
     md_text = ablation_markdown(rows)
     with open(os.path.join(args.out, "ablation.csv"), "w", encoding="utf-8") as fh:
@@ -351,7 +349,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args)
+        # non-finite values are reported as NumericError, not as warnings
+        with np.errstate(all="ignore"):
+            return _dispatch(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
     except (ConfigError, DataError, TripleParseError, CheckpointError) as exc:

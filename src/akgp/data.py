@@ -131,26 +131,45 @@ def write_examples(path, examples: list[Example]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _example(record) -> Example:
+    """The example one parsed JSON line holds, its fields' types checked."""
+    if not isinstance(record, dict):
+        raise DataError("expected a JSON object")
+    for name in ("image_features", "token_ids", "label"):
+        if name not in record:
+            raise DataError(f"missing field {name!r}")
+    features, tokens, label = record["image_features"], record["token_ids"], record["label"]
+    gold = record.get("gold_node")
+    # JSON parses to exact builtin types, and a bool is no number here
+    if not (type(features) is list and set(map(type, features)) <= {int, float}):
+        raise DataError("field 'image_features': must be a list of numbers")
+    if not (type(tokens) is list and set(map(type, tokens)) <= {int}):
+        raise DataError("field 'token_ids': must be a list of integers")
+    if type(label) is not int:
+        raise DataError("field 'label': must be an integer")
+    if not (gold is None or type(gold) is str):
+        raise DataError("field 'gold_node': must be a string or null")
+    return Example(features, tokens, label, gold)
+
+
 def read_examples(path) -> list[Example]:
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
-            try:
-                examples.append(Example(
-                    image_features=record["image_features"],
-                    token_ids=[int(t) for t in record["token_ids"]],
-                    label=int(record["label"]),
-                    gold_node=record.get("gold_node"),
-                ))
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}: line {line_no}: missing or bad field: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
+                try:
+                    examples.append(_example(record))
+                except DataError as exc:
+                    raise DataError(f"{path}: line {line_no}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not examples:
         raise DataError(f"{path}: no examples found")
     return examples

@@ -20,10 +20,11 @@ from .tensor import CsrMatrix, Tensor, xavier
 
 
 class TripleParseError(ValueError):
-    """A triple line is malformed; carries the 1-based line number."""
+    """A triple line is malformed; carries the 1-based line number, None when
+    the file is not UTF-8 text."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -56,8 +57,11 @@ def serialize_triples(triples: Iterable[Triple]) -> str:
 
 
 def load_triples(path) -> list[Triple]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_triples(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_triples(fh)
+    except UnicodeDecodeError as exc:
+        raise TripleParseError(None, f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def save_triples(path, triples: Iterable[Triple]) -> None:

@@ -12,7 +12,6 @@ initial model and pretraining.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -218,28 +217,14 @@ def _seed_cells(triples: list[Triple], train: list[Example], test: list[Example]
 
 
 def run_ablation(triples: list[Triple], train: list[Example],
-                 test: list[Example], cfg: TrainConfig, seeds: list[int],
-                 n_threads: int = 1) -> list[AblationRow]:
-    """Train and evaluate all five configurations on identical splits.
-
-    Seeds are independent; with ``n_threads`` > 1 they run in a thread pool
-    and results are aggregated in (configuration, seed) order regardless of
-    completion order.
-    """
+                 test: list[Example], cfg: TrainConfig, seeds: list[int]) -> list[AblationRow]:
+    """Train and evaluate the five configurations on identical splits, seed by seed."""
     if len(seeds) < 3:
         raise ValueError(f"need at least 3 seeds, got {len(seeds)}")
     train_ids = {id(ex) for ex in train}
     if any(id(ex) in train_ids for ex in test):
         raise ValueError("train and test splits overlap")
-
-    def run_seed(seed):
-        return _seed_cells(triples, train, test, cfg, seed)
-
-    if n_threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_seed = list(pool.map(run_seed, seeds))
-    else:
-        per_seed = [run_seed(seed) for seed in seeds]
+    per_seed = [_seed_cells(triples, train, test, cfg, seed) for seed in seeds]
 
     rows: list[AblationRow] = []
     baseline_mean = None

@@ -5,8 +5,8 @@ primitives here, including :func:`spmm`, the product of a constant sparse
 :class:`CsrMatrix` with a dense tensor. Recording works through an explicit
 :class:`Tape` used as a context manager; operations append a record whenever
 a tape is active and any input requires gradients, so inference paths pay no
-bookkeeping cost. Tapes are thread-local: independent training runs may
-proceed in parallel threads without sharing state.
+bookkeeping cost. Tapes nest: an operation records on the innermost active
+tape only.
 
 The finite-difference checker :func:`fd_check` is the independent oracle
 for every backward rule and stays deliberately separate from the tape
@@ -16,7 +16,6 @@ machinery it validates.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -111,15 +110,7 @@ class _Record:
     backward: Callable[[np.ndarray], tuple]
 
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TAPES: list[Tape] = []  # the active tapes, innermost last
 
 
 class Tape:
@@ -134,21 +125,19 @@ class Tape:
         self.records: list[_Record] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _tape_stack().pop()
+        _TAPES.pop()
 
 
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     needs_grad = any(t.requires_grad for t in inputs)
     out = Tensor(out_data)
     out.requires_grad = needs_grad
-    if needs_grad:
-        stack = _tape_stack()
-        if stack:
-            stack[-1].records.append(_Record(out, inputs, backward_fn))
+    if needs_grad and _TAPES:
+        _TAPES[-1].records.append(_Record(out, inputs, backward_fn))
     return out
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -242,15 +244,15 @@ def test_ablate_writes_reports(workdir, tmp_path, capsys):
         [workdir["config"], workdir["kg"], workdir["data"]])
 
 
-def test_ablate_thread_cap_does_not_change_results(workdir, tmp_path, monkeypatch):
-    serial = tmp_path / "serial"
+def test_ablate_ignores_akgp_threads(workdir, tmp_path, monkeypatch):
+    unset = tmp_path / "unset"
     assert main(["ablate", "--config", workdir["config"], "--kg", workdir["kg"],
-                 "--data", workdir["data"], "--out", str(serial), "--seed", "1"]) == 0
-    monkeypatch.setenv("AKGP_THREADS", "3")
-    threaded = tmp_path / "threaded"
+                 "--data", workdir["data"], "--out", str(unset), "--seed", "1"]) == 0
+    monkeypatch.setenv("AKGP_THREADS", "abc")
+    set_ = tmp_path / "set"
     assert main(["ablate", "--config", workdir["config"], "--kg", workdir["kg"],
-                 "--data", workdir["data"], "--out", str(threaded), "--seed", "1"]) == 0
-    assert (serial / "ablation.csv").read_bytes() == (threaded / "ablation.csv").read_bytes()
+                 "--data", workdir["data"], "--out", str(set_), "--seed", "1"]) == 0
+    assert (unset / "ablation.csv").read_bytes() == (set_ / "ablation.csv").read_bytes()
 
 
 def test_check_grads_exit_zero(capsys):
@@ -365,6 +367,35 @@ def test_nan_during_finetune_exits_numeric(workdir, tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["code"] == 3 and "step 1" in err["message"]
+
+
+def test_numeric_failure_writes_one_stderr_line(workdir, tmp_path):
+    """numpy's overflow warnings must not reach stderr ahead of the JSON line."""
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps(dict(TINY, lambda1=1e308, freeze=["theta_v"])))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "akgp.cli", "finetune", "--config", str(config),
+         "--kg", workdir["kg"], "--data", workdir["data"], "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert json.loads(lines[0])["code"] == 3
+
+
+@pytest.mark.parametrize("name", ["kg", "data"])
+def test_non_utf8_input_names_the_file(workdir, tmp_path, capsys, name):
+    bad = tmp_path / f"bad_{name}"
+    bad.write_bytes(open(workdir[name], "rb").read()[:4] + b"\xff\n")
+    paths = dict(workdir, **{name: str(bad)})
+    code = main(["eval", "--config", workdir["config"], "--kg", paths["kg"],
+                 "--data", paths["data"]])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2 and err["code"] == 2
+    assert str(bad) in err["message"] and "utf-8" in err["message"].lower()
 
 
 def test_malformed_kg_is_data_error(workdir, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Example collation and the JSON-lines dataset format."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +122,31 @@ def test_read_rejects_bad_json(tmp_path):
     path.write_text('{"image_features": [1.0], "token_ids": [0], "label": 0}\nnot json\n')
     with pytest.raises(DataError, match="line 2"):
         read_examples(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("label", True),
+    ("label", "0"),
+    ("label", 1.9),
+    ("token_ids", [1.5]),
+    ("token_ids", ["1"]),
+    ("token_ids", [True]),
+    ("token_ids", "01"),
+    ("image_features", ["0.1"]),
+    ("image_features", [True]),
+    ("image_features", [[0.1, 0.2]]),
+    ("gold_node", ["a"]),
+])
+def test_read_rejects_field_of_wrong_type(tmp_path, field, value):
+    record = {"image_features": [0.1, 2], "token_ids": [0, 1], "label": 1, "gold_node": "a"}
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps(dict(record, **{field: value})) + "\n")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 2: field '{field}': ")):
+        read_examples(path)
+    path.write_text(json.dumps(record) + "\n")
+    (example,) = read_examples(path)
+    assert example.image_features.tolist() == [0.1, 2.0] and example.token_ids == [0, 1]
+    assert example.label == 1 and example.gold_node == "a"
 
 
 def test_read_rejects_missing_field(tmp_path):

@@ -181,17 +181,6 @@ def test_run_ablation_structure_and_determinism():
     assert [r.accuracies for r in again] == [r.accuracies for r in rows]
 
 
-def test_run_ablation_threaded_matches_serial():
-    cfg = tiny_cfg()
-    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
-    data = gen_dataset(world, 60, seed=19)
-    train, test = split_dataset(data)
-    serial = run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
-    threaded = run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2],
-                            n_threads=3)
-    assert [r.accuracies for r in serial] == [r.accuracies for r in threaded]
-
-
 @pytest.mark.parametrize("freeze", [None, ["theta_k"], []],  # None: the default
                          ids=["default", "theta_k", "nothing"])
 def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):

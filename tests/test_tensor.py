@@ -288,25 +288,26 @@ def test_no_recording_without_tape():
     assert y.requires_grad
 
 
-def test_tape_isolation_per_thread():
-    import threading
+def test_nested_tapes_record_innermost():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as outer:
+        a = mul(x, x)
+        with Tape() as inner:
+            b = sum_all(a)
+        c = sum_all(a)
+        with pytest.raises(RuntimeError):
+            with Tape() as left:
+                d = mul(x, x)
+                raise RuntimeError("leaves the tape")
+        e = sum_all(x)
+    sum_all(x)  # no tape is active
 
-    results = {}
+    def recorded(tape):
+        return [id(rec.output) for rec in tape.records]
 
-    def worker(name, seed):
-        x = Tensor(rand([4], seed).data, requires_grad=True)
-        with Tape() as tape:
-            loss = sum_all(mul(x, x))
-        backward(loss, tape)
-        results[name] = (x.data.copy(), x.grad.copy())
-
-    threads = [threading.Thread(target=worker, args=(i, 10 + i)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for _, (data, grad) in results.items():
-        assert np.allclose(grad, 2.0 * data)
+    assert recorded(outer) == [id(a), id(c), id(e)]
+    assert recorded(inner) == [id(b)]
+    assert recorded(left) == [id(d)]
 
 
 # ---------------------------------------------------------------------------
