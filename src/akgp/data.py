@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,8 +132,10 @@ def write_examples(path, examples: list[Example]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _example(record) -> Example:
-    """The example one parsed JSON line holds, its fields' types checked."""
+def _example(record, n_classes: int | None, width: int | None) -> Example:
+    """The example one parsed JSON line holds, its fields' types checked:
+    ``width`` finite image features, and a label below ``n_classes``; a
+    bound that is None is not checked."""
     if not isinstance(record, dict):
         raise DataError("expected a JSON object")
     for name in ("image_features", "token_ids", "label"):
@@ -147,12 +150,25 @@ def _example(record) -> Example:
         raise DataError("field 'token_ids': must be a list of integers")
     if type(label) is not int:
         raise DataError("field 'label': must be an integer")
+    if n_classes is not None and not 0 <= label < n_classes:
+        raise DataError(f"field 'label': {label} is not a class id in [0, {n_classes})")
     if not (gold is None or type(gold) is str):
         raise DataError("field 'gold_node': must be a string or null")
+    try:
+        finite = all(map(math.isfinite, features))
+    except OverflowError as exc:  # an integer beyond the float64 range
+        raise DataError(f"field 'image_features': {exc}") from exc
+    if not finite:
+        raise DataError("field 'image_features': must be finite numbers")
+    if width is not None and len(features) != width:
+        raise DataError(f"field 'image_features': {len(features)} numbers, "
+                        f"but the first example has {width}")
     return Example(features, tokens, label, gold)
 
 
-def read_examples(path) -> list[Example]:
+def read_examples(path, n_classes: int | None = None) -> list[Example]:
+    """The examples of a JSON-lines file, one per non-blank line; every
+    line's image features must have as many numbers as the first line's."""
     examples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -165,7 +181,8 @@ def read_examples(path) -> list[Example]:
                 except json.JSONDecodeError as exc:
                     raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
                 try:
-                    examples.append(_example(record))
+                    width = len(examples[0].image_features) if examples else None
+                    examples.append(_example(record, n_classes, width))
                 except DataError as exc:
                     raise DataError(f"{path}: line {line_no}: {exc}") from exc
     except UnicodeDecodeError as exc:

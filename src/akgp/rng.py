@@ -13,6 +13,7 @@ into an arbitrary batch of independent words without advancing any state.
 
 from __future__ import annotations
 
+import array
 import math
 
 import numpy as np
@@ -124,16 +125,14 @@ class Rng:
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """``n`` draws of :meth:`uniform` as a float64 array.
 
-        Bit-identical to ``n`` sequential ``uniform(low, high)`` calls, and
-        leaves the generator in the same state; the step of
-        :meth:`next_u64` is inlined into one loop over local variables.
+        Bit-identical to ``n`` sequential ``uniform(low, high)`` calls, with the
+        same final state. The loop only advances the state, keeping each step's
+        ``s1`` in a buffer that the scrambler then runs over in wrapping uint64.
         """
         s0, s1, s2, s3 = self._s
-        span = high - low
-        out = [0.0] * n
+        seen = array.array("Q", [0]) * n
         for i in range(n):
-            x = (s1 * 5) & _MASK64
-            result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+            seen[i] = s1
             t = (s1 << 17) & _MASK64
             s2 ^= s0
             s3 ^= s1
@@ -141,9 +140,10 @@ class Rng:
             s0 ^= s3
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            out[i] = low + span * ((result >> 11) * 2.0 ** -53)
         self._s = [s0, s1, s2, s3]
-        return np.array(out, dtype=np.float64)
+        x = np.asarray(seen, dtype=np.uint64) * 5
+        x = ((x << 7) | (x >> 57)) * 9
+        return low + (high - low) * ((x >> 11) * 2.0 ** -53)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""

@@ -389,9 +389,9 @@ class CsrMatrix:
 
 def _csr_rows(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Rows of ``M @ x`` where M has the pattern of ``adj`` and ``values``."""
-    products = x.take(adj.indices, axis=0)
-    products *= values[:, None]
-    return np.add.reduceat(products, adj.indptr[:-1], axis=0)
+    products = x.T.take(adj.indices, axis=1)  # (d, nnz): each cell's sum runs along a row
+    products *= values
+    return np.ascontiguousarray(np.add.reduceat(products, adj.indptr[:-1], axis=1).T)
 
 
 def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:

@@ -2,6 +2,9 @@
 
 ``dense_adjacency`` is the original construction (identity, symmetric edge
 set, row divide), kept as the oracle that the CSR build is compared with.
+``csr_rows_row_major`` is the original CSR row reduction, which sums down
+the columns of an (nnz, d) array of products; the kernel must equal it bit
+for bit.
 """
 
 import numpy as np
@@ -26,6 +29,12 @@ def expand(adj: CsrMatrix, transpose: bool = False) -> np.ndarray:
     rows = np.repeat(np.arange(n), np.diff(adj.indptr))
     dense[rows, adj.indices] = adj.values_t if transpose else adj.values
     return dense
+
+
+def csr_rows_row_major(adj: CsrMatrix, values, x) -> np.ndarray:
+    """Rows of ``M @ x``, M the pattern of ``adj`` holding ``values``."""
+    products = x.take(adj.indices, axis=0) * values[:, None]
+    return np.add.reduceat(products, adj.indptr[:-1], axis=0)
 
 
 def csr_from_dense(dense) -> CsrMatrix:

@@ -1,11 +1,15 @@
 """Command-line contract: artifacts, manifests, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import akgp.cli
 from akgp.checkpoint import load_checkpoint, save_checkpoint
@@ -339,17 +343,55 @@ def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys):
                  "--data", workdir["data"], "--checkpoint", str(cut)]) == 2
 
 
-def test_nan_input_aborts_with_numeric_exit(workdir, tmp_path, capsys):
-    poisoned = tmp_path / "poisoned.jsonl"
+def _with_line_2(workdir, tmp_path, **fields):
+    """The world's dataset with fields of its second record replaced."""
     with open(workdir["data"]) as fh:
-        first = json.loads(fh.readline())
-    first["image_features"][0] = float("nan")
-    poisoned.write_text(json.dumps(first) + "\n")
-    code = main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
-                 "--data", str(poisoned), "--out", str(tmp_path / "nanrun")])
-    assert code == 3
+        lines = fh.read().splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), **fields))
+    path = tmp_path / "poisoned.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+DATA_COMMANDS = ["pretrain", "finetune", "eval", "retrieve", "ablate"]
+
+
+def _run_on(workdir, tmp_path, command, data):
+    argv = [command, "--config", workdir["config"], "--kg", workdir["kg"], "--data", str(data)]
+    if command in ("pretrain", "finetune", "ablate"):
+        argv += ["--out", str(tmp_path / "out")]
+    return main(argv)
+
+
+def _assert_data_error(capsys, code, prefix):
+    assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["code"] == 3 and "step 1" in err["message"]
+    assert err["code"] == 2 and err["message"].startswith(prefix), err["message"]
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_image_features_are_data_error(workdir, tmp_path, capsys, value, command):
+    with open(workdir["data"]) as fh:
+        features = json.loads(fh.readline())["image_features"]
+    data = _with_line_2(workdir, tmp_path, image_features=[value] + features[1:])
+    code = _run_on(workdir, tmp_path, command, data)
+    _assert_data_error(capsys, code, f"{data}: line 2: field 'image_features': ")
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+@pytest.mark.parametrize("label", [2, 99, 10**30])  # TINY has 2 classes
+def test_label_out_of_range_is_data_error(workdir, tmp_path, capsys, label, command):
+    data = _with_line_2(workdir, tmp_path, label=label)
+    code = _run_on(workdir, tmp_path, command, data)
+    _assert_data_error(capsys, code, f"{data}: line 2: field 'label': {label} ")
+
+
+@pytest.mark.parametrize("width", [0, 3])  # TINY has 6 features
+def test_feature_row_of_other_length_names_the_line(workdir, tmp_path, capsys, width):
+    data = _with_line_2(workdir, tmp_path, image_features=[0.5] * width)
+    code = _run_on(workdir, tmp_path, "eval", data)
+    _assert_data_error(capsys, code, f"{data}: line 2: field 'image_features': {width} numbers")
 
 
 def test_nan_during_finetune_exits_numeric(workdir, tmp_path, capsys):
@@ -405,3 +447,79 @@ def test_malformed_kg_is_data_error(workdir, tmp_path, capsys):
                  "--data", workdir["data"]])
     assert code == 2
     assert "line 2" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-data", "--config", str(config), "--out", str(root / "world")]) == 0
+    lines = (root / "world" / "dataset.jsonl").read_text().splitlines()
+    return {"root": root, "config": str(config), "kg": str(root / "world" / "kg.tsv"),
+            "records": [json.loads(line) for line in lines]}
+
+
+# edge values first; floats include NaN and the infinities
+NUMBERS = (st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -0.0, -1,
+                            2**63, 10**400]) | st.integers() | st.floats())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+# per field, values near its type first, then any JSON value
+FIELD_VALUES = {
+    "image_features": st.lists(NUMBERS, max_size=8) | JSON_VALUES,
+    "token_ids": st.lists(st.integers(), min_size=1, max_size=4) | JSON_VALUES,
+    "label": st.integers(-1, 2 * TINY["n_classes"]) | NUMBERS | JSON_VALUES,
+    "gold_node": st.text(max_size=4) | JSON_VALUES,
+    "extra": JSON_VALUES,
+}
+
+
+@st.composite
+def mutated_line(draw, record):
+    """One record's JSON text after one edit: a field set or dropped, one
+    list item set, the whole record replaced, or its text cut short."""
+    record = json.loads(json.dumps(record))  # a deep copy
+    kind = draw(st.sampled_from(["set"] * 4 + ["item"] * 2 + ["drop", "record", "cut"]))
+    field = draw(st.sampled_from(sorted(FIELD_VALUES)))
+    if kind == "set":
+        record[field] = draw(FIELD_VALUES[field])
+    elif kind == "item":
+        items = record[draw(st.sampled_from(["image_features", "token_ids"]))]
+        items[draw(st.integers(0, len(items) - 1))] = draw(NUMBERS | JSON_VALUES)
+    elif kind == "drop":
+        record.pop(field, None)
+    elif kind == "record":
+        record = draw(JSON_VALUES)
+    text = json.dumps(record)
+    return text[:draw(st.integers(0, len(text) - 1))] if kind == "cut" else text
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_on_mutated_records_keeps_the_output_contract(fuzz_world, data):
+    records = fuzz_world["records"]
+    lines = [json.dumps(record) for record in records]
+    for row in data.draw(st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=3)):
+        lines[row] = data.draw(mutated_line(records[row]))
+    path = fuzz_world["root"] / "mutated.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", "--config", fuzz_world["config"], "--kg", fuzz_world["kg"],
+                     "--data", str(path)])
+    assert code in (0, 2, 3)
+    err_lines = err.getvalue().splitlines()
+    assert len(err_lines) == (code != 0), err.getvalue()
+    if err_lines:
+        assert json.loads(err_lines[0], parse_constant=_no_constants)["code"] == code
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_no_constants)

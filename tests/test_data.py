@@ -161,3 +161,50 @@ def test_read_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(DataError):
         read_examples(path)
+
+
+def _two_line_file(path, second):
+    """A valid first line, then ``second``: a dict of fields to override, or raw text."""
+    record = {"image_features": [0.1, 2], "token_ids": [0, 1], "label": 1, "gold_node": "a"}
+    line = second if isinstance(second, str) else json.dumps(dict(record, **second))
+    path.write_text(json.dumps(record) + "\n" + line + "\n")
+    return path
+
+
+@pytest.mark.parametrize("features", [
+    [float("nan"), 0.5],
+    [0.5, float("inf")],
+    [float("-inf"), 0.5],
+    "[1e400, 0.5]",  # parses as inf
+    "[0.5, " + "1" * 400 + "]",  # an integer beyond float64
+])
+def test_read_rejects_non_finite_features(tmp_path, features):
+    if isinstance(features, str):
+        second = ('{"image_features": ' + features
+                  + ', "token_ids": [0], "label": 0, "gold_node": null}')
+    else:
+        second = {"image_features": features}
+    path = _two_line_file(tmp_path / "features.jsonl", second)
+    with pytest.raises(DataError,
+                       match="^" + re.escape(f"{path}: line 2: field 'image_features': ")):
+        read_examples(path)
+
+
+@pytest.mark.parametrize("features", [[], [0.5], [0.5, 0.5, 0.5]])
+def test_read_rejects_feature_row_of_other_length(tmp_path, features):
+    path = _two_line_file(tmp_path / "widths.jsonl", {"image_features": features})
+    with pytest.raises(DataError, match="^" + re.escape(
+            f"{path}: line 2: field 'image_features': {len(features)} numbers, "
+            "but the first example has 2")):
+        read_examples(path)
+
+
+@pytest.mark.parametrize("label", [2, 99, 10**30])
+def test_read_checks_label_range_given_n_classes(tmp_path, label):
+    path = _two_line_file(tmp_path / "labels.jsonl", {"label": label})
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 2: field 'label': ")):
+        read_examples(path, n_classes=2)
+    # without a class count only the sign is checked, as before
+    assert read_examples(path)[1].label == label
+    path = _two_line_file(path, {"label": 1})
+    assert [ex.label for ex in read_examples(path, n_classes=2)] == [1, 1]

@@ -36,7 +36,9 @@ def test_splitmix64_array_equals_sequential_splitmix64():
 
 
 @pytest.mark.parametrize("n, low, high", [(0, 0.0, 1.0), (1, -1.0, 1.0), (977, -0.3, 2.5),
-                                          (9760, -0.25, 0.25), (5, 2, 3)])
+                                          (9760, -0.25, 0.25), (5, 2, 3),
+                                          # the train-3k token table's xavier init
+                                          (3014 * 16, -(6 / 3030) ** 0.5, (6 / 3030) ** 0.5)])
 def test_uniform_array_equals_sequential_uniform(n, low, high):
     one_by_one, batched = Rng(derive_seed(7, "init")), Rng(derive_seed(7, "init"))
     expected = [one_by_one.uniform(low, high) for _ in range(n)]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import csr_from_dense
+from graph_oracle import csr_from_dense, csr_rows_row_major
 from akgp.tensor import (
     COSINE_EPS,
     CsrMatrix,
@@ -46,6 +46,7 @@ from akgp.tensor import (
     xavier,
     zeros,
 )
+from akgp.tensor import _csr_rows
 
 
 def rand(shape, seed, low=-1.0, high=1.0):
@@ -273,6 +274,45 @@ def test_spmm_matches_dense_product():
     backward(loss, tape)
     assert np.allclose(y.data, dense @ x.data, rtol=0, atol=1e-12)
     assert np.allclose(x.grad, dense.T @ w.data, rtol=0, atol=1e-12)
+
+
+def _reduction_lengths_csr(seed):
+    """A symmetric pattern whose rows hold 1, 8, 9 and 140 entries: numpy's
+    pairwise sum changes strategy past 8 and past 128 terms."""
+    n = 150
+    pattern = np.eye(n, dtype=bool)
+    pattern[0, :140] = pattern[:140, 0] = True  # row 0: 140 entries
+    pattern[1, 2:8] = pattern[2:8, 1] = True  # row 1: itself, 0 and 2..7
+    pattern[10, 11:18] = pattern[11:18, 10] = True  # row 10: itself, 0 and 11..17
+    rng = np.random.default_rng(seed)
+    dense = pattern * rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    adj = csr_from_dense(dense)
+    assert sorted(set(np.diff(adj.indptr)) & {1, 8, 9, 140}) == [1, 8, 9, 140]
+    return adj
+
+
+@pytest.mark.parametrize("width", [1, 16, 32])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
+@pytest.mark.parametrize("fill", ["finite", "special", "negative zero"])
+def test_csr_rows_bit_equal_to_row_major_reduction(width, layout, fill):
+    adj = _reduction_lengths_csr(width)
+    rng = np.random.default_rng(width + 1)
+    full = rng.uniform(-1.0, 1.0, (adj.n, 2 * width))
+    if fill == "special":
+        cells = rng.random(full.shape) < 0.05
+        full[cells] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], cells.sum())
+    elif fill == "negative zero":
+        full[:] = -0.0
+    x = {"contiguous": np.ascontiguousarray(full[:, :width]),
+         "strided": full[:, ::2],
+         "transposed": np.asfortranarray(full[:, :width])}[layout]
+    for values in (adj.values, adj.values_t):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = _csr_rows(adj, values, x)
+            want = csr_rows_row_major(adj, values, x)
+        assert got.shape == want.shape == (adj.n, width)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_csr_rejects_empty_row():
