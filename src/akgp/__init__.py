@@ -11,11 +11,10 @@ from .data import Batch, DataError, Example, collate, read_examples, write_examp
 from .encoders import EncoderParams, encode_visual, fuse_multimodal
 from .fusion import (
     AdaptorParams,
-    FreezePolicy,
     GateParams,
     adapt_task,
-    apply_freeze_policy,
     gate_integrate,
+    set_frozen,
 )
 from .gnn import GnnParams, encode_knowledge, gnn_layer
 from .kg import (
@@ -29,7 +28,6 @@ from .kg import (
     subgraph_stats,
 )
 from .losses import (
-    LossConfig,
     align_loss_batch,
     loss_align,
     loss_cls,

@@ -211,7 +211,7 @@ def _train_command(args, stage) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
-    examples = read_examples(args.data, cfg.n_classes)
+    examples = read_examples(args.data, cfg.n_classes, cfg.d_i)
     state = _prepare_state(cfg, args.kg, args, stage)
     dataset = collate_dataset(state, examples)
     ckpt_path = os.path.join(args.out, CHECKPOINT_NAME)
@@ -239,7 +239,7 @@ def _train_command(args, stage) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     started = time.perf_counter()
-    dataset = read_examples(args.data, cfg.n_classes)
+    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i)
     state = _eval_state(cfg, args)
     metrics = evaluate(state, dataset)
     print(json.dumps(metrics, sort_keys=True))
@@ -267,7 +267,7 @@ def _eval_state(cfg, args):
 
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
-    dataset = read_examples(args.data, cfg.n_classes)
+    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i)
     state = _eval_state(cfg, args)
     from .trainer import _knowledge_matrix
 
@@ -292,7 +292,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     triples = load_triples(args.kg)
-    examples = read_examples(args.data, cfg.n_classes)
+    examples = read_examples(args.data, cfg.n_classes, cfg.d_i)
     train, test = split_dataset(examples)
     seeds = (list(DEFAULT_ABLATION_SEEDS) if args.seed is None
              else [args.seed, args.seed + 1, args.seed + 2])

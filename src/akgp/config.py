@@ -187,10 +187,6 @@ def _build_from_dict(raw: dict, path_hint: str = "") -> TrainConfig:
     return cfg
 
 
-def config_from_dict(raw: dict) -> TrainConfig:
-    return _build_from_dict(raw)
-
-
 def parse_config(path) -> TrainConfig:
     """Load a JSON config file; unknown keys are rejected, omitted keys take
     their documented defaults."""

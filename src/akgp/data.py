@@ -134,8 +134,8 @@ def write_examples(path, examples: list[Example]) -> None:
 
 def _example(record, n_classes: int | None, width: int | None) -> Example:
     """The example one parsed JSON line holds, its fields' types checked:
-    ``width`` finite image features, and a label below ``n_classes``; a
-    bound that is None is not checked."""
+    ``width`` finite image features, and a label below ``n_classes`` (or
+    within int64); a ``width`` of None is not checked."""
     if not isinstance(record, dict):
         raise DataError("expected a JSON object")
     for name in ("image_features", "token_ids", "label"):
@@ -150,8 +150,9 @@ def _example(record, n_classes: int | None, width: int | None) -> Example:
         raise DataError("field 'token_ids': must be a list of integers")
     if type(label) is not int:
         raise DataError("field 'label': must be an integer")
-    if n_classes is not None and not 0 <= label < n_classes:
-        raise DataError(f"field 'label': {label} is not a class id in [0, {n_classes})")
+    bound = 1 << 63 if n_classes is None else n_classes
+    if not 0 <= label < bound:
+        raise DataError(f"field 'label': {label} is not a class id in [0, {bound})")
     if not (gold is None or type(gold) is str):
         raise DataError("field 'gold_node': must be a string or null")
     try:
@@ -161,14 +162,15 @@ def _example(record, n_classes: int | None, width: int | None) -> Example:
     if not finite:
         raise DataError("field 'image_features': must be finite numbers")
     if width is not None and len(features) != width:
-        raise DataError(f"field 'image_features': {len(features)} numbers, "
-                        f"but the first example has {width}")
+        raise DataError(f"field 'image_features': {len(features)} numbers, expected {width}")
     return Example(features, tokens, label, gold)
 
 
-def read_examples(path, n_classes: int | None = None) -> list[Example]:
+def read_examples(path, n_classes: int | None = None,
+                  width: int | None = None) -> list[Example]:
     """The examples of a JSON-lines file, one per non-blank line; every
-    line's image features must have as many numbers as the first line's."""
+    line's image features must have ``width`` numbers, or as many as the
+    first line's when ``width`` is None."""
     examples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,7 +183,8 @@ def read_examples(path, n_classes: int | None = None) -> list[Example]:
                 except json.JSONDecodeError as exc:
                     raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
                 try:
-                    width = len(examples[0].image_features) if examples else None
+                    if width is None and examples:
+                        width = len(examples[0].image_features)
                     examples.append(_example(record, n_classes, width))
                 except DataError as exc:
                     raise DataError(f"{path}: line {line_no}: {exc}") from exc

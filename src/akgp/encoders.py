@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import ShapeError, Tensor, add, concat, matmul, tanh_act
+from .tensor import ShapeError, Tensor, concat, linear, matmul, tanh_act
 
 
 @dataclass
@@ -33,20 +33,20 @@ def encode_visual(images: Tensor, params: EncoderParams) -> Tensor:
     if images.data.ndim != 2 or images.shape[1] != params.w_visual.shape[0]:
         raise ShapeError(
             f"images {images.shape} do not match encoder input {params.w_visual.shape[0]}")
-    return tanh_act(add(matmul(images, params.w_visual), params.b_visual))
+    return tanh_act(linear(images, params.w_visual, params.b_visual))
 
 
 def encode_text_bow(bow: Tensor, params: EncoderParams) -> Tensor:
     """Text encoding from precomputed bag-of-tokens weights (B, V)."""
     pooled = matmul(bow, params.token_table)
-    return tanh_act(add(matmul(pooled, params.w_text), params.b_text))
+    return tanh_act(linear(pooled, params.w_text, params.b_text))
 
 
 def fuse_multimodal(visual: Tensor, text: Tensor, params: EncoderParams) -> Tensor:
     """tanh([v; t] @ W_m + b_m) for matching (B, d_m) batches."""
     if visual.shape != text.shape:
         raise ShapeError(f"fusion inputs disagree: {visual.shape} vs {text.shape}")
-    return tanh_act(add(matmul(concat(visual, text), params.w_fusion), params.b_fusion))
+    return tanh_act(linear(concat(visual, text), params.w_fusion, params.b_fusion))
 
 
 def encode_batch(images: Tensor, token_bow: Tensor, params: EncoderParams) -> Tensor:

@@ -16,7 +16,7 @@ from .tensor import (
     add,
     concat,
     constant,
-    matmul,
+    linear,
     mul,
     relu,
     sigmoid,
@@ -49,7 +49,7 @@ def gate_integrate(fused: Tensor, knowledge: Tensor, params: GateParams) -> Tens
     """Integrate retrieved (B, d_m) knowledge rows into the fused rows."""
     if fused.shape != knowledge.shape:
         raise ShapeError(f"gate inputs disagree: {fused.shape} vs {knowledge.shape}")
-    gate = sigmoid(add(matmul(concat(fused, knowledge), params.weight), params.bias))
+    gate = sigmoid(linear(concat(fused, knowledge), params.weight, params.bias))
     if params.mode == "literal":
         return gate
     ones = constant(gate.shape, 1.0)
@@ -60,54 +60,16 @@ def adapt_task(integrated: Tensor, knowledge: Tensor, params: AdaptorParams) -> 
     """Task head: one relu hidden layer over [m'; k*] rows, then raw class logits."""
     if integrated.shape != knowledge.shape:
         raise ShapeError(f"adaptor inputs disagree: {integrated.shape} vs {knowledge.shape}")
-    hidden = relu(add(matmul(concat(integrated, knowledge), params.w_hidden), params.b_hidden))
-    return add(matmul(hidden, params.w_out), params.b_out)
+    hidden = relu(linear(concat(integrated, knowledge), params.w_hidden, params.b_hidden))
+    return linear(hidden, params.w_out, params.b_out)
 
 
 PARAM_GROUPS = ("theta_v", "theta_t", "theta_m", "theta_k", "w_g", "theta_a")
 
 
-@dataclass
-class FreezePolicy:
-    """Per-group trainability flags; at least one group must stay trainable."""
-
-    theta_v: bool = True
-    theta_t: bool = True
-    theta_m: bool = True
-    theta_k: bool = True
-    w_g: bool = True
-    theta_a: bool = True
-
-    def __post_init__(self):
-        if not any(getattr(self, g) for g in PARAM_GROUPS):
-            raise ValueError("freeze policy must leave at least one group trainable")
-
-    @classmethod
-    def from_frozen(cls, frozen: list[str]) -> "FreezePolicy":
-        unknown = [name for name in frozen if name not in PARAM_GROUPS]
-        if unknown:
-            raise ValueError(f"unknown parameter group(s) {unknown}; known: {list(PARAM_GROUPS)}")
-        return cls(**{g: g not in frozen for g in PARAM_GROUPS})
-
-    @classmethod
-    def finetune_default(cls) -> "FreezePolicy":
-        return cls.from_frozen(["theta_v", "theta_t", "theta_m", "theta_k"])
-
-    @classmethod
-    def pretrain_default(cls) -> "FreezePolicy":
-        return cls.from_frozen(["theta_a"])
-
-    def trainable_groups(self) -> list[str]:
-        return [g for g in PARAM_GROUPS if getattr(self, g)]
-
-    def frozen_groups(self) -> list[str]:
-        return [g for g in PARAM_GROUPS if not getattr(self, g)]
-
-
-def apply_freeze_policy(model, policy: FreezePolicy):
-    """Set requires_grad on every tensor per its group's flag; returns model."""
+def set_frozen(model, frozen):
+    """Freeze the tensors of every group named in ``frozen`` and make every
+    other group trainable."""
     for group_name, tensors in model.groups().items():
-        flag = getattr(policy, group_name)
         for t in tensors.values():
-            t.requires_grad_(flag)
-    return model
+            t.requires_grad_(group_name not in frozen)

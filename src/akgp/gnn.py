@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kg import KnowledgeGraph
-from .tensor import CsrMatrix, Tensor, add, matmul, relu, spmm, tanh_act
+from .tensor import CsrMatrix, Tensor, linear, relu, spmm
 
 
 @dataclass
@@ -28,23 +28,13 @@ class GnnParams:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
 
 
-_ACTIVATIONS = {
-    "relu": relu,
-    "tanh": tanh_act,
-    "identity": lambda x: x,
-}
-
-
-def gnn_layer(adjacency: CsrMatrix, features: Tensor, weight: Tensor, bias: Tensor,
-              activation: str = "identity") -> Tensor:
-    """One propagation step: activation(A @ H @ W + b), bias per row."""
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    mixed = matmul(spmm(adjacency, features), weight)
-    return _ACTIVATIONS[activation](add(mixed, bias))
+def gnn_layer(adjacency: CsrMatrix, features: Tensor, weight: Tensor,
+              bias: Tensor) -> Tensor:
+    """One propagation step: A @ H @ W + b, bias per row."""
+    return linear(spmm(adjacency, features), weight, bias)
 
 
 def encode_knowledge(graph: KnowledgeGraph, params: GnnParams) -> Tensor:
     """Embed every node; row i of the result is the embedding of node i."""
-    hidden = gnn_layer(graph.adjacency, graph.features, params.w1, params.b1, "relu")
-    return gnn_layer(graph.adjacency, hidden, params.w2, params.b2, "identity")
+    hidden = relu(gnn_layer(graph.adjacency, graph.features, params.w1, params.b1))
+    return gnn_layer(graph.adjacency, hidden, params.w2, params.b2)

@@ -19,7 +19,7 @@ from .config import TrainConfig, WorldConfig
 from .fusion import adapt_task, gate_integrate
 from .gnn import encode_knowledge
 from .kg import build_graph
-from .losses import LossConfig, align_loss_batch, loss_cls_batch, loss_total
+from .losses import align_loss_batch, loss_cls_batch, loss_total
 from .model import init_model
 from .rng import derive_seed
 from .encoders import encode_batch
@@ -36,10 +36,6 @@ def _projected(op_output, seed):
         T.reshape(op_output, (1,))
     wflat = T.reshape(w, (w.size,))
     return T.sum_all(T.mul(flat, wflat))
-
-
-def _case(name, build):
-    return (name, build)
 
 
 def _op_cases():
@@ -64,36 +60,41 @@ def _op_cases():
         [("hub", "r", leaf) for leaf in "abcd"] + [("a", "r", "x"), ("x", "r", "y")],
         feature_dim=1, seed=0).adjacency
     return [
-        _case("matmul.left", simple(lambda x, s: T.matmul(x, _rand([4, 3], s + 1)), [5, 4])),
-        _case("matmul.right", simple(lambda x, s: T.matmul(_rand([5, 4], s + 1), x), [4, 3])),
-        _case("add", simple(lambda x, s: T.add(x, _rand([3, 4], s + 1)), [3, 4])),
-        _case("add.bias_row", simple(lambda x, s: T.add(_rand([3, 4], s + 1), x), [4])),
-        _case("sub", simple(lambda x, s: T.sub(x, _rand([3, 4], s + 1)), [3, 4])),
-        _case("mul", simple(lambda x, s: T.mul(x, _rand([3, 4], s + 1)), [3, 4])),
-        _case("scale", simple(lambda x, s: T.scale(x, 1.7), [3, 4])),
-        _case("concat.left", simple(lambda x, s: T.concat(x, _rand([3, 2], s + 1)), [3, 4])),
-        _case("concat.right", simple(lambda x, s: T.concat(_rand([3, 2], s + 1), x), [3, 4])),
-        _case("reshape", simple(lambda x, s: T.reshape(x, [2, 6]), [3, 4])),
-        _case("spmm", simple(lambda x, s: T.spmm(star_chain, x), [7, 3])),
-        _case("gather_rows", simple(lambda x, s: T.gather_rows(x, [2, 0, 2, 1]), [4, 3])),
-        _case("stack_cols", simple(
+        ("matmul.left", simple(lambda x, s: T.matmul(x, _rand([4, 3], s + 1)), [5, 4])),
+        ("matmul.right", simple(lambda x, s: T.matmul(_rand([5, 4], s + 1), x), [4, 3])),
+        ("linear.x", simple(
+            lambda x, s: T.linear(x, _rand([4, 3], s + 1), _rand([3], s + 2)), [5, 4])),
+        ("linear.w", simple(
+            lambda x, s: T.linear(_rand([5, 4], s + 1), x, _rand([3], s + 2)), [4, 3])),
+        ("linear.b", simple(
+            lambda x, s: T.linear(_rand([5, 4], s + 1), _rand([4, 3], s + 2), x), [3])),
+        ("add", simple(lambda x, s: T.add(x, _rand([3, 4], s + 1)), [3, 4])),
+        ("sub", simple(lambda x, s: T.sub(x, _rand([3, 4], s + 1)), [3, 4])),
+        ("mul", simple(lambda x, s: T.mul(x, _rand([3, 4], s + 1)), [3, 4])),
+        ("scale", simple(lambda x, s: T.scale(x, 1.7), [3, 4])),
+        ("concat.left", simple(lambda x, s: T.concat(x, _rand([3, 2], s + 1)), [3, 4])),
+        ("concat.right", simple(lambda x, s: T.concat(_rand([3, 2], s + 1), x), [3, 4])),
+        ("reshape", simple(lambda x, s: T.reshape(x, [2, 6]), [3, 4])),
+        ("spmm", simple(lambda x, s: T.spmm(star_chain, x), [7, 3])),
+        ("gather_rows", simple(lambda x, s: T.gather_rows(x, [2, 0, 2, 1]), [4, 3])),
+        ("stack_cols", simple(
             lambda x, s: T.stack_cols([x, _rand([5], s + 1), _rand([5], s + 2)]), [5])),
-        _case("relu", simple(lambda x, s: T.relu(x), [3, 4], shift_relu=True)),
-        _case("tanh_act", simple(lambda x, s: T.tanh_act(x), [3, 4])),
-        _case("sigmoid", simple(lambda x, s: T.sigmoid(x), [3, 4])),
-        _case("softmax_row", simple(lambda x, s: T.softmax_row(x), [6])),
-        _case("sum_all", simple(lambda x, s: T.reshape(T.sum_all(x), [1]), [3, 4])),
-        _case("mean_all", simple(lambda x, s: T.reshape(T.mean_all(x), [1]), [3, 4])),
-        _case("logsumexp_rows", simple(lambda x, s: T.logsumexp_rows(x), [3, 5])),
-        _case("cross_entropy_rows", simple(
+        ("relu", simple(lambda x, s: T.relu(x), [3, 4], shift_relu=True)),
+        ("tanh_act", simple(lambda x, s: T.tanh_act(x), [3, 4])),
+        ("sigmoid", simple(lambda x, s: T.sigmoid(x), [3, 4])),
+        ("softmax_row", simple(lambda x, s: T.softmax_row(x), [6])),
+        ("sum_all", simple(lambda x, s: T.reshape(T.sum_all(x), [1]), [3, 4])),
+        ("mean_all", simple(lambda x, s: T.reshape(T.mean_all(x), [1]), [3, 4])),
+        ("logsumexp_rows", simple(lambda x, s: T.logsumexp_rows(x), [3, 5])),
+        ("cross_entropy_rows", simple(
             lambda x, s: T.cross_entropy_rows(x, [1, 0, 3]), [3, 4])),
-        _case("cosine_sim.left", simple(
+        ("cosine_sim.left", simple(
             lambda x, s: T.reshape(T.cosine_sim(x, _rand([5], s + 1)), [1]), [5])),
-        _case("cosine_sim.right", simple(
+        ("cosine_sim.right", simple(
             lambda x, s: T.reshape(T.cosine_sim(_rand([5], s + 1), x), [1]), [5])),
-        _case("cosine_select.queries", simple(
+        ("cosine_select.queries", simple(
             lambda x, s: T.cosine_select(x, _rand([6, 5], s + 1), idx_pairs), [3, 5])),
-        _case("cosine_select.table", simple(
+        ("cosine_select.table", simple(
             lambda x, s: T.cosine_select(_rand([3, 5], s + 1), x, idx_pairs), [6, 5])),
     ]
 
@@ -141,7 +142,6 @@ def _pipeline_case(kind):
         positives = np.array([0, 2])
         negatives = np.array([[1], [0]])
         labels = np.array([0, 1])
-        loss_cfg = LossConfig(tau=0.5, lambda1=0.7, lambda2=1.3, n_negatives=1)
 
         def f(x):
             tensors = dict(model.named_tensors())
@@ -154,15 +154,14 @@ def _pipeline_case(kind):
                 knowledge = encode_knowledge(graph, model.gnn_params())
                 fused = encode_batch(Tensor(images.data), bow,
                                      model.encoder_params())
-                align = align_loss_batch(fused, knowledge, positives, negatives,
-                                         loss_cfg.tau)
+                align = align_loss_batch(fused, knowledge, positives, negatives, 0.5)
                 if kind == "align":
                     return align
                 k_star = T.gather_rows(knowledge, positives)  # selection held fixed
                 gated = gate_integrate(fused, k_star, model.gate_params())
                 logits = adapt_task(gated, k_star, model.adaptor_params())
                 task = loss_cls_batch(logits, labels)
-                return loss_total(align, task, loss_cfg)
+                return loss_total(align, task, 0.7, 1.3)
             finally:
                 getattr(model, group)[short] = originals
                 if short == "node_features":

@@ -9,7 +9,6 @@ switches to a sum over negatives alone for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,28 +31,6 @@ from .tensor import (
 )
 
 DENOMINATOR_MODES = ("positive_included", "negatives_only")
-
-
-@dataclass
-class LossConfig:
-    tau: float = 0.07
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    n_negatives: int = 8
-    denominator: str = "positive_included"
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.lambda1 + self.lambda2 <= 0:
-            raise ValueError("at least one loss weight must be positive")
-        if self.n_negatives < 1:
-            raise ValueError("need at least one negative sample")
-        if self.denominator not in DENOMINATOR_MODES:
-            raise ValueError(
-                f"denominator must be one of {DENOMINATOR_MODES}, got {self.denominator!r}")
 
 
 def loss_align(fused: Tensor, k_pos: Tensor, k_negs: Sequence[Tensor], tau: float,
@@ -149,9 +126,9 @@ def loss_cls_batch(logits: Tensor, labels) -> Tensor:
     return mean_all(cross_entropy_rows(logits, labels))
 
 
-def loss_total(align: Tensor, task: Tensor, cfg: LossConfig) -> Tensor:
+def loss_total(align: Tensor, task: Tensor, lambda1: float, lambda2: float) -> Tensor:
     """Weighted combination lambda1 * align + lambda2 * task."""
     for name, term in (("align", align), ("task", task)):
         if not np.isfinite(term.data).all():
             raise ValueError(f"{name} loss is not finite")
-    return add(scale(align, cfg.lambda1), scale(task, cfg.lambda2))
+    return add(scale(align, lambda1), scale(task, lambda2))

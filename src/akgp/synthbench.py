@@ -148,17 +148,6 @@ def split_dataset(examples: list[Example], test_fraction: float = 0.2):
     return examples[:cut], examples[cut:]
 
 
-def evaluate_accuracy(predictions, labels) -> float:
-    """Exact-match fraction."""
-    preds = list(predictions)
-    labs = list(labels)
-    if len(preds) != len(labs):
-        raise ValueError(f"{len(preds)} predictions but {len(labs)} labels")
-    if not preds:
-        raise ValueError("cannot score an empty prediction list")
-    return sum(p == l for p, l in zip(preds, labs)) / len(preds)
-
-
 # ---------------------------------------------------------------------------
 # ablation
 

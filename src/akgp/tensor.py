@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every differentiable computation in this package is composed from the
-primitives here, including :func:`spmm`, the product of a constant sparse
-:class:`CsrMatrix` with a dense tensor. Recording works through an explicit
+primitives here, including :func:`linear`, one record per affine layer, and
+:func:`spmm`, the product of a constant sparse :class:`CsrMatrix` with a
+dense tensor. Recording works through an explicit
 :class:`Tape` used as a context manager; operations append a record whenever
 a tape is active and any input requires gradients, so inference paths pay no
 bookkeeping cost. Tapes nest: an operation records on the innermost active
@@ -252,17 +253,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a_data @ b_data, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` of a 2-d ``x``, the 1-d bias added to every row."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"linear needs 2-d x and w and a 1-d b, "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"linear dims differ: {x.shape} @ {w.shape} + {b.shape}")
+    x_data, w_data = x.data, w.data
+
+    def bwd(g):
+        return (g @ w_data.T if x.requires_grad else None,
+                x_data.T @ g if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _emit(x_data @ w_data + b.data, (x, w, b), bwd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-d bias broadcast over the rows of a 2-d a."""
-    if a.shape == b.shape:
-        def bwd(g):
-            return g, g
-        return _emit(a.data + b.data, (a, b), bwd)
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        def bwd_bias(g):
-            return g, (g.sum(axis=0) if b.requires_grad else None)
-        return _emit(a.data + b.data, (a, b), bwd_bias)
-    raise ShapeError(f"add got incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"add got incompatible shapes {a.shape} and {b.shape}")
+
+    def bwd(g):
+        return g, g
+
+    return _emit(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

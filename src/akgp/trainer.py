@@ -25,11 +25,10 @@ from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .data import Batch, Example, collate
 from .encoders import encode_batch
-from .fusion import FreezePolicy, adapt_task, apply_freeze_policy, gate_integrate
+from .fusion import adapt_task, gate_integrate, set_frozen
 from .gnn import encode_knowledge
 from .kg import KnowledgeGraph
 from .losses import (
-    LossConfig,
     align_loss_batch,
     align_loss_rows,
     loss_cls_batch,
@@ -101,13 +100,11 @@ class TrainerState:
     cached_norms: np.ndarray | None = None  # row norms of cached_knowledge
     cached_inputs: EncodedDataset | None = None  # the stage's frozen-encoder rows
 
-    def loss_config(self) -> LossConfig:
-        c = self.cfg
-        return LossConfig(tau=c.tau, lambda1=c.lambda1, lambda2=c.lambda2,
-                          n_negatives=c.n_negatives, denominator=c.denominator)
-
 
 def make_run(cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
+    """A new run in the pretraining stage; an invalid ``cfg`` raises
+    ConfigError naming the key."""
+    cfg.validate()
     model = init_model(cfg, graph)
     state = TrainerState(cfg=cfg, graph=graph, model=model, opt=AdamState(),
                          rng=Rng(derive_seed(cfg.seed, "stage.pretrain")))
@@ -123,13 +120,13 @@ def start_stage(state: TrainerState, stage: int) -> None:
     state.epochs_done = 0
     state.opt = AdamState()
     if stage == STAGE_PRETRAIN:
-        policy, stream = FreezePolicy.pretrain_default(), "stage.pretrain"
+        frozen, stream = ["theta_a"], "stage.pretrain"
     else:
-        policy, stream = FreezePolicy.from_frozen(state.cfg.freeze), "stage.finetune"
+        frozen, stream = state.cfg.freeze, "stage.finetune"
     state.rng = Rng(derive_seed(state.cfg.seed, stream))
-    apply_freeze_policy(state.model, policy)
+    set_frozen(state.model, frozen)
     state.cached_knowledge = state.cached_norms = state.cached_inputs = None
-    if stage == STAGE_FINETUNE and not policy.theta_k:
+    if "theta_k" in frozen:
         frozen_k = encode_knowledge(state.graph, state.model.gnn_params())
         state.cached_knowledge = Tensor(frozen_k.data.copy())
         state.cached_norms = row_norms(state.cached_knowledge.data)
@@ -333,7 +330,7 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
             loss = align
             if finetune:
                 _check_finite(task.item(), step, "task loss")
-                loss = loss_total(align, task, state.loss_config())
+                loss = loss_total(align, task, cfg.lambda1, cfg.lambda2)
                 _check_finite(loss.item(), step, "total loss")
         backward(loss, tape)
         adam_step(state.model, state.opt, cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)

@@ -394,6 +394,18 @@ def test_feature_row_of_other_length_names_the_line(workdir, tmp_path, capsys, w
     _assert_data_error(capsys, code, f"{data}: line 2: field 'image_features': {width} numbers")
 
 
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_features_narrower_than_d_i_name_the_file(workdir, tmp_path, capsys, command):
+    with open(workdir["data"]) as fh:
+        records = [json.loads(line) for line in fh]
+    data = tmp_path / "narrow.jsonl"
+    data.write_text("".join(json.dumps(dict(r, image_features=r["image_features"][:3])) + "\n"
+                            for r in records))
+    code = _run_on(workdir, tmp_path, command, data)
+    _assert_data_error(capsys, code,
+                       f"{data}: line 1: field 'image_features': 3 numbers, expected 6")
+
+
 def test_nan_during_finetune_exits_numeric(workdir, tmp_path, capsys):
     pre = tmp_path / "pre"
     assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],

@@ -67,6 +67,17 @@ def test_all_frozen_rejected(tmp_path):
         parse_config(write(tmp_path, {"freeze": frozen}))
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"freeze": ["theta_v", "theta_z"]}, "freeze"),
+    ({"lambda1": 0.0, "lambda2": 0.0}, "lambda1/lambda2"),
+    ({"n_negatives": 0}, "n_negatives"),
+    ({"denominator": "sideways"}, "denominator"),
+])
+def test_invalid_value_names_key(overrides, key):
+    with pytest.raises(ConfigError, match="^" + re.escape(key + ":")):
+        TrainConfig(**overrides).validate()
+
+
 def test_bad_gate_mode(tmp_path):
     with pytest.raises(ConfigError, match="gate"):
         parse_config(write(tmp_path, {"gate": "open"}))

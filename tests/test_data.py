@@ -194,9 +194,16 @@ def test_read_rejects_non_finite_features(tmp_path, features):
 def test_read_rejects_feature_row_of_other_length(tmp_path, features):
     path = _two_line_file(tmp_path / "widths.jsonl", {"image_features": features})
     with pytest.raises(DataError, match="^" + re.escape(
-            f"{path}: line 2: field 'image_features': {len(features)} numbers, "
-            "but the first example has 2")):
+            f"{path}: line 2: field 'image_features': {len(features)} numbers, expected 2")):
         read_examples(path)
+
+
+def test_read_checks_feature_width_given_width(tmp_path):
+    path = _two_line_file(tmp_path / "widths.jsonl", {})
+    with pytest.raises(DataError, match="^" + re.escape(
+            f"{path}: line 1: field 'image_features': 2 numbers, expected 3")):
+        read_examples(path, width=3)
+    assert len(read_examples(path, width=2)) == 2
 
 
 @pytest.mark.parametrize("label", [2, 99, 10**30])
@@ -204,7 +211,17 @@ def test_read_checks_label_range_given_n_classes(tmp_path, label):
     path = _two_line_file(tmp_path / "labels.jsonl", {"label": label})
     with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 2: field 'label': ")):
         read_examples(path, n_classes=2)
-    # without a class count only the sign is checked, as before
-    assert read_examples(path)[1].label == label
+    # without a class count only the sign and the int64 range are checked
+    if label < 1 << 63:
+        assert read_examples(path)[1].label == label
     path = _two_line_file(path, {"label": 1})
     assert [ex.label for ex in read_examples(path, n_classes=2)] == [1, 1]
+
+
+@pytest.mark.parametrize("label", [1 << 63, 10**30])
+def test_read_rejects_label_beyond_int64(tmp_path, label):
+    path = _two_line_file(tmp_path / "labels.jsonl", {"label": label})
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: line 2: field 'label': {label} ")):
+        read_examples(path)
+    path = _two_line_file(path, {"label": (1 << 63) - 1})
+    assert collate(read_examples(path), 3).labels[1] == (1 << 63) - 1

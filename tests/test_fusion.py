@@ -1,16 +1,19 @@
-"""Gate modes, adaptor head, and freeze policy mechanics."""
+"""Gate modes, adaptor head, and freeze mechanics."""
 
 import numpy as np
 import pytest
 
+from akgp.config import ConfigError, TrainConfig
 from akgp.fusion import (
+    PARAM_GROUPS,
     AdaptorParams,
-    FreezePolicy,
     GateParams,
     adapt_task,
-    apply_freeze_policy,
     gate_integrate,
+    set_frozen,
 )
+from akgp.kg import build_graph
+from akgp.trainer import make_run
 from akgp.tensor import Tensor, constant, fd_check, from_array, mul, sum_all, uniform, xavier, zeros
 
 
@@ -117,27 +120,34 @@ class _FakeModel:
 
 
 def test_freeze_policy_default_finetune():
-    policy = FreezePolicy.finetune_default()
-    assert policy.frozen_groups() == ["theta_v", "theta_t", "theta_m", "theta_k"]
-    assert policy.trainable_groups() == ["w_g", "theta_a"]
+    model = _FakeModel()
+    set_frozen(model, TrainConfig().freeze)
+    trainable = [g for g, tensors in model.groups().items() if tensors["w"].requires_grad]
+    assert trainable == ["w_g", "theta_a"]
 
 
 def test_freeze_policy_applies_flags():
     model = _FakeModel()
-    apply_freeze_policy(model, FreezePolicy.finetune_default())
+    set_frozen(model, ["theta_v"])
     assert not model._groups["theta_v"]["w"].requires_grad
+    assert model._groups["theta_v"]["w"].grad is None
     assert model._groups["theta_a"]["w"].requires_grad
     assert model._groups["theta_a"]["w"].grad is not None
+    set_frozen(model, [])  # thaws what an earlier call froze
+    assert model._groups["theta_v"]["w"].requires_grad
+
+
+def _make_run_with_freeze(frozen):
+    """make_run validates an in-program config as parse_config does."""
+    cfg = TrainConfig(freeze=frozen)
+    make_run(cfg, build_graph([("a", "r", "b")], cfg.d_k, seed=0))
 
 
 def test_freeze_policy_all_frozen_rejected():
-    with pytest.raises(ValueError):
-        FreezePolicy.from_frozen(list(FreezePolicy.finetune_default().__dict__))
-    with pytest.raises(ValueError):
-        FreezePolicy(**{g: False for g in
-                        ("theta_v", "theta_t", "theta_m", "theta_k", "w_g", "theta_a")})
+    with pytest.raises(ConfigError, match="^freeze: at least one group"):
+        _make_run_with_freeze(list(PARAM_GROUPS))
 
 
 def test_freeze_policy_unknown_group_rejected():
-    with pytest.raises(ValueError):
-        FreezePolicy.from_frozen(["theta_z"])
+    with pytest.raises(ConfigError, match=r"^freeze: unknown group\(s\) \['theta_z'\]"):
+        _make_run_with_freeze(["theta_v", "theta_z"])

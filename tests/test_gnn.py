@@ -1,13 +1,12 @@
 """Knowledge encoder: propagation semantics, equivariance, gradients."""
 
 import numpy as np
-import pytest
 
 from graph_oracle import csr_from_dense, dense_adjacency, expand
 from akgp.gnn import GnnParams, encode_knowledge, gnn_layer
 from akgp.kg import KnowledgeGraph, build_graph
 from akgp.tensor import (
-    Tape, Tensor, backward, fd_check, from_array, mul, sum_all, uniform, xavier, zeros,
+    Tape, Tensor, backward, fd_check, from_array, mul, relu, sum_all, uniform, xavier, zeros,
 )
 
 
@@ -42,14 +41,14 @@ def two_node_mean():
 def test_layer_identity_propagation():
     eye = csr_from_dense(np.eye(3))
     h = uniform([3, 4], -1, 1, 5)
-    out = gnn_layer(eye, h, from_array(np.eye(4)), zeros([4]), "identity")
+    out = gnn_layer(eye, h, from_array(np.eye(4)), zeros([4]))
     assert np.allclose(out.data, h.data)
 
 
 def test_layer_two_node_mean():
     a = two_node_mean()
     h = from_array([[2.0, 0.0], [0.0, 2.0]])
-    out = gnn_layer(a, h, from_array(np.eye(2)), zeros([2]), "identity")
+    out = gnn_layer(a, h, from_array(np.eye(2)), zeros([2]))
     assert np.allclose(out.data, [[1.0, 1.0], [1.0, 1.0]])
 
 
@@ -59,7 +58,7 @@ def test_layer_gradient_matches_fd():
     b = zeros([4])
 
     def f(w):
-        out = gnn_layer(a, h, w, b, "relu")
+        out = relu(gnn_layer(a, h, w, b))
         return sum_all(mul(out, out))
 
     report = fd_check(f, uniform([3, 4], -1, 1, 3))
@@ -133,11 +132,6 @@ def test_full_gradient_paths_pass_fd():
         return sum_all(mul(out, out))
 
     assert fd_check(loss_wrt_w2, Tensor(p.w2.data.copy())).passed
-
-
-def test_bad_activation_rejected():
-    with pytest.raises(ValueError):
-        gnn_layer(csr_from_dense(np.eye(2)), zeros([2, 2]), zeros([2, 2]), zeros([2]), "gelu")
 
 
 def test_large_chain_stays_sparse():

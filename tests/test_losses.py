@@ -7,7 +7,6 @@ import pytest
 
 from akgp.losses import (
     DENOMINATOR_MODES,
-    LossConfig,
     align_loss_batch,
     align_loss_rows,
     loss_align,
@@ -217,20 +216,17 @@ def test_cls_batch_is_mean_of_rows():
 
 
 def test_total_weights():
-    cfg = LossConfig(lambda1=0.0, lambda2=1.0)
-    assert loss_total(Tensor(np.asarray(0.5)), Tensor(np.asarray(1.5)), cfg).item() == 1.5
-    cfg = LossConfig(lambda1=1.0, lambda2=1.0)
-    assert loss_total(Tensor(np.asarray(0.5)), Tensor(np.asarray(1.5)), cfg).item() == 2.0
+    assert loss_total(Tensor(np.asarray(0.5)), Tensor(np.asarray(1.5)), 0.0, 1.0).item() == 1.5
+    assert loss_total(Tensor(np.asarray(0.5)), Tensor(np.asarray(1.5)), 1.0, 1.0).item() == 2.0
 
 
 def test_total_gradient_splits_linearly():
-    cfg = LossConfig(lambda1=0.7, lambda2=1.3)
     w = uniform([4], -1, 1, 70)
 
     def f(x):
         align = sum_all(from_array(np.ones(4)) * x)
         task = sum_all(x * x)
-        return loss_total(align, task, cfg)
+        return loss_total(align, task, 0.7, 1.3)
 
     report = fd_check(f, w)
     assert report.passed
@@ -239,17 +235,5 @@ def test_total_gradient_splits_linearly():
 
 
 def test_total_rejects_non_finite():
-    cfg = LossConfig()
     with pytest.raises(ValueError):
-        loss_total(Tensor(np.asarray(float("nan"))), Tensor(np.asarray(1.0)), cfg)
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        LossConfig(lambda1=0.0, lambda2=0.0)
-    with pytest.raises(ValueError):
-        LossConfig(n_negatives=0)
-    with pytest.raises(ValueError):
-        LossConfig(denominator="sideways")
+        loss_total(Tensor(np.asarray(float("nan"))), Tensor(np.asarray(1.0)), 1.0, 1.0)

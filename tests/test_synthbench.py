@@ -17,7 +17,6 @@ from akgp.synthbench import (
     AblationRow,
     ablation_csv,
     ablation_markdown,
-    evaluate_accuracy,
     gen_dataset,
     gen_world,
     run_ablation,
@@ -144,16 +143,6 @@ def test_shuffled_labels_break_signal():
     assert sorted(e.label for e in shuffled) == sorted(e.label for e in data)
     moved = sum(a.label != b.label for a, b in zip(data, shuffled))
     assert moved > 50
-
-
-def test_evaluate_accuracy_cases():
-    assert evaluate_accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-    assert evaluate_accuracy([0, 0, 0], [1, 2, 3]) == 0.0
-    assert evaluate_accuracy([1, 9, 3, 9], [1, 2, 3, 4]) == 0.5
-    with pytest.raises(ValueError):
-        evaluate_accuracy([1], [1, 2])
-    with pytest.raises(ValueError):
-        evaluate_accuracy([], [])
 
 
 def tiny_cfg():

@@ -1,6 +1,7 @@
 """Tensor primitives: forward values, backward rules vs finite differences,
 and the numeric invariants of softmax and cosine similarity."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import csr_from_dense, csr_rows_row_major
+from akgp import tensor as tensor_module
+from akgp.gradcheck import _op_cases
 from akgp.tensor import (
     COSINE_EPS,
     CsrMatrix,
@@ -26,6 +29,7 @@ from akgp.tensor import (
     fd_check,
     from_array,
     gather_rows,
+    linear,
     logsumexp_rows,
     matmul,
     mean_all,
@@ -119,9 +123,29 @@ def test_concat_and_add():
 
 
 def test_add_bias_broadcast():
-    a = from_array([[1.0, 2.0], [3.0, 4.0]])
-    b = from_array([10.0, 20.0])
-    assert add(a, b).data.tolist() == [[11.0, 22.0], [13.0, 24.0]]
+    with pytest.raises(ShapeError):
+        add(rand([3, 4], 1), rand([4], 2))  # a bias row goes through linear
+
+
+def test_linear_bit_equal_to_numpy():
+    x, w, b = (Tensor(rand(shape, seed).data, requires_grad=True)
+               for shape, seed in (([5, 4], 1), ([4, 3], 2), ([3], 3)))
+    g = rand([5, 3], 4).data
+    with Tape() as tape:
+        y = linear(x, w, b)
+    assert len(tape.records) == 1
+    assert y.data.tobytes() == (x.data @ w.data + b.data).tobytes()
+    grads = tape.records[0].backward(g)
+    expected = (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
+    assert [gi.tobytes() for gi in grads] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("shapes", [
+    ([5], [5, 3], [3]), ([2, 5], [4, 3], [3]), ([2, 4], [4, 3], [2]), ([2, 4], [4, 3], [1, 3]),
+])
+def test_linear_shape_errors(shapes):
+    with pytest.raises(ShapeError):
+        linear(*(zeros(shape) for shape in shapes))
 
 
 def test_relu_and_sigmoid_values():
@@ -186,7 +210,7 @@ def test_backward_fills_leaves_only():
     b = Tensor([0.5, -0.5], requires_grad=True)
     x = rand([4, 3], 2)
     with Tape() as tape:
-        hidden = add(matmul(x, w), b)
+        hidden = linear(x, w, b)
         act = tanh_act(hidden)
         loss = sum_all(act)
     backward(loss, tape)
@@ -200,11 +224,10 @@ def test_backward_rules_skip_inputs_without_grad():
     w = Tensor(rand([3, 2], 1).data, requires_grad=True)
     x, bias = rand([4, 3], 2), rand([2], 3)
     with Tape() as tape:
-        add(matmul(x, w), bias)
+        linear(x, w, bias)
     g = np.ones((4, 2))
-    grad_x, grad_w = tape.records[0].backward(g)
-    assert grad_x is None and np.array_equal(grad_w, x.data.T @ g)
-    assert tape.records[1].backward(g)[1] is None
+    grad_x, grad_w, grad_bias = tape.records[0].backward(g)
+    assert grad_x is None and grad_bias is None and np.array_equal(grad_w, x.data.T @ g)
     with Tape() as tape:
         cosine_select(Tensor(x.data, requires_grad=True), rand([5, 3], 4),
                       [[0, 2], [1, 1], [4, 3], [2, 0]])
@@ -364,6 +387,17 @@ def quad_loss(seed, shape):
     return project
 
 
+def test_every_recording_primitive_has_a_gradcheck_case():
+    """``akgp check-grads`` runs gradcheck's op cases, so each function here
+    that records through _emit needs one there."""
+    recording = {name for name, fn in vars(tensor_module).items()
+                 if inspect.isfunction(fn) and fn.__module__ == tensor_module.__name__
+                 and name != "_emit" and "_emit(" in inspect.getsource(fn)}
+    assert {"add", "linear", "spmm", "cosine_select"} <= recording
+    covered = {name.partition(".")[0] for name, _ in _op_cases()}
+    assert sorted(recording - covered) == []
+
+
 def test_fd_check_analytic_case():
     report = fd_check(lambda t: sum_all(mul(t, t)), from_array([1.0, -2.0]))
     assert report.passed
@@ -389,7 +423,9 @@ OP_CASES = [
     ("matmul_a", lambda x, s: matmul(x, rand([4, 3], s)), [5, 4]),
     ("matmul_b", lambda x, s: matmul(rand([5, 4], s), x), [4, 3]),
     ("add", lambda x, s: add(x, rand([3, 4], s)), [3, 4]),
-    ("add_bias", lambda x, s: add(rand([3, 4], s), x), [4]),
+    ("linear_x", lambda x, s: linear(x, rand([4, 3], s), rand([3], s + 1)), [5, 4]),
+    ("linear_w", lambda x, s: linear(rand([5, 4], s), x, rand([3], s + 1)), [4, 3]),
+    ("linear_b", lambda x, s: linear(rand([5, 4], s), rand([4, 3], s + 1), x), [3]),
     ("sub", lambda x, s: sub(x, rand([3, 4], s)), [3, 4]),
     ("mul", lambda x, s: mul(x, rand([3, 4], s)), [3, 4]),
     ("scale", lambda x, s: scale(x, 1.7), [3, 4]),

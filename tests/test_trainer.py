@@ -314,7 +314,7 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
             for what, value in (("alignment loss", align.item()), ("task loss", task.item())):
                 if not np.isfinite(value):
                     raise NumericError(step, f"{what} became non-finite")
-            loss = loss_total(align, task, state.loss_config())
+            loss = loss_total(align, task, cfg.lambda1, cfg.lambda2)
         if not np.isfinite(loss.item()):
             raise NumericError(step, "total loss became non-finite")
         backward(loss, tape)
