@@ -110,11 +110,15 @@ def collate(examples: list[Example], vocab_size: int,
             if idx is None:
                 raise DataError(f"gold node {ex.gold_node!r} not present in the graph")
             gold[row] = idx
+    try:
+        labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"label out of int64 range: {exc}") from exc
     return Batch(
         images=np.stack([ex.image_features for ex in examples]),
         token_ids=tokens,
         token_offsets=offsets,
-        labels=np.array([ex.label for ex in examples], dtype=np.int64),
+        labels=labels,
         gold_indices=gold,
         vocab_size=vocab_size,
     )

@@ -62,6 +62,9 @@ def load_triples(path) -> list[Triple]:
             return parse_triples(fh)
     except UnicodeDecodeError as exc:
         raise TripleParseError(None, f"{path}: not UTF-8 text: {exc}") from exc
+    except TripleParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_triples(path, triples: Iterable[Triple]) -> None:

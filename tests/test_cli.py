@@ -454,11 +454,11 @@ def test_non_utf8_input_names_the_file(workdir, tmp_path, capsys, name):
 
 def test_malformed_kg_is_data_error(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("a\tr\tb\nno tabs here\n")
+    bad.write_text("a\tr\tb\nbad line\n")
     code = main(["eval", "--config", workdir["config"], "--kg", str(bad),
                  "--data", workdir["data"]])
-    assert code == 2
-    assert "line 2" in json.loads(capsys.readouterr().err.strip())["message"]
+    _assert_data_error(capsys, code,
+                       f"{bad}: line 2: expected 3 tab-separated fields, got 1")
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +470,7 @@ def fuzz_world(tmp_path_factory):
         assert main(["gen-data", "--config", str(config), "--out", str(root / "world")]) == 0
     lines = (root / "world" / "dataset.jsonl").read_text().splitlines()
     return {"root": root, "config": str(config), "kg": str(root / "world" / "kg.tsv"),
+            "data": str(root / "world" / "dataset.jsonl"),
             "records": [json.loads(line) for line in lines]}
 
 
@@ -515,6 +516,21 @@ def _no_constants(name):
     raise ValueError(f"{name} is not JSON")
 
 
+def _assert_output_contract(argv):
+    """Exit 0, 2 or 3; stderr one JSON line exactly when the exit is not 0;
+    every stdout line strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    err_lines = err.getvalue().splitlines()
+    assert len(err_lines) == (code != 0), err.getvalue()
+    if err_lines:
+        assert json.loads(err_lines[0], parse_constant=_no_constants)["code"] == code
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_no_constants)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_eval_on_mutated_records_keeps_the_output_contract(fuzz_world, data):
@@ -524,14 +540,44 @@ def test_eval_on_mutated_records_keeps_the_output_contract(fuzz_world, data):
         lines[row] = data.draw(mutated_line(records[row]))
     path = fuzz_world["root"] / "mutated.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", "--config", fuzz_world["config"], "--kg", fuzz_world["kg"],
-                     "--data", str(path)])
-    assert code in (0, 2, 3)
-    err_lines = err.getvalue().splitlines()
-    assert len(err_lines) == (code != 0), err.getvalue()
-    if err_lines:
-        assert json.loads(err_lines[0], parse_constant=_no_constants)["code"] == code
-    for line in out.getvalue().splitlines():
-        json.loads(line, parse_constant=_no_constants)
+    _assert_output_contract(["eval", "--config", fuzz_world["config"], "--kg", fuzz_world["kg"],
+                             "--data", str(path)])
+
+
+# edge strings first, then any short text
+TSV_TEXT = st.sampled_from(["", "#", "\t", "\x00", "é", "知识", "a\tb\tc\td"]) | st.text(max_size=6)
+
+
+@st.composite
+def mutated_tsv(draw, lines):
+    """A triple file's text after one to three edits: a field set, a line
+    replaced, dropped, duplicated or cut; then maybe the whole text cut short."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["field"] * 3 + ["line", "drop", "duplicate", "cut"]))
+        row = draw(st.integers(0, len(lines) - 1))
+        if kind == "field":
+            fields = lines[row].split("\t")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(TSV_TEXT)
+            lines[row] = "\t".join(fields)
+        elif kind == "line":
+            lines[row] = draw(TSV_TEXT)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[row]
+        elif kind == "duplicate":
+            lines.insert(row, lines[row])
+        elif kind == "cut":
+            lines[row] = lines[row][:draw(st.integers(0, len(lines[row])))]
+    text = "\n".join(lines) + "\n"
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_eval_on_mutated_triples_keeps_the_output_contract(fuzz_world, data):
+    with open(fuzz_world["kg"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    path = fuzz_world["root"] / "mutated.tsv"
+    path.write_text(data.draw(mutated_tsv(lines)), encoding="utf-8")
+    _assert_output_contract(["eval", "--config", fuzz_world["config"], "--kg", str(path),
+                             "--data", fuzz_world["data"]])

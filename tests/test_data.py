@@ -92,6 +92,13 @@ def test_collate_rejects_out_of_range_token():
         collate(sample_examples(), vocab_size=2)
 
 
+@pytest.mark.parametrize("label", [1 << 63, 10**30])
+def test_collate_rejects_label_beyond_int64(label):
+    examples = sample_examples() + [Example(np.zeros(2), [0], label)]
+    with pytest.raises(DataError, match="^label out of int64 range"):
+        collate(examples, vocab_size=3)
+
+
 def test_collate_rejects_unknown_gold_node():
     with pytest.raises(DataError):
         collate(sample_examples(), vocab_size=3, node_index={"b": 0})
