@@ -6,6 +6,8 @@ contrastive alignment pretraining, a two-stage trainer with bit-exact
 checkpoints, and a synthetic ablation benchmark.
 """
 
+__version__ = "0.1.0"  # first, so a module the imports below load can read it
+
 from .config import ConfigError, TrainConfig, WorldConfig, parse_config
 from .data import Batch, DataError, Example, collate, read_examples, write_examples
 from .encoders import EncoderParams, encode_visual, fuse_multimodal
@@ -66,5 +68,3 @@ from .trainer import (
     save_state,
     start_stage,
 )
-
-__version__ = "0.1.0"

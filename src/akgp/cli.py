@@ -43,6 +43,7 @@ from .trainer import (
     encode_rows,
     evaluate,
     finetune_epoch,
+    knowledge_matrix,
     make_run,
     pretrain_epoch,
     restore_state,
@@ -130,8 +131,7 @@ def _config_differences(saved: dict, current: dict, prefix: str = "") -> list[st
     return keys
 
 
-def _prepare_state(cfg, kg_path, args, stage):
-    graph = _build_graph(cfg, kg_path)
+def _prepare_state(cfg, graph, args, stage):
     if getattr(args, "resume", False):
         path = args.checkpoint or os.path.join(args.out, CHECKPOINT_NAME)
         data = load_checkpoint(path)
@@ -211,8 +211,9 @@ def _train_command(args, stage) -> int:
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
-    examples = read_examples(args.data, cfg.n_classes, cfg.d_i)
-    state = _prepare_state(cfg, args.kg, args, stage)
+    graph = _build_graph(cfg, args.kg)
+    examples = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
+    state = _prepare_state(cfg, graph, args, stage)
     dataset = collate_dataset(state, examples)
     ckpt_path = os.path.join(args.out, CHECKPOINT_NAME)
     if stage == STAGE_PRETRAIN:
@@ -239,8 +240,9 @@ def _train_command(args, stage) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     started = time.perf_counter()
-    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i)
-    state = _eval_state(cfg, args)
+    graph = _build_graph(cfg, args.kg)
+    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
+    state = _eval_state(cfg, graph, args)
     metrics = evaluate(state, dataset)
     print(json.dumps(metrics, sort_keys=True))
     if args.out:
@@ -255,8 +257,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _eval_state(cfg, args):
-    graph = _build_graph(cfg, args.kg)
+def _eval_state(cfg, graph, args):
     state = make_run(cfg, graph)
     if args.checkpoint:
         data = load_checkpoint(args.checkpoint)
@@ -267,11 +268,10 @@ def _eval_state(cfg, args):
 
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
-    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i)
-    state = _eval_state(cfg, args)
-    from .trainer import _knowledge_matrix
-
-    knowledge = _knowledge_matrix(state)
+    graph = _build_graph(cfg, args.kg)
+    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
+    state = _eval_state(cfg, graph, args)
+    knowledge = knowledge_matrix(state)
     batch = collate_dataset(state, dataset)
     fused = encode_rows(state.model, batch, cfg.batch_size)
     k = min(cfg.retrieve_k, state.graph.n_nodes)
@@ -292,7 +292,8 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     triples = load_triples(args.kg)
-    examples = read_examples(args.data, cfg.n_classes, cfg.d_i)
+    nodes = {name for head, _, tail in triples for name in (head, tail)}
+    examples = read_examples(args.data, cfg.n_classes, cfg.d_i, nodes)
     train, test = split_dataset(examples)
     seeds = (list(DEFAULT_ABLATION_SEEDS) if args.seed is None
              else [args.seed, args.seed + 1, args.seed + 2])

@@ -136,10 +136,11 @@ def write_examples(path, examples: list[Example]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _example(record, n_classes: int | None, width: int | None) -> Example:
+def _example(record, n_classes: int | None, width: int | None, nodes) -> Example:
     """The example one parsed JSON line holds, its fields' types checked:
-    ``width`` finite image features, and a label below ``n_classes`` (or
-    within int64); a ``width`` of None is not checked."""
+    ``width`` finite image features, a label below ``n_classes`` (or
+    within int64), and a gold node in ``nodes``; a ``width`` or ``nodes``
+    of None is not checked."""
     if not isinstance(record, dict):
         raise DataError("expected a JSON object")
     for name in ("image_features", "token_ids", "label"):
@@ -159,6 +160,8 @@ def _example(record, n_classes: int | None, width: int | None) -> Example:
         raise DataError(f"field 'label': {label} is not a class id in [0, {bound})")
     if not (gold is None or type(gold) is str):
         raise DataError("field 'gold_node': must be a string or null")
+    if gold is not None and nodes is not None and gold not in nodes:
+        raise DataError(f"gold node {gold!r} not present in the graph")
     try:
         finite = all(map(math.isfinite, features))
     except OverflowError as exc:  # an integer beyond the float64 range
@@ -170,11 +173,12 @@ def _example(record, n_classes: int | None, width: int | None) -> Example:
     return Example(features, tokens, label, gold)
 
 
-def read_examples(path, n_classes: int | None = None,
-                  width: int | None = None) -> list[Example]:
+def read_examples(path, n_classes: int | None = None, width: int | None = None,
+                  nodes=None) -> list[Example]:
     """The examples of a JSON-lines file, one per non-blank line; every
     line's image features must have ``width`` numbers, or as many as the
-    first line's when ``width`` is None."""
+    first line's when ``width`` is None. ``nodes``, when given, holds the
+    graph's node ids, and every gold node must be one of them."""
     examples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -189,7 +193,7 @@ def read_examples(path, n_classes: int | None = None,
                 try:
                     if width is None and examples:
                         width = len(examples[0].image_features)
-                    examples.append(_example(record, n_classes, width))
+                    examples.append(_example(record, n_classes, width, nodes))
                 except DataError as exc:
                     raise DataError(f"{path}: line {line_no}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -2,10 +2,11 @@
 
 Every artifact-producing invocation writes one ``manifest.json`` next to
 its outputs, recording the command, the fully resolved configuration, the
-SHA-256 hex digest of each input file, the produced files, the seed, and
-elapsed wall-clock time (the single non-deterministic field). The digest
-is the one ``sha256sum`` prints; earlier manifests recorded a 16-character
-64-bit FNV-1a hex digest instead.
+SHA-256 hex digest of each input file, the produced files, the seed, the
+environment, and elapsed wall-clock time (the one field that differs
+between identical runs on one host). The digest is the one ``sha256sum``
+prints; earlier manifests recorded a 16-character 64-bit FNV-1a hex digest
+instead.
 """
 
 from __future__ import annotations
@@ -13,11 +14,39 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
+
+import numpy as np
+
+from . import __version__
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def digest_file(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def environment() -> dict:
+    """The versions and host a run's outputs and timings rest on. The
+    kernels' bits follow numpy's summation order, so the numpy version is
+    part of a run's provenance. ``platform.platform()`` is not called: it
+    reads the interpreter binary to find the libc version, which costs
+    milliseconds."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows: every core is usable
+        cores = os.cpu_count()
+    return {
+        "akgp": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "system": platform.system(),
+        "machine": platform.machine(),
+        "usable_cores": cores,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
 
 
 def write_manifest(out_dir, command: str, config_dict: dict,
@@ -26,6 +55,7 @@ def write_manifest(out_dir, command: str, config_dict: dict,
     record = {
         "command": command,
         "config": config_dict,
+        "environment": environment(),
         "inputs": {str(path): digest_file(path) for path in inputs.values() if path},
         "outputs": sorted(outputs),
         "seed": seed,

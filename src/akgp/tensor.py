@@ -374,39 +374,139 @@ def stack_cols(parts: Sequence[Tensor]) -> Tensor:
     return _emit(np.stack([p.data for p in parts], axis=1), tuple(parts), bwd)
 
 
-@dataclass
+SLOT_ROW_MAX = 8  # the longest row that spmm sums slot by slot
+# With fewer short rows than this, every row is reduced by np.add.reduceat:
+# the slot sums' fixed cost of about 8 array calls beats reduceat's cost per
+# row from about 50 short rows at d = 16 (fewer at d = 32); 64 leaves a margin.
+SLOT_ROWS_FROM = 64
+
+
+def _slot_order(indptr: np.ndarray, use_slots: bool):
+    """The order in which a :class:`CsrMatrix` stores its entries.
+
+    The short rows, of at most ``SLOT_ROW_MAX`` entries, are ordered by
+    length, longest first, so the rows that hold an entry s (slot s) are
+    the first ``counts[s]`` of them. Entry 0 of each short row comes first,
+    then entry 1 of each, and so on; then every entry of the long rows, in
+    CSR order. Without ``use_slots``, every row counts as long, and the
+    order is the CSR order. Returns that entry order, ``counts``, the short
+    rows in their order and the long rows.
+    """
+    lengths = np.diff(indptr)
+    slotted = (lengths <= SLOT_ROW_MAX) & use_slots
+    short = np.flatnonzero(slotted)
+    rows = short[np.argsort(-lengths[short], kind="stable")]
+    counts = (lengths[rows, None] > np.arange(SLOT_ROW_MAX)).sum(axis=0).tolist()
+    long_rows = np.flatnonzero(~slotted)
+    order = np.concatenate([indptr[rows[:c]] + s for s, c in enumerate(counts)]
+                           + [np.flatnonzero(np.repeat(~slotted, lengths))])
+    return order, counts, rows, long_rows
+
+
 class CsrMatrix:
-    """Constant square matrix with a symmetric sparsity pattern, stored as
+    """Constant square matrix with a symmetric sparsity pattern, given as
     row-sorted CSR together with its transpose.
 
     Row i holds ``values[indptr[i]:indptr[i + 1]]`` at the ascending columns
     ``indices[indptr[i]:indptr[i + 1]]``. Because the pattern is symmetric,
     the transpose has the same ``indptr`` and ``indices``, and ``values_t``
     holds its entries: ``values_t[k]`` is the entry mirrored across the
-    diagonal from ``values[k]``. Every row must be non-empty: on an empty
-    row :func:`numpy.add.reduceat` returns the next row's first product
-    instead of zero.
+    diagonal from ``values[k]``. Every row must be non-empty.
+
+    The entries are stored once, in the order :func:`spmm` reads them
+    (:func:`_slot_order`): the short rows slot by slot, then the long rows.
+    Why those slot sums have ``np.add.reduceat``'s bits: :func:`_csr_rows`.
+    ``indices``, ``values`` and ``values_t`` return new arrays in CSR order.
     """
 
-    indptr: np.ndarray   # (n + 1,) int64
-    indices: np.ndarray  # (nnz,) int64
-    values: np.ndarray   # (nnz,) float64
-    values_t: np.ndarray  # (nnz,) float64
-
-    def __post_init__(self):
-        if np.any(np.diff(self.indptr) < 1):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
+                 values_t: np.ndarray):
+        lengths = np.diff(indptr)
+        if np.any(lengths < 1):
             raise ShapeError("every row of a CsrMatrix needs at least one entry")
+        self.indptr = indptr  # (n + 1,) int64
+        use_slots = np.count_nonzero(lengths <= SLOT_ROW_MAX) >= SLOT_ROWS_FROM
+        order, counts, rows, long_rows = _slot_order(indptr, use_slots)
+        self._cols = indices[order]
+        self._values = values[order]
+        self._values_t = values_t[order]
+        starts = np.cumsum([0] + counts).tolist()
+        self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]  # slot s: [a, a + c)
+        self._n_slotted = starts[-1]
+        self._long_starts = np.cumsum(lengths[long_rows]) - lengths[long_rows]
+        # a short row's sum ends at its entry 0; a long row's sum is written
+        # over one of the long rows' entries that the slot sums gather but skip
+        self._n_gathered = self._n_slotted + long_rows.size
+        self._positions = np.empty(self.n, dtype=np.int64)
+        self._positions[rows] = np.arange(rows.size)
+        self._positions[long_rows] = np.arange(self._n_slotted, self._n_gathered)
 
     @property
     def n(self) -> int:
         return self.indptr.shape[0] - 1
 
+    def _in_csr_order(self, stored: np.ndarray) -> np.ndarray:
+        out = np.empty_like(stored)
+        out[_slot_order(self.indptr, bool(self._slots))[0]] = stored
+        return out
 
-def _csr_rows(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows of ``M @ x`` where M has the pattern of ``adj`` and ``values``."""
-    products = x.T.take(adj.indices, axis=1)  # (d, nnz): each cell's sum runs along a row
-    products *= values
-    return np.ascontiguousarray(np.add.reduceat(products, adj.indptr[:-1], axis=1).T)
+    @property
+    def indices(self) -> np.ndarray:  # (nnz,) int64
+        return self._in_csr_order(self._cols)
+
+    @property
+    def values(self) -> np.ndarray:  # (nnz,) float64
+        return self._in_csr_order(self._values)
+
+    @property
+    def values_t(self) -> np.ndarray:  # (nnz,) float64
+        return self._in_csr_order(self._values_t)
+
+
+def _csr_rows(adj: CsrMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
+    """Rows of ``adj @ x``, or of ``adj.T @ x`` when ``transpose``.
+
+    Each row's sum has the bits of ``np.add.reduceat`` over its products:
+    the first product plus numpy's pairwise sum of the others. Below 8
+    terms, that pairwise sum adds left to right from -0.0, and adding -0.0
+    changes no value. So the short rows are summed slot by slot, all at
+    once: slot s is added into the running sums of the rows that hold it,
+    and each sum is then added to its row's first product. Longer rows, and
+    all rows of a matrix with fewer than ``SLOT_ROWS_FROM`` short rows, keep
+    ``np.add.reduceat``, along a contiguous axis. A sum is NaN exactly where
+    reduceat's is, but which of two NaNs it keeps (sign and payload)
+    depends on the numpy loop that adds them, so that is not pinned.
+    ``test_tensor::test_csr_rows_bit_equal_to_row_major_reduction`` and
+    ``test_csr_rows_bit_equal_on_random_patterns`` pin the bits against
+    the row-major reduction.
+    """
+    values = adj._values_t if transpose else adj._values
+    if not adj._slots:  # every row is long, in CSR order
+        return np.ascontiguousarray(_long_row_sums(adj, values, x))
+    gathered = adj._n_gathered
+    products = x.take(adj._cols[:gathered], axis=0)  # slot s is products[a:b]
+    products *= values[:gathered, None]
+    if len(adj._slots) > 1:
+        a, b = adj._slots[1]
+        sums = products[a:b]
+        for a, b in adj._slots[2:]:
+            head = sums[:b - a]
+            np.add(head, products[a:b], out=head)
+        first = products[:sums.shape[0]]
+        # the sum first: of two NaNs, reduceat keeps the sum's, and numpy's
+        # add mostly keeps its first operand's
+        np.add(sums, first, out=first)
+    if adj._long_starts.size:
+        products[adj._n_slotted:] = _long_row_sums(adj, values, x)
+    return products.take(adj._positions, axis=0)
+
+
+def _long_row_sums(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (long rows, d) sums of the rows outside the slots."""
+    slotted = adj._n_slotted
+    products = x.T.take(adj._cols[slotted:], axis=1)  # (d, nnz): sums run along rows
+    products *= values[slotted:]
+    return np.add.reduceat(products, adj._long_starts, axis=1).T
 
 
 def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:
@@ -414,14 +514,19 @@ def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:
 
     Only ``x`` is an input on the tape: the matrix is constant, so the
     backward pass computes ``adj.T @ g`` and no gradient for the matrix.
+    Rows of at most ``SLOT_ROW_MAX`` entries are summed slot by slot, all
+    such rows at once, and longer rows by ``np.add.reduceat``; a matrix
+    with fewer than ``SLOT_ROWS_FROM`` such rows uses ``np.add.reduceat``
+    alone. Both give the bits of a row-by-row ``np.add.reduceat`` (see
+    :func:`_csr_rows`).
     """
     if x.data.ndim != 2 or x.shape[0] != adj.n:
         raise ShapeError(f"spmm needs a 2-d operand with {adj.n} rows, got {x.shape}")
 
     def bwd(g):
-        return (_csr_rows(adj, adj.values_t, g),)
+        return (_csr_rows(adj, g, True),)
 
-    return _emit(_csr_rows(adj, adj.values, x.data), (x,), bwd)
+    return _emit(_csr_rows(adj, x.data, False), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

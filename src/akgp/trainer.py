@@ -132,7 +132,8 @@ def start_stage(state: TrainerState, stage: int) -> None:
         state.cached_norms = row_norms(state.cached_knowledge.data)
 
 
-def _knowledge_matrix(state: TrainerState) -> Tensor:
+def knowledge_matrix(state: TrainerState) -> Tensor:
+    """The node embeddings: the stage's frozen copy, or the GNN run now."""
     if state.cached_knowledge is not None:
         return state.cached_knowledge
     return encode_knowledge(state.graph, state.model.gnn_params())
@@ -307,7 +308,7 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
     for i, rows in enumerate(steps):
         step = state.opt.t + 1
         with Tape() as tape:
-            knowledge = _knowledge_matrix(state)
+            knowledge = knowledge_matrix(state)
             if encoded is None:
                 fused, retrieved = _encode(state.model, dataset.take(rows)), None
             else:
@@ -376,7 +377,7 @@ def evaluate(state: TrainerState, dataset: Batch | list[Example],
     """Accuracy, mean classification loss, and the fraction of examples whose
     retrieved node matches their annotated gold node."""
     dataset = collate_dataset(state, dataset)
-    knowledge = _knowledge_matrix(state)
+    knowledge = knowledge_matrix(state)
     norms = row_norms(knowledge.data)
     loss_sum, correct, hits, with_gold = 0.0, 0, 0, 0
     for rows in _row_chunks(np.arange(len(dataset)), state.cfg.batch_size):

@@ -356,8 +356,9 @@ def _with_line_2(workdir, tmp_path, **fields):
 DATA_COMMANDS = ["pretrain", "finetune", "eval", "retrieve", "ablate"]
 
 
-def _run_on(workdir, tmp_path, command, data):
-    argv = [command, "--config", workdir["config"], "--kg", workdir["kg"], "--data", str(data)]
+def _run_on(workdir, tmp_path, command, data, kg=None):
+    argv = [command, "--config", workdir["config"], "--kg", str(kg or workdir["kg"]),
+            "--data", str(data)]
     if command in ("pretrain", "finetune", "ablate"):
         argv += ["--out", str(tmp_path / "out")]
     return main(argv)
@@ -404,6 +405,40 @@ def test_features_narrower_than_d_i_name_the_file(workdir, tmp_path, capsys, com
     code = _run_on(workdir, tmp_path, command, data)
     _assert_data_error(capsys, code,
                        f"{data}: line 1: field 'image_features': 3 numbers, expected 6")
+
+
+def _kg_without(workdir, tmp_path, node):
+    """The world's triple file with every line naming ``node`` dropped."""
+    with open(workdir["kg"]) as fh:
+        kept = [line for line in fh if node not in line.rstrip("\n").split("\t")]
+    path = tmp_path / "kg_without.tsv"
+    path.write_text("".join(kept))
+    return path
+
+
+@pytest.mark.parametrize("command", DATA_COMMANDS)
+def test_gold_node_missing_from_graph_names_the_line(workdir, tmp_path, capsys, command):
+    kg = _kg_without(workdir, tmp_path, "entity_003")
+    with open(workdir["data"]) as fh:
+        golds = [json.loads(line)["gold_node"] for line in fh]
+    line = golds.index("entity_003") + 1
+    code = _run_on(workdir, tmp_path, command, workdir["data"], kg)
+    _assert_data_error(capsys, code, f"{workdir['data']}: line {line}: gold node "
+                                     "'entity_003' not present in the graph")
+
+
+def test_ablate_counts_test_split_lines_from_the_start_of_the_file(workdir, tmp_path,
+                                                                   capsys):
+    kg = _kg_without(workdir, tmp_path, "entity_003")
+    with open(workdir["data"]) as fh:
+        lines = fh.read().splitlines()
+    missing = [json.loads(line)["gold_node"] == "entity_003" for line in lines]
+    kept = [line for line, gone in zip(lines, missing) if not gone]
+    # only the last line, which the ablation's test split holds, names the node
+    data = tmp_path / "missing_last.jsonl"
+    data.write_text("\n".join(kept + [lines[missing.index(True)]]) + "\n")
+    code = _run_on(workdir, tmp_path, "ablate", data, kg)
+    _assert_data_error(capsys, code, f"{data}: line {len(kept) + 1}: gold node 'entity_003' ")
 
 
 def test_nan_during_finetune_exits_numeric(workdir, tmp_path, capsys):

@@ -3,17 +3,23 @@ and the numeric invariants of softmax and cosine similarity."""
 
 import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graph_oracle import csr_from_dense, csr_rows_row_major
+from graph_oracle import csr_from_dense, csr_rows_row_major, expand
+from akgp.config import WorldConfig
+from akgp.kg import build_graph
+from akgp.synthbench import gen_world
 from akgp import tensor as tensor_module
 from akgp.gradcheck import _op_cases
 from akgp.tensor import (
     COSINE_EPS,
+    SLOT_ROW_MAX,
+    SLOT_ROWS_FROM,
     CsrMatrix,
     ShapeError,
     Tape,
@@ -295,43 +301,101 @@ def test_spmm_matches_dense_product():
     assert np.allclose(x.grad, dense.T @ w.data, rtol=0, atol=1e-12)
 
 
-def _reduction_lengths_csr(seed):
-    """A symmetric pattern whose rows hold 1, 8, 9 and 140 entries: numpy's
-    pairwise sum changes strategy past 8 and past 128 terms."""
-    n = 150
+def _star_pattern(lengths, seed):
+    """A symmetric pattern of stars whose centre rows hold ``lengths``
+    entries (each leaf row holds 2), with the nodes shuffled so that the
+    lengths come in no order."""
+    n = sum(lengths)
+    perm = np.random.default_rng(seed).permutation(n)
     pattern = np.eye(n, dtype=bool)
-    pattern[0, :140] = pattern[:140, 0] = True  # row 0: 140 entries
-    pattern[1, 2:8] = pattern[2:8, 1] = True  # row 1: itself, 0 and 2..7
-    pattern[10, 11:18] = pattern[11:18, 10] = True  # row 10: itself, 0 and 11..17
+    centre = 0
+    for length in lengths:
+        leaves = perm[centre + 1:centre + length]
+        pattern[perm[centre], leaves] = pattern[leaves, perm[centre]] = True
+        centre += length
+    return pattern
+
+
+def _default_world_pattern(seed):
+    world = gen_world(WorldConfig(), 6, 1234)
+    return expand(build_graph(world.triples, 1, seed).adjacency) != 0
+
+
+# Each pattern with a check of its row lengths. numpy's pairwise sum
+# changes strategy past 8 and past 128 terms.
+CSR_PATTERNS = {
+    # every length from 1 to 16, interleaved, and two hubs
+    "mixed": (lambda seed: _star_pattern(list(range(1, 17)) + [129, 140], seed),
+              lambda lengths: lengths == set(range(1, 17)) | {129, 140}),
+    "default world": (_default_world_pattern,
+                      lambda lengths: max(lengths) <= SLOT_ROW_MAX),
+    "no short row": (lambda seed: np.ones((10, 10), dtype=bool),
+                     lambda lengths: min(lengths) > SLOT_ROW_MAX),
+}
+
+
+def _signed_dense(pattern, seed):
     rng = np.random.default_rng(seed)
-    dense = pattern * rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    n = len(pattern)
+    return pattern * rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+
+
+def _assert_csr_rows_bit_equal(dense, x):
+    """Both paths, the one the matrix selects and the other, against the
+    row-major reduction."""
     adj = csr_from_dense(dense)
-    assert sorted(set(np.diff(adj.indptr)) & {1, 8, 9, 140}) == [1, 8, 9, 140]
-    return adj
+    short_rows = np.count_nonzero(np.diff(adj.indptr) <= SLOT_ROW_MAX)
+    assert bool(adj._slots) == (short_rows >= SLOT_ROWS_FROM)
+    with mock.patch.object(tensor_module, "SLOT_ROWS_FROM", 10**9 if adj._slots else 0):
+        other = csr_from_dense(dense)
+    assert bool(other._slots) == (not adj._slots and short_rows > 0)
+    for m in (adj, other):
+        for values, transpose in ((m.values, False), (m.values_t, True)):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = _csr_rows(m, x, transpose)
+                want = csr_rows_row_major(m, values, x)
+            assert got.shape == want.shape == (m.n, x.shape[1])
+            assert got.flags.c_contiguous
+            # Which of two NaNs a sum keeps depends on the numpy loop that adds
+            # them (a vector body or a scalar tail), so a NaN need only meet a NaN.
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _fill(x, fill, rng):
+    if fill == "special":
+        cells = rng.random(x.shape) < 0.05
+        x[cells] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], cells.sum())
+    elif fill == "negative zero":
+        x[:] = -0.0
+    return x
 
 
 @pytest.mark.parametrize("width", [1, 16, 32])
 @pytest.mark.parametrize("layout", ["contiguous", "strided", "transposed"])
 @pytest.mark.parametrize("fill", ["finite", "special", "negative zero"])
 def test_csr_rows_bit_equal_to_row_major_reduction(width, layout, fill):
-    adj = _reduction_lengths_csr(width)
-    rng = np.random.default_rng(width + 1)
-    full = rng.uniform(-1.0, 1.0, (adj.n, 2 * width))
-    if fill == "special":
-        cells = rng.random(full.shape) < 0.05
-        full[cells] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], cells.sum())
-    elif fill == "negative zero":
-        full[:] = -0.0
-    x = {"contiguous": np.ascontiguousarray(full[:, :width]),
-         "strided": full[:, ::2],
-         "transposed": np.asfortranarray(full[:, :width])}[layout]
-    for values in (adj.values, adj.values_t):
-        with np.errstate(invalid="ignore"):  # inf - inf
-            got = _csr_rows(adj, values, x)
-            want = csr_rows_row_major(adj, values, x)
-        assert got.shape == want.shape == (adj.n, width)
-        assert got.flags.c_contiguous
-        assert got.tobytes() == want.tobytes()
+    for make, lengths_ok in CSR_PATTERNS.values():
+        dense = _signed_dense(make(width), width)
+        assert lengths_ok(set(np.count_nonzero(dense, axis=1).tolist()))
+        rng = np.random.default_rng(width + 1)
+        full = _fill(rng.uniform(-1.0, 1.0, (len(dense), 2 * width)), fill, rng)
+        x = {"contiguous": np.ascontiguousarray(full[:, :width]),
+             "strided": full[:, ::2],
+             "transposed": np.asfortranarray(full[:, :width])}[layout]
+        _assert_csr_rows_bit_equal(dense, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 60), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       width=st.sampled_from([1, 16, 32]),
+       fill=st.sampled_from(["finite", "special", "negative zero"]))
+def test_csr_rows_bit_equal_on_random_patterns(n, density, seed, width, fill):
+    rng = np.random.default_rng(seed)
+    pattern = rng.random((n, n)) < density
+    dense = _signed_dense(pattern | pattern.T | np.eye(n, dtype=bool), seed)
+    _assert_csr_rows_bit_equal(dense, _fill(rng.uniform(-1.0, 1.0, (n, width)), fill, rng))
 
 
 def test_csr_rejects_empty_row():

@@ -17,11 +17,11 @@ from akgp.trainer import (
     STAGE_FINETUNE,
     NumericError,
     PipelineVariant,
-    _knowledge_matrix,
     _positive_indices,
     collate_dataset,
     evaluate,
     finetune_epoch,
+    knowledge_matrix,
     make_run,
     pretrain_epoch,
     start_stage,
@@ -233,7 +233,7 @@ def test_evaluate_matches_loop_oracle():
     from akgp.data import collate
     from akgp.losses import loss_cls
     from akgp.tensor import from_array
-    knowledge = _knowledge_matrix(state)
+    knowledge = knowledge_matrix(state)
     correct = 0
     hits = 0
     losses = []
@@ -299,7 +299,7 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
         batch = dataset.take(order[lo:lo + cfg.batch_size])
         step = state.opt.t + 1
         with Tape() as tape:
-            knowledge = _knowledge_matrix(state)
+            knowledge = knowledge_matrix(state)
             fused = trainer._encode(state.model, batch)
             logits, _, retrieved = trainer._task_head(state.model, knowledge, fused, variant)
             task = loss_cls_batch(logits, batch.labels)
@@ -340,7 +340,7 @@ def pretrain_epoch_step_by_step(state, data):
     for lo in range(0, len(order), cfg.batch_size):
         batch = dataset.take(np.asarray(order[lo:lo + cfg.batch_size], dtype=np.int64))
         with Tape() as tape:
-            knowledge = _knowledge_matrix(state)
+            knowledge = knowledge_matrix(state)
             fused = trainer._encode(state.model, batch)
             positives = _positive_indices(cfg, batch.gold_indices, fused, knowledge)
             negatives = sample_negatives_batch(positives, knowledge.shape[0],
