@@ -22,7 +22,8 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config
 from .data import DataError, read_examples, write_examples
 from .gradcheck import run_gradient_report
-from .kg import TripleParseError, build_graph, load_triples, save_triples, subgraph_stats
+from .kg import (TripleParseError, build_graph, index_nodes, load_triples, save_triples,
+                 subgraph_stats)
 from .manifest import write_manifest
 from .retrieval import cosine_scores, topk_indices
 from .rng import derive_seed
@@ -292,7 +293,7 @@ def cmd_ablate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     triples = load_triples(args.kg)
-    nodes = {name for head, _, tail in triples for name in (head, tail)}
+    nodes, _ = index_nodes(triples)
     examples = read_examples(args.data, cfg.n_classes, cfg.d_i, nodes)
     train, test = split_dataset(examples)
     seeds = (list(DEFAULT_ABLATION_SEEDS) if args.seed is None

@@ -91,6 +91,16 @@ class KnowledgeGraph:
         return len(self.node_ids)
 
 
+def index_nodes(triples: list[Triple]) -> tuple[dict[str, int], np.ndarray]:
+    """The nodes of ``triples``, indexed in first-appearance order (head
+    before tail), and the index of each head and tail, interleaved."""
+    node_index: dict[str, int] = {}
+    ends = np.array([node_index.setdefault(name, len(node_index))
+                     for head, _, tail in triples for name in (head, tail)],
+                    dtype=np.int64)
+    return node_index, ends
+
+
 def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> KnowledgeGraph:
     """Materialize a graph from triples.
 
@@ -105,10 +115,7 @@ def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> Knowledge
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
 
-    node_index: dict[str, int] = {}
-    ends = np.array([node_index.setdefault(name, len(node_index))
-                     for head, _, tail in triples for name in (head, tail)],
-                    dtype=np.int64)
+    node_index, ends = index_nodes(triples)
     node_ids = list(node_index)
     n = len(node_ids)
 

@@ -381,22 +381,23 @@ SLOT_ROW_MAX = 8  # the longest row that spmm sums slot by slot
 SLOT_ROWS_FROM = 64
 
 
-def _slot_order(indptr: np.ndarray, use_slots: bool):
-    """The order in which a :class:`CsrMatrix` stores its entries.
+def _slot_order(indptr: np.ndarray):
+    """The order in which a :class:`CsrMatrix` with slots stores its entries.
 
     The short rows, of at most ``SLOT_ROW_MAX`` entries, are ordered by
     length, longest first, so the rows that hold an entry s (slot s) are
     the first ``counts[s]`` of them. Entry 0 of each short row comes first,
     then entry 1 of each, and so on; then every entry of the long rows, in
-    CSR order. Without ``use_slots``, every row counts as long, and the
-    order is the CSR order. Returns that entry order, ``counts``, the short
-    rows in their order and the long rows.
+    CSR order. Returns that entry order, ``counts``, the short rows in
+    their order and the long rows.
     """
     lengths = np.diff(indptr)
-    slotted = (lengths <= SLOT_ROW_MAX) & use_slots
+    slotted = lengths <= SLOT_ROW_MAX
     short = np.flatnonzero(slotted)
-    rows = short[np.argsort(-lengths[short], kind="stable")]
-    counts = (lengths[rows, None] > np.arange(SLOT_ROW_MAX)).sum(axis=0).tolist()
+    # a stable sort of one-byte keys is a radix sort
+    rows = short[np.argsort((SLOT_ROW_MAX - lengths[short]).astype(np.uint8), kind="stable")]
+    at_most = np.cumsum(np.bincount(lengths[short], minlength=SLOT_ROW_MAX + 1))
+    counts = (short.size - at_most[:SLOT_ROW_MAX]).tolist()  # rows longer than s
     long_rows = np.flatnonzero(~slotted)
     order = np.concatenate([indptr[rows[:c]] + s for s, c in enumerate(counts)]
                            + [np.flatnonzero(np.repeat(~slotted, lengths))])
@@ -413,10 +414,12 @@ class CsrMatrix:
     holds its entries: ``values_t[k]`` is the entry mirrored across the
     diagonal from ``values[k]``. Every row must be non-empty.
 
-    The entries are stored once, in the order :func:`spmm` reads them
-    (:func:`_slot_order`): the short rows slot by slot, then the long rows.
-    Why those slot sums have ``np.add.reduceat``'s bits: :func:`_csr_rows`.
-    ``indices``, ``values`` and ``values_t`` return new arrays in CSR order.
+    A matrix with at least ``SLOT_ROWS_FROM`` short rows stores its entries
+    once, in the order :func:`spmm` reads them (:func:`_slot_order`): the
+    short rows slot by slot, then the long rows. Why those slot sums have
+    ``np.add.reduceat``'s bits: :func:`_csr_rows`. Any other matrix keeps
+    the CSR arrays it is given. ``indices``, ``values`` and ``values_t``
+    are in CSR order either way.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
@@ -425,13 +428,16 @@ class CsrMatrix:
         if np.any(lengths < 1):
             raise ShapeError("every row of a CsrMatrix needs at least one entry")
         self.indptr = indptr  # (n + 1,) int64
-        use_slots = np.count_nonzero(lengths <= SLOT_ROW_MAX) >= SLOT_ROWS_FROM
-        order, counts, rows, long_rows = _slot_order(indptr, use_slots)
+        self._slots = []  # slot s is the stored entries [a, b)
+        if np.count_nonzero(lengths <= SLOT_ROW_MAX) < SLOT_ROWS_FROM:
+            self._cols, self._values, self._values_t = indices, values, values_t
+            return
+        order, counts, rows, long_rows = _slot_order(indptr)
         self._cols = indices[order]
         self._values = values[order]
         self._values_t = values_t[order]
         starts = np.cumsum([0] + counts).tolist()
-        self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]  # slot s: [a, a + c)
+        self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]
         self._n_slotted = starts[-1]
         self._long_starts = np.cumsum(lengths[long_rows]) - lengths[long_rows]
         # a short row's sum ends at its entry 0; a long row's sum is written
@@ -446,8 +452,10 @@ class CsrMatrix:
         return self.indptr.shape[0] - 1
 
     def _in_csr_order(self, stored: np.ndarray) -> np.ndarray:
+        if not self._slots:
+            return stored
         out = np.empty_like(stored)
-        out[_slot_order(self.indptr, bool(self._slots))[0]] = stored
+        out[_slot_order(self.indptr)[0]] = stored
         return out
 
     @property
@@ -470,19 +478,31 @@ def _csr_rows(adj: CsrMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
     the first product plus numpy's pairwise sum of the others. Below 8
     terms, that pairwise sum adds left to right from -0.0, and adding -0.0
     changes no value. So the short rows are summed slot by slot, all at
-    once: slot s is added into the running sums of the rows that hold it,
-    and each sum is then added to its row's first product. Longer rows, and
-    all rows of a matrix with fewer than ``SLOT_ROWS_FROM`` short rows, keep
-    ``np.add.reduceat``, along a contiguous axis. A sum is NaN exactly where
-    reduceat's is, but which of two NaNs it keeps (sign and payload)
-    depends on the numpy loop that adds them, so that is not pinned.
+    once (:func:`_slot_sums`). All rows of a matrix with fewer than
+    ``SLOT_ROWS_FROM`` short rows keep ``np.add.reduceat``, along a
+    contiguous axis. Which of two NaNs an add keeps (sign and payload)
+    depends on the numpy loop that runs it, so a result with a NaN is
+    computed again by ``np.add.reduceat``: a NaN anywhere makes the total
+    NaN, and the check costs one sum over the result.
     ``test_tensor::test_csr_rows_bit_equal_to_row_major_reduction`` and
     ``test_csr_rows_bit_equal_on_random_patterns`` pin the bits against
     the row-major reduction.
     """
     values = adj._values_t if transpose else adj._values
-    if not adj._slots:  # every row is long, in CSR order
-        return np.ascontiguousarray(_long_row_sums(adj, values, x))
+    if adj._slots:
+        out = _slot_sums(adj, values, x)
+        if not np.isnan(out.sum()):
+            return out
+        cols, values = adj.indices, adj.values_t if transpose else adj.values
+    else:  # the entries are in CSR order
+        cols = adj._cols
+    return np.ascontiguousarray(_reduceat_rows(cols, values, adj.indptr[:-1], x))
+
+
+def _slot_sums(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Slot s is added into the running sums of the short rows that hold
+    it, and each sum is then added to its row's first product; the long
+    rows keep ``np.add.reduceat``."""
     gathered = adj._n_gathered
     products = x.take(adj._cols[:gathered], axis=0)  # slot s is products[a:b]
     products *= values[:gathered, None]
@@ -493,20 +513,20 @@ def _csr_rows(adj: CsrMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
             head = sums[:b - a]
             np.add(head, products[a:b], out=head)
         first = products[:sums.shape[0]]
-        # the sum first: of two NaNs, reduceat keeps the sum's, and numpy's
-        # add mostly keeps its first operand's
         np.add(sums, first, out=first)
     if adj._long_starts.size:
-        products[adj._n_slotted:] = _long_row_sums(adj, values, x)
+        slotted = adj._n_slotted
+        products[slotted:] = _reduceat_rows(adj._cols[slotted:], values[slotted:],
+                                            adj._long_starts, x)
     return products.take(adj._positions, axis=0)
 
 
-def _long_row_sums(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (long rows, d) sums of the rows outside the slots."""
-    slotted = adj._n_slotted
-    products = x.T.take(adj._cols[slotted:], axis=1)  # (d, nnz): sums run along rows
-    products *= values[slotted:]
-    return np.add.reduceat(products, adj._long_starts, axis=1).T
+def _reduceat_rows(cols: np.ndarray, values: np.ndarray, starts: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """The (rows, d) sums of the rows that start at ``starts``."""
+    products = x.T.take(cols, axis=1)  # (d, nnz): sums run along rows
+    products *= values
+    return np.add.reduceat(products, starts, axis=1).T
 
 
 def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:

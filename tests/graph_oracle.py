@@ -4,7 +4,7 @@
 set, row divide), kept as the oracle that the CSR build is compared with.
 ``csr_rows_row_major`` is the original CSR row reduction, which sums down
 the columns of an (nnz, d) array of products; the kernel must equal it bit
-for bit, except for which of two NaNs a sum keeps.
+for bit.
 """
 
 import numpy as np
