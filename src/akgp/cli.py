@@ -133,7 +133,11 @@ def _config_differences(saved: dict, current: dict, prefix: str = "") -> list[st
 
 
 def _prepare_state(cfg, graph, args, stage):
-    if getattr(args, "resume", False):
+    """The only way into a stage: the run resumed with ``--resume``, else a
+    new one with ``--checkpoint``'s parameters if given, entering ``stage``."""
+    if args.resume:
+        if not (args.checkpoint or getattr(args, "out", None)):
+            raise UsageError("--resume needs --checkpoint or --out")
         path = args.checkpoint or os.path.join(args.out, CHECKPOINT_NAME)
         data = load_checkpoint(path)
         changed = _config_differences(data.config, cfg.to_dict())
@@ -147,8 +151,9 @@ def _prepare_state(cfg, graph, args, stage):
         restore_state(state, data, resume=True)
         return state
     state = make_run(cfg, graph)
-    if getattr(args, "checkpoint", None):
+    if args.checkpoint:
         restore_state(state, load_checkpoint(args.checkpoint), resume=False)
+    start_stage(state, stage)
     return state
 
 
@@ -221,9 +226,7 @@ def _train_command(args, stage) -> int:
         total_epochs, run_epoch, name = cfg.pretrain_epochs, pretrain_epoch, "pretrain"
     else:
         total_epochs, run_epoch, name = cfg.finetune_epochs, finetune_epoch, "finetune"
-        if not getattr(args, "resume", False):
-            start_stage(state, STAGE_FINETUNE)
-    if getattr(args, "resume", False):
+    if args.resume:
         _trim_log(args.out, name, state.epochs_done)
     while state.epochs_done < total_epochs:
         stats = run_epoch(state, dataset)
@@ -232,7 +235,7 @@ def _train_command(args, stage) -> int:
         save_state(ckpt_path, state)
     write_manifest(args.out, name, cfg.to_dict(),
                    {"config": args.config, "kg": args.kg, "data": args.data,
-                    "checkpoint": getattr(args, "checkpoint", None)},
+                    "checkpoint": args.checkpoint},
                    [CHECKPOINT_NAME, RUN_LOG_NAME], cfg.seed,
                    time.perf_counter() - started)
     return EXIT_OK
@@ -243,7 +246,7 @@ def cmd_eval(args) -> int:
     started = time.perf_counter()
     graph = _build_graph(cfg, args.kg)
     dataset = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
-    state = _eval_state(cfg, graph, args)
+    state = _prepare_state(cfg, graph, args, STAGE_FINETUNE)
     metrics = evaluate(state, dataset)
     print(json.dumps(metrics, sort_keys=True))
     if args.out:
@@ -258,20 +261,11 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _eval_state(cfg, graph, args):
-    state = make_run(cfg, graph)
-    if args.checkpoint:
-        data = load_checkpoint(args.checkpoint)
-        restore_state(state, data, resume=False)
-    start_stage(state, STAGE_FINETUNE)
-    return state
-
-
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
     graph = _build_graph(cfg, args.kg)
     dataset = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
-    state = _eval_state(cfg, graph, args)
+    state = _prepare_state(cfg, graph, args, STAGE_FINETUNE)
     knowledge = knowledge_matrix(state)
     batch = collate_dataset(state, dataset)
     fused = encode_rows(state.model, batch, cfg.batch_size)

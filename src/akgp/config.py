@@ -9,6 +9,7 @@ import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 
+from .checkpoint import _MAX_ELEMENTS
 from .fusion import GATE_MODES, PARAM_GROUPS
 from .losses import DENOMINATOR_MODES
 
@@ -95,6 +96,17 @@ class TrainConfig:
             raise ConfigError("vocab_size: must be >= 2")
         if self.n_classes < 2:
             raise ConfigError("n_classes: must be >= 2")
+        # the weight shapes init_model builds from these keys alone, checked
+        # before anything is allocated against the most a checkpoint loads
+        for keys, shape in {
+                "d_i/d_m": (self.d_i, self.d_m), "vocab_size/d_t": (self.vocab_size, self.d_t),
+                "d_t/d_m": (self.d_t, self.d_m), "d_m": (2 * self.d_m, self.d_m),
+                "d_k/d_h": (self.d_k, self.d_h), "d_h/d_m": (self.d_h, self.d_m),
+                "d_m/d_a": (2 * self.d_m, self.d_a), "d_a/n_classes": (self.d_a, self.n_classes),
+        }.items():
+            if math.prod(shape) > _MAX_ELEMENTS:
+                raise ConfigError(f"{keys}: a {shape[0]} x {shape[1]} parameter has more "
+                                  f"than the {_MAX_ELEMENTS} elements a checkpoint holds")
         if self.lr <= 0:
             raise ConfigError("lr: must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

@@ -64,10 +64,6 @@ class ModelParams:
             w_out=self.theta_a["w_out"], b_out=self.theta_a["b_out"],
         )
 
-    def parameter_counts(self) -> dict[str, int]:
-        return {g: sum(t.size for t in tensors.values())
-                for g, tensors in self.groups().items()}
-
 
 def init_model(cfg: TrainConfig, graph: KnowledgeGraph) -> ModelParams:
     """Create all parameter groups; adopts the graph's feature matrix into

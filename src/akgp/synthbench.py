@@ -129,15 +129,6 @@ def gen_dataset(world: World, n_examples: int, seed: int) -> list[Example]:
     return examples
 
 
-def shuffle_labels(examples: list[Example], seed: int) -> list[Example]:
-    """Control dataset: the same examples with labels permuted at random,
-    severing whatever label signal the inputs carried."""
-    labels = [ex.label for ex in examples]
-    Rng(derive_seed(seed, "label_shuffle")).shuffle(labels)
-    return [Example(ex.image_features.copy(), list(ex.token_ids), lab, ex.gold_node)
-            for ex, lab in zip(examples, labels)]
-
-
 def split_dataset(examples: list[Example], test_fraction: float = 0.2):
     """Deterministic disjoint split: leading examples train, trailing test."""
     if not 0.0 < test_fraction < 1.0:

@@ -77,10 +77,6 @@ class Tensor:
             self.grad = None
         return self
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -88,20 +84,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
-
-    # Small operator sugar used by demos and tests; the functional forms
-    # below are the canonical API.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 @dataclass

@@ -7,17 +7,18 @@ only the gate and adaptor train) and minimizes the weighted sum of
 alignment and classification losses with hard top-1 retrieval. Each stage
 starts a fresh optimizer and its own seeded random stream so runs are
 bit-reproducible and resumable from checkpoints. What a stage keeps frozen
-is computed once per stage: the knowledge matrix when the knowledge group
-is frozen, and each example's fused row (and its top-1 retrieval) when the
-encoders are. Both stages run one epoch loop. When a step's fused rows and
-the knowledge are both frozen, its alignment term has no gradient and is
-evaluated ahead of the epoch's steps; otherwise it is taken on the tape.
+is computed once per stage into the :class:`StageCache` that
+:func:`start_stage` puts in place: the knowledge matrix when the knowledge
+group is frozen, and each example's fused row (and its top-1 retrieval)
+when the encoders are. Both stages run one epoch loop. When a step's fused
+rows and the knowledge are both frozen, its alignment term has no gradient
+and is evaluated ahead of the epoch's steps; otherwise it is on the tape.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,13 +78,15 @@ class PipelineVariant:
 FULL_PIPELINE = PipelineVariant()
 
 @dataclass
-class EncodedDataset:
-    """A collated dataset's inputs as frozen encoders see them: each row's
-    fused vector and, once a step retrieves against frozen knowledge, its
-    top-1 node."""
+class StageCache:
+    """What a stage computes once: the frozen knowledge matrix and its row
+    norms, and a collated dataset's fused rows under frozen encoders, with
+    each row's top-1 node once a step retrieves against frozen knowledge."""
 
-    batch: Batch  # the collated dataset the rows were encoded from
-    fused: np.ndarray  # (N, d_m)
+    knowledge: Tensor | None = None  # (n_nodes, d_e)
+    norms: np.ndarray | None = None  # row norms of knowledge
+    batch: Batch | None = None  # the collated dataset the rows were encoded from
+    fused: np.ndarray | None = None  # (N, d_m)
     retrieved: np.ndarray | None = None  # (N,) int64
 
 
@@ -96,9 +99,7 @@ class TrainerState:
     rng: Rng
     stage: int = STAGE_PRETRAIN
     epochs_done: int = 0
-    cached_knowledge: Tensor | None = None
-    cached_norms: np.ndarray | None = None  # row norms of cached_knowledge
-    cached_inputs: EncodedDataset | None = None  # the stage's frozen-encoder rows
+    cache: StageCache = field(default_factory=StageCache)  # replaced by start_stage
 
 
 def make_run(cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
@@ -114,8 +115,8 @@ def make_run(cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
 
 def start_stage(state: TrainerState, stage: int) -> None:
     """Enter a stage: set trainability, reset the optimizer, reseed the
-    stage's random stream, drop the last stage's encoded inputs, and cache
-    knowledge embeddings and their row norms if they are frozen."""
+    stage's random stream, and replace the :class:`StageCache` with one
+    holding the knowledge embeddings and their row norms if they are frozen."""
     state.stage = stage
     state.epochs_done = 0
     state.opt = AdamState()
@@ -125,17 +126,17 @@ def start_stage(state: TrainerState, stage: int) -> None:
         frozen, stream = state.cfg.freeze, "stage.finetune"
     state.rng = Rng(derive_seed(state.cfg.seed, stream))
     set_frozen(state.model, frozen)
-    state.cached_knowledge = state.cached_norms = state.cached_inputs = None
-    if "theta_k" in frozen:
-        frozen_k = encode_knowledge(state.graph, state.model.gnn_params())
-        state.cached_knowledge = Tensor(frozen_k.data.copy())
-        state.cached_norms = row_norms(state.cached_knowledge.data)
+    if "theta_k" in frozen:  # no input requires grad, so nothing is recorded
+        knowledge = encode_knowledge(state.graph, state.model.gnn_params())
+        state.cache = StageCache(knowledge, row_norms(knowledge.data))
+    else:
+        state.cache = StageCache()
 
 
 def knowledge_matrix(state: TrainerState) -> Tensor:
-    """The node embeddings: the stage's frozen copy, or the GNN run now."""
-    if state.cached_knowledge is not None:
-        return state.cached_knowledge
+    """The node embeddings: the stage's frozen matrix, or the GNN run now."""
+    if state.cache.knowledge is not None:
+        return state.cache.knowledge
     return encode_knowledge(state.graph, state.model.gnn_params())
 
 
@@ -175,25 +176,24 @@ def encode_rows(model: ModelParams, dataset: Batch, batch_size: int) -> np.ndarr
 
 
 def _encoded_dataset(state: TrainerState, dataset: Batch,
-                     variant: PipelineVariant) -> EncodedDataset | None:
-    """The stage's encoded rows of ``dataset``, built on first use, with
-    each row's top-1 node once the variant retrieves against frozen
+                     variant: PipelineVariant) -> StageCache | None:
+    """The stage cache with the encoded rows of ``dataset``, built on first
+    use, and each row's top-1 node once the variant retrieves against frozen
     knowledge; None while any encoder group trains."""
     model = state.model
     if any(t.requires_grad for t in vars(model.encoder_params()).values()):
         return None
     batch_size = state.cfg.batch_size
-    cache = state.cached_inputs
-    if cache is None or cache.batch is not dataset:
-        cache = state.cached_inputs = EncodedDataset(
-            dataset, encode_rows(model, dataset, batch_size))
+    cache = state.cache
+    if cache.batch is not dataset:
+        cache.batch, cache.fused, cache.retrieved = (
+            dataset, encode_rows(model, dataset, batch_size), None)
     if (variant.knowledge == "retrieve" and cache.retrieved is None
-            and state.cached_knowledge is not None):
+            and cache.knowledge is not None):
         cache.retrieved = np.empty(len(dataset), dtype=np.int64)
-        for lo in range(0, len(dataset), batch_size):
-            cache.retrieved[lo:lo + batch_size] = batch_top1_indices(
-                cache.fused[lo:lo + batch_size], state.cached_knowledge.data,
-                state.cached_norms)
+        for rows in _row_chunks(np.arange(len(dataset)), batch_size):
+            cache.retrieved[rows] = batch_top1_indices(
+                cache.fused[rows], cache.knowledge.data, cache.norms)
     return cache
 
 
@@ -254,8 +254,7 @@ def _check_finite(value: float, step: int, what: str) -> None:
 _ALIGN_WORDS = 1 << 16
 
 
-def _frozen_align_terms(state: TrainerState, dataset: Batch, encoded: EncodedDataset,
-                        steps: list[np.ndarray]) -> list[float]:
+def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[float]:
     """Each step's alignment term, a constant of its loss when the fused
     rows and the knowledge are frozen.
 
@@ -264,8 +263,8 @@ def _frozen_align_terms(state: TrainerState, dataset: Batch, encoded: EncodedDat
     word per step, in step order, and the loss is row by row, so each step
     gets the bits it would have had alone.
     """
-    cfg = state.cfg
-    knowledge = state.cached_knowledge
+    cfg, cache = state.cfg, state.cache
+    knowledge = cache.knowledge
     n_nodes, width = knowledge.shape
     row_words = n_nodes + (cfg.n_negatives + 1) * width  # sampling keys, knowledge rows
     terms, group = [], []
@@ -275,13 +274,13 @@ def _frozen_align_terms(state: TrainerState, dataset: Batch, encoded: EncodedDat
             continue
         sizes = [len(r) for r in group]
         positives = np.concatenate([
-            _positive_indices(cfg, dataset.gold_indices[r], None, knowledge,
-                              encoded.retrieved[r]) for r in group])
+            _positive_indices(cfg, cache.batch.gold_indices[r], None, knowledge,
+                              cache.retrieved[r]) for r in group])
         negatives = sample_negatives_batch(positives, n_nodes, cfg.n_negatives,
                                            state.rng, sizes)
-        per_row = align_loss_rows(Tensor(encoded.fused[np.concatenate(group)]), knowledge,
+        per_row = align_loss_rows(Tensor(cache.fused[np.concatenate(group)]), knowledge,
                                   positives, negatives, cfg.tau, cfg.denominator,
-                                  state.cached_norms).data
+                                  cache.norms).data
         terms += [float(r.mean()) for r in np.split(per_row, np.cumsum(sizes)[:-1])]
         group = []
     return terms
@@ -302,8 +301,8 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
     fixed_align = None  # each step's alignment term when it has no gradient
     if finetune and not (variant.knowledge == "retrieve" and cfg.lambda1 > 0):
         fixed_align = [0.0] * len(steps)
-    elif encoded is not None and state.cached_knowledge is not None:
-        fixed_align = _frozen_align_terms(state, dataset, encoded, steps)
+    elif encoded is not None and encoded.knowledge is not None:
+        fixed_align = _frozen_align_terms(state, steps)
     loss_sum, task_sum, correct = 0.0, 0.0, 0
     for i, rows in enumerate(steps):
         step = state.opt.t + 1
@@ -316,7 +315,7 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
                 retrieved = None if encoded.retrieved is None else encoded.retrieved[rows]
             if finetune:
                 logits, _, retrieved = _task_head(state.model, knowledge, fused, variant,
-                                                  state.cached_norms, retrieved)
+                                                  state.cache.norms, retrieved)
                 task = loss_cls_batch(logits, dataset.labels[rows])
             if fixed_align is not None:
                 align = Tensor(np.asarray(fixed_align[i]))
@@ -326,7 +325,7 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
                 negatives = sample_negatives_batch(positives, knowledge.shape[0],
                                                    cfg.n_negatives, state.rng)
                 align = align_loss_batch(fused, knowledge, positives, negatives,
-                                         cfg.tau, cfg.denominator, state.cached_norms)
+                                         cfg.tau, cfg.denominator, state.cache.norms)
             _check_finite(align.item(), step, "alignment loss")
             loss = align
             if finetune:
@@ -359,8 +358,8 @@ def finetune_epoch(state: TrainerState, dataset: Batch | list[Example],
     When the encoders are frozen, the dataset's fused rows are encoded once
     per stage (see :func:`encode_rows`) and each step gathers its rows; when
     the knowledge is frozen too, so is each row's top-1 retrieval. The
-    cache belongs to the collated ``dataset``: pass the same :class:`Batch`
-    to every epoch to reuse it.
+    stage's :class:`StageCache` holds them for one collated ``dataset``:
+    pass the same :class:`Batch` to every epoch to reuse them.
 
     When the fused rows and the knowledge matrix are both frozen, the
     alignment term adds a constant to a step's loss and nothing to its

@@ -13,6 +13,11 @@ this process; the default world also runs ``akgp ablate --seed 0``. One
 line per output is printed: the world, the output and its sha256. Two
 checkouts whose lines are equal produce byte-identical outputs.
 
+The outputs' bits depend on the numpy version and, for the 3k world, on
+the number of BLAS threads, so both are printed first, to standard error,
+as one JSON line (from ``akgp.manifest.environment()``). Compare two
+checkouts' lines only when these agree.
+
 The file name does not start with ``test_``, so pytest does not collect it.
 It needs only the standard library and akgp's own dependencies.
 """
@@ -31,6 +36,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from akgp import cli  # noqa: E402
+from akgp.manifest import environment  # noqa: E402
 
 WORLDS = [
     ("default", {}, True),
@@ -89,6 +95,9 @@ def main(argv=None) -> int:
     parser.add_argument("--keep", help="write the outputs here instead of a "
                                        "temporary directory, and keep them")
     args = parser.parse_args(argv)
+    env = environment()
+    print(json.dumps({key: env[key] for key in ("numpy", "blas_threads")}, sort_keys=True),
+          file=sys.stderr, flush=True)
     with contextlib.ExitStack() as stack:
         base = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
         for name, config, ablate in WORLDS:

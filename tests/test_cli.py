@@ -8,12 +8,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import akgp.cli
 from akgp.checkpoint import load_checkpoint, save_checkpoint
 from akgp.cli import main
+from akgp.config import TrainConfig, WorldConfig
 
 TINY = {
     "world": {"n_entities": 5, "n_attributes": 2, "n_examples": 60, "seed": 4},
@@ -94,6 +95,29 @@ def test_train_eval_round_trip(workdir, tmp_path, capsys):
                  "--checkpoint", str(fine / "checkpoint.akgp")]) == 0
     metrics = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(metrics) == {"accuracy", "mean_loss", "retrieval_hit_rate"}
+
+
+@pytest.mark.parametrize("command", ["eval", "retrieve"])
+def test_resumed_eval_and_retrieve_load_the_run(workdir, tmp_path, capsys, command):
+    # --resume enters the stage through the same path as training: the
+    # checkpoint must be a fine-tuning one of this config
+    inputs = ["--config", workdir["config"], "--kg", workdir["kg"], "--data", workdir["data"]]
+    pre, fine = tmp_path / "pre", tmp_path / "fine"
+    assert main(["pretrain", *inputs, "--out", str(pre)]) == 0
+    assert main(["finetune", *inputs, "--out", str(fine),
+                 "--checkpoint", str(pre / "checkpoint.akgp")]) == 0
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(fine / "checkpoint.akgp")]
+    assert main([command, *inputs, *ckpt]) == 0
+    plain = capsys.readouterr().out
+    assert main([command, *inputs, *ckpt, "--resume"]) == 0
+    assert capsys.readouterr().out == plain
+    code = main([command, *inputs, "--checkpoint", str(pre / "checkpoint.akgp"), "--resume"])
+    _assert_data_error(capsys, code, f"checkpoint {pre / 'checkpoint.akgp'} was saved in a "
+                                     f"different training stage")
+    assert main([command, *inputs, "--resume"]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"code": 1, "message": "--resume needs --checkpoint or --out"}
 
 
 def test_identical_runs_bit_identical(workdir, tmp_path):
@@ -225,7 +249,7 @@ def test_retrieve_encodes_in_batches_and_matches_one_batch_oracle(workdir, capsy
     batch = collate(examples, cfg.vocab_size, graph.node_index)
     fused = encode_batch(Tensor(batch.images), Tensor(batch.token_bow),
                          state.model.encoder_params())
-    scores = cosine_scores(fused.data, state.cached_knowledge.data)
+    scores = cosine_scores(fused.data, state.cache.knowledge.data)
     top = topk_indices(scores, min(cfg.retrieve_k, graph.n_nodes))
     assert printed == "".join(
         json.dumps({"node_id": graph.node_ids[i], "similarity": float(scores[q, i])},
@@ -314,6 +338,18 @@ def test_non_finite_config_value_is_data_error(workdir, tmp_path, capsys, key, t
     err = json.loads(capsys.readouterr().err.strip())
     assert code == 2 and err["code"] == 2
     assert f" {key}: must be a finite number" in err["message"]
+
+
+@pytest.mark.parametrize("key, value", [("d_m", 2**40), ("d_m", 10**18), ("vocab_size", 2**31)])
+def test_parameter_too_large_to_load_is_config_error(workdir, tmp_path, capsys, key, value):
+    # rejected before anything is allocated, naming the key
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY, **{key: value})))
+    code = main(["eval", "--config", str(bad), "--kg", workdir["kg"],
+                 "--data", workdir["data"]])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == 2 and err["code"] == 2
+    assert key in err["message"].partition(":")[0].split("/"), err["message"]
 
 
 def test_unknown_config_key_is_data_error(workdir, tmp_path, capsys):
@@ -561,7 +597,8 @@ def _assert_output_contract(argv):
     err_lines = err.getvalue().splitlines()
     assert len(err_lines) == (code != 0), err.getvalue()
     if err_lines:
-        assert json.loads(err_lines[0], parse_constant=_no_constants)["code"] == code
+        record = json.loads(err_lines[0], parse_constant=_no_constants)
+        assert record["code"] == code and isinstance(record["message"], str)
     for line in out.getvalue().splitlines():
         json.loads(line, parse_constant=_no_constants)
 
@@ -615,4 +652,35 @@ def test_eval_on_mutated_triples_keeps_the_output_contract(fuzz_world, data):
     path = fuzz_world["root"] / "mutated.tsv"
     path.write_text(data.draw(mutated_tsv(lines)), encoding="utf-8")
     _assert_output_contract(["eval", "--config", fuzz_world["config"], "--kg", str(path),
+                             "--data", fuzz_world["data"]])
+
+
+# every config key, "world" itself included, and value texts that break a
+# type, a finite number, a size or the freeze groups; allocatable large sizes
+# (d_m = 2**13, say) are valid and left out
+CONFIG_KEYS = ([f for f in TrainConfig.__dataclass_fields__ if f != "world"] + ["world"]
+               + [f"world.{f}" for f in WorldConfig.__dataclass_fields__])
+CONFIG_TEXTS = ["null", "true", "false", '"x"', '""', "[]", "[1]", "{}", '{"a": 1}',
+                "NaN", "Infinity", "-Infinity", "1e400",
+                "0", "-1", str(2**31), str(2**40), str(2**63), str(10**30),
+                '["theta_z"]', '["theta_v", "w_q"]']
+
+
+@settings(max_examples=150, deadline=None)
+@given(changes=st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_TEXTS)),
+                        min_size=1, max_size=2))
+@example(changes=[("d_m", str(2**40))])
+def test_eval_on_mutated_config_keeps_the_output_contract(fuzz_world, changes):
+    config = json.loads(json.dumps(TINY))  # a deep copy
+    for i, (key, _) in enumerate(changes):
+        section, _, name = key.rpartition(".")
+        target = config.get(section) if section else config
+        if isinstance(target, dict):
+            target[name] = f"@{i}@"
+    text = json.dumps(config)
+    for i, (_, value) in enumerate(changes):
+        text = text.replace(f'"@{i}@"', value)
+    path = fuzz_world["root"] / "mutated.json"
+    path.write_text(text)
+    _assert_output_contract(["eval", "--config", str(path), "--kg", fuzz_world["kg"],
                              "--data", fuzz_world["data"]])

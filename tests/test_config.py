@@ -72,10 +72,19 @@ def test_all_frozen_rejected(tmp_path):
     ({"lambda1": 0.0, "lambda2": 0.0}, "lambda1/lambda2"),
     ({"n_negatives": 0}, "n_negatives"),
     ({"denominator": "sideways"}, "denominator"),
+    ({"d_m": 2**40}, "d_i/d_m"),  # 2**44 elements in the visual weight
+    ({"vocab_size": 2**24 + 1}, "vocab_size/d_t"),
+    ({"d_m": 2**14}, "d_m"),  # the 2*d_m x d_m fusion weight: 2**29 elements
+    ({"d_a": 2**27 + 1, "d_m": 1}, "d_m/d_a"),
+    ({"n_classes": 2**24, "d_a": 2**5}, "d_a/n_classes"),
 ])
 def test_invalid_value_names_key(overrides, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key + ":")):
         TrainConfig(**overrides).validate()
+
+
+def test_largest_loadable_parameter_is_valid():
+    TrainConfig(vocab_size=2**24, d_t=16).validate()  # 2**28 elements: no allocation
 
 
 def test_bad_gate_mode(tmp_path):

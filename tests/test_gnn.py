@@ -134,14 +134,28 @@ def test_full_gradient_paths_pass_fd():
     assert fd_check(loss_wrt_w2, Tensor(p.w2.data.copy())).passed
 
 
+def held_bytes(obj, seen=None) -> int:
+    """Bytes of every array ``obj`` holds, found through its attributes and
+    the items of its lists, tuples and dicts; each object counts once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif not isinstance(obj, (list, tuple)):
+        obj = list(getattr(obj, "__dict__", {}).values())
+    return sum(held_bytes(item, seen) for item in obj)
+
+
 def test_large_chain_stays_sparse():
     # dense, this adjacency alone would be 20,000^2 float64 = 3.2 GB
     n = 20_000
     triples = [(f"n{i}", "r", f"n{i + 1}") for i in range(n - 1)]
     g = build_graph(triples, feature_dim=4, seed=0)
-    adjacency_bytes = sum(v.nbytes for v in vars(g.adjacency).values()
-                          if isinstance(v, np.ndarray))
-    assert adjacency_bytes < 2_000_000
+    assert held_bytes(g.adjacency) < 2_000_000
     p = small_params(4, 5, 3, seed=13, trainable=True)
     with Tape() as tape:
         out = encode_knowledge(g, p)

@@ -19,6 +19,7 @@ from akgp.tensor import (
     Tensor,
     fd_check,
     from_array,
+    mul,
     reshape,
     row_norms,
     sum_all,
@@ -224,8 +225,8 @@ def test_total_gradient_splits_linearly():
     w = uniform([4], -1, 1, 70)
 
     def f(x):
-        align = sum_all(from_array(np.ones(4)) * x)
-        task = sum_all(x * x)
+        align = sum_all(mul(from_array(np.ones(4)), x))
+        task = sum_all(mul(x, x))
         return loss_total(align, task, 0.7, 1.3)
 
     report = fd_check(f, w)

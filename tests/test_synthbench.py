@@ -7,8 +7,9 @@ import pytest
 
 from akgp import synthbench, trainer
 from akgp.config import TrainConfig, WorldConfig
+from akgp.data import Example
 from akgp.kg import build_graph
-from akgp.rng import derive_seed
+from akgp.rng import Rng, derive_seed
 from akgp.synthbench import (
     ABLATION_CONFIGS,
     HAS_ATTRIBUTE,
@@ -20,7 +21,6 @@ from akgp.synthbench import (
     gen_dataset,
     gen_world,
     run_ablation,
-    shuffle_labels,
     split_dataset,
 )
 from akgp.trainer import (
@@ -32,6 +32,15 @@ from akgp.trainer import (
     pretrain_epoch,
     start_stage,
 )
+
+
+def shuffle_labels(examples: list[Example], seed: int) -> list[Example]:
+    """Control dataset: the same examples with labels permuted at random,
+    severing whatever label signal the inputs carried."""
+    labels = [ex.label for ex in examples]
+    Rng(derive_seed(seed, "label_shuffle")).shuffle(labels)
+    return [Example(ex.image_features.copy(), list(ex.token_ids), lab, ex.gold_node)
+            for ex, lab in zip(examples, labels)]
 
 
 def run_cell_from_scratch(triples, train, test, cfg, variant, pretrain, seed):

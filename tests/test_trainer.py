@@ -206,17 +206,17 @@ def test_cached_knowledge_used_when_frozen():
     cfg, _, data, graph = tiny_setup()
     state = make_run(cfg, graph)
     start_stage(state, STAGE_FINETUNE)
-    assert state.cached_knowledge is not None
-    cached = state.cached_knowledge.data.copy()
+    assert state.cache.knowledge is not None
+    cached = state.cache.knowledge.data.copy()
     finetune_epoch(state, data)
-    assert np.array_equal(state.cached_knowledge.data, cached)
+    assert np.array_equal(state.cache.knowledge.data, cached)
 
 
 def test_unfrozen_knowledge_recomputes_and_trains():
     cfg, _, data, graph = tiny_setup(freeze=["theta_v", "theta_t", "theta_m"])
     state = make_run(cfg, graph)
     start_stage(state, STAGE_FINETUNE)
-    assert state.cached_knowledge is None
+    assert state.cache.knowledge is None
     before = group_bytes(state.model, "theta_k")
     finetune_epoch(state, data)
     assert group_bytes(state.model, "theta_k") != before
@@ -428,9 +428,9 @@ def test_encoded_dataset_equals_per_step_oracle(variant, freeze, cached, retriev
     state = make_run(cfg, graph)
     start_stage(state, STAGE_FINETUNE)
     finetune_epoch(state, collate_dataset(state, data), variant)
-    assert (state.cached_inputs is not None) == cached
+    assert (state.cache.fused is not None) == cached
     takes_top1 = retrieved and variant.knowledge == "retrieve"
-    assert cached is False or (state.cached_inputs.retrieved is not None) == takes_top1
+    assert cached is False or (state.cache.retrieved is not None) == takes_top1
 
 
 def _count_encodes(monkeypatch) -> list[int]:
@@ -458,16 +458,16 @@ def test_frozen_encoders_encode_each_row_once_per_stage(monkeypatch):
     assert rows == [16, 16, 16, 2]
 
     start_stage(state, STAGE_FINETUNE)  # a new stage drops the cache
-    assert state.cached_inputs is None
+    assert state.cache.fused is None
     finetune_epoch(state, dataset)
     assert len(rows) == 8
     other = collate_dataset(state, data)  # a different batch rebuilds it
     finetune_epoch(state, other)
-    assert len(rows) == 12 and state.cached_inputs.batch is other
+    assert len(rows) == 12 and state.cache.batch is other
 
 
 def _nan_knowledge_row(state):
-    state.cached_knowledge.data[2] = np.nan
+    state.cache.knowledge.data[2] = np.nan
 
 
 def _nan_adaptor_weight(state):
