@@ -26,7 +26,7 @@ import numpy as np
 MAGIC = b"AKGP1"
 _MAX_RANK = 8
 _MAX_DIM = 1 << 32
-_MAX_ELEMENTS = 1 << 28  # 2 GiB of float64 payload
+MAX_ELEMENTS = 1 << 28  # 2 GiB of float64 payload: the most a tensor record loads
 
 
 class CheckpointError(ValueError):
@@ -140,7 +140,7 @@ def _read_record(src: _Source) -> tuple[str, np.ndarray]:
             raise DimOverflowError(f"tensor {name} declares dimension {dim}")
         dims.append(dim)
         total *= dim
-    if total > _MAX_ELEMENTS:
+    if total > MAX_ELEMENTS:
         raise DimOverflowError(f"tensor {name} declares {total} elements")
     payload = _read_exact(src, total * 8, f"payload of {name}")
     array = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)

@@ -77,7 +77,7 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, kg=False, data=False, out=False, checkpoint=False):
+    def common(p, kg=False, data=False, out=False, checkpoint=False, resume=False):
         p.add_argument("--config", required=True,
                        help="JSON config file ({} applies all defaults)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -89,14 +89,15 @@ def build_parser() -> _Parser:
             p.add_argument("--out", required=True, help="output directory")
         if checkpoint:
             p.add_argument("--checkpoint", help="checkpoint file to load")
+        if resume:
             p.add_argument("--resume", action="store_true",
                            help="resume the run recorded in the checkpoint")
 
     common(sub.add_parser("gen-data", help="generate a synthetic world"), out=True)
     common(sub.add_parser("pretrain", help="stage-1 alignment pretraining"),
-           kg=True, data=True, out=True, checkpoint=True)
+           kg=True, data=True, out=True, checkpoint=True, resume=True)
     common(sub.add_parser("finetune", help="stage-2 task fine-tuning"),
-           kg=True, data=True, out=True, checkpoint=True)
+           kg=True, data=True, out=True, checkpoint=True, resume=True)
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     common(p_eval, kg=True, data=True, checkpoint=True)
     p_eval.add_argument("--out", help="optional output directory for metrics")
@@ -135,9 +136,7 @@ def _config_differences(saved: dict, current: dict, prefix: str = "") -> list[st
 def _prepare_state(cfg, graph, args, stage):
     """The only way into a stage: the run resumed with ``--resume``, else a
     new one with ``--checkpoint``'s parameters if given, entering ``stage``."""
-    if args.resume:
-        if not (args.checkpoint or getattr(args, "out", None)):
-            raise UsageError("--resume needs --checkpoint or --out")
+    if getattr(args, "resume", False):
         path = args.checkpoint or os.path.join(args.out, CHECKPOINT_NAME)
         data = load_checkpoint(path)
         changed = _config_differences(data.config, cfg.to_dict())

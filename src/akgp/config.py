@@ -9,7 +9,7 @@ import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-from .checkpoint import _MAX_ELEMENTS
+from .checkpoint import MAX_ELEMENTS
 from .fusion import GATE_MODES, PARAM_GROUPS
 from .losses import DENOMINATOR_MODES
 
@@ -88,6 +88,22 @@ class TrainConfig:
     def d_e(self) -> int:
         return self.d_m
 
+    def weight_shapes(self) -> dict[str, tuple[str, tuple[int, int]]]:
+        """Each weight matrix of the model by its seed tag: the keys that set
+        its shape, and the shape. A weight over a fused pair of d_m rows has
+        2*d_m rows."""
+        return {
+            "visual.weight": ("d_i/d_m", (self.d_i, self.d_m)),
+            "text.table": ("vocab_size/d_t", (self.vocab_size, self.d_t)),
+            "text.weight": ("d_t/d_m", (self.d_t, self.d_m)),
+            "fusion.weight": ("d_m", (2 * self.d_m, self.d_m)),
+            "gnn.w1": ("d_k/d_h", (self.d_k, self.d_h)),
+            "gnn.w2": ("d_h/d_m", (self.d_h, self.d_m)),
+            "gate.weight": ("d_m", (2 * self.d_m, self.d_m)),
+            "adaptor.w_hidden": ("d_m/d_a", (2 * self.d_m, self.d_a)),
+            "adaptor.w_out": ("d_a/n_classes", (self.d_a, self.n_classes)),
+        }
+
     def validate(self) -> None:
         for name in ("d_i", "d_t", "d_m", "d_k", "d_h", "d_a"):
             if getattr(self, name) < 1:
@@ -96,17 +112,11 @@ class TrainConfig:
             raise ConfigError("vocab_size: must be >= 2")
         if self.n_classes < 2:
             raise ConfigError("n_classes: must be >= 2")
-        # the weight shapes init_model builds from these keys alone, checked
-        # before anything is allocated against the most a checkpoint loads
-        for keys, shape in {
-                "d_i/d_m": (self.d_i, self.d_m), "vocab_size/d_t": (self.vocab_size, self.d_t),
-                "d_t/d_m": (self.d_t, self.d_m), "d_m": (2 * self.d_m, self.d_m),
-                "d_k/d_h": (self.d_k, self.d_h), "d_h/d_m": (self.d_h, self.d_m),
-                "d_m/d_a": (2 * self.d_m, self.d_a), "d_a/n_classes": (self.d_a, self.n_classes),
-        }.items():
-            if math.prod(shape) > _MAX_ELEMENTS:
+        # checked before anything is allocated against the most a checkpoint loads
+        for keys, shape in self.weight_shapes().values():
+            if math.prod(shape) > MAX_ELEMENTS:
                 raise ConfigError(f"{keys}: a {shape[0]} x {shape[1]} parameter has more "
-                                  f"than the {_MAX_ELEMENTS} elements a checkpoint holds")
+                                  f"than the {MAX_ELEMENTS} elements a checkpoint holds")
         if self.lr <= 0:
             raise ConfigError("lr: must be positive")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

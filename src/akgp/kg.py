@@ -16,6 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .checkpoint import MAX_ELEMENTS
+from .config import ConfigError
 from .tensor import CsrMatrix, Tensor, xavier
 
 
@@ -118,6 +120,9 @@ def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> Knowledge
     node_index, ends = index_nodes(triples)
     node_ids = list(node_index)
     n = len(node_ids)
+    if n * feature_dim > MAX_ELEMENTS:  # the features are a parameter: checked as validate does
+        raise ConfigError(f"d_k: the {n} x {feature_dim} node features have more than "
+                          f"the {MAX_ELEMENTS} elements a checkpoint holds")
 
     heads, tails, loops = ends[0::2], ends[1::2], np.arange(n, dtype=np.int64)
     # one key per distinct (row, col) entry; sorted keys are row-sorted CSR

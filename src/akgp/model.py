@@ -69,30 +69,32 @@ def init_model(cfg: TrainConfig, graph: KnowledgeGraph) -> ModelParams:
     """Create all parameter groups; adopts the graph's feature matrix into
     the knowledge group so one freeze flag governs the whole knowledge path."""
 
-    def mat(shape, tag):
-        return xavier(shape, derive_seed(cfg.seed, tag)).requires_grad_(True)
+    shapes = cfg.weight_shapes()
+
+    def mat(tag):
+        return xavier(shapes[tag][1], derive_seed(cfg.seed, tag)).requires_grad_(True)
 
     def vec(shape):
         return zeros(shape).requires_grad_(True)
 
     model = ModelParams(
-        theta_v={"weight": mat([cfg.d_i, cfg.d_m], "visual.weight"),
+        theta_v={"weight": mat("visual.weight"),
                  "bias": vec([cfg.d_m])},
-        theta_t={"table": mat([cfg.vocab_size, cfg.d_t], "text.table"),
-                 "weight": mat([cfg.d_t, cfg.d_m], "text.weight"),
+        theta_t={"table": mat("text.table"),
+                 "weight": mat("text.weight"),
                  "bias": vec([cfg.d_m])},
-        theta_m={"weight": mat([2 * cfg.d_m, cfg.d_m], "fusion.weight"),
+        theta_m={"weight": mat("fusion.weight"),
                  "bias": vec([cfg.d_m])},
         theta_k={"node_features": graph.features.requires_grad_(True),
-                 "w1": mat([cfg.d_k, cfg.d_h], "gnn.w1"),
+                 "w1": mat("gnn.w1"),
                  "b1": vec([cfg.d_h]),
-                 "w2": mat([cfg.d_h, cfg.d_m], "gnn.w2"),
+                 "w2": mat("gnn.w2"),
                  "b2": vec([cfg.d_m])},
-        w_g={"weight": mat([2 * cfg.d_m, cfg.d_m], "gate.weight"),
+        w_g={"weight": mat("gate.weight"),
              "bias": vec([cfg.d_m])},
-        theta_a={"w_hidden": mat([2 * cfg.d_m, cfg.d_a], "adaptor.w_hidden"),
+        theta_a={"w_hidden": mat("adaptor.w_hidden"),
                  "b_hidden": vec([cfg.d_a]),
-                 "w_out": mat([cfg.d_a, cfg.n_classes], "adaptor.w_out"),
+                 "w_out": mat("adaptor.w_out"),
                  "b_out": vec([cfg.n_classes])},
         gate_mode=cfg.gate,
     )

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import dense_adjacency, expand
+from akgp.config import ConfigError
 from akgp.kg import (
     TripleParseError,
     build_graph,
@@ -52,6 +53,12 @@ def test_build_graph_two_nodes():
     assert np.allclose(adjacency, [[0.5, 0.5], [0.5, 0.5]])
     assert g.features.shape == (2, 4)
     assert g.features.requires_grad
+
+
+def test_node_features_too_large_to_load_are_rejected_before_allocation():
+    # 2 x (2**27 + 1) is two elements past the most a checkpoint loads
+    with pytest.raises(ConfigError, match=r"^d_k: the 2 x 134217729 node features"):
+        build_graph([("a", "r", "b")], feature_dim=2**27 + 1, seed=1)
 
 
 def test_build_graph_self_loop_only():
