@@ -18,12 +18,11 @@ import time
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config
 from .data import DataError, read_examples, write_examples
 from .gradcheck import run_gradient_report
-from .kg import (TripleParseError, build_graph, index_nodes, load_triples, save_triples,
-                 subgraph_stats)
+from .kg import build_graph, index_nodes, load_triples, save_triples, subgraph_stats
 from .manifest import write_manifest
 from .retrieval import cosine_scores, topk_indices
 from .rng import derive_seed
@@ -45,9 +44,10 @@ from .trainer import (
     evaluate,
     finetune_epoch,
     knowledge_matrix,
+    load_state,
+    load_weights,
     make_run,
     pretrain_epoch,
-    restore_state,
     save_state,
     start_stage,
 )
@@ -59,8 +59,6 @@ EXIT_NUMERIC = 3
 
 CHECKPOINT_NAME = "checkpoint.akgp"
 RUN_LOG_NAME = "run_log.jsonl"
-# config keys a resumed run may change: its epoch budget
-RESUMABLE_CHANGES = ("pretrain_epochs", "finetune_epochs")
 
 
 class UsageError(Exception):
@@ -77,7 +75,11 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, kg=False, data=False, out=False, checkpoint=False, resume=False):
+    def command(name, help, run, stage=None, kg=True, data=True, out=True, resume=False):
+        """Declare a subcommand and its handler ``run(args)``. One with a
+        training ``stage`` loads its run in that stage and takes ``--checkpoint``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, stage=stage, resume=False)
         p.add_argument("--config", required=True,
                        help="JSON config file ({} applies all defaults)")
         p.add_argument("--seed", type=int, help="override the config seed")
@@ -87,32 +89,32 @@ def build_parser() -> _Parser:
             p.add_argument("--data", required=True, help="dataset JSON lines file")
         if out:
             p.add_argument("--out", required=True, help="output directory")
-        if checkpoint:
+        if stage is not None:
             p.add_argument("--checkpoint", help="checkpoint file to load")
         if resume:
             p.add_argument("--resume", action="store_true",
                            help="resume the run recorded in the checkpoint")
+        return p
 
-    common(sub.add_parser("gen-data", help="generate a synthetic world"), out=True)
-    common(sub.add_parser("pretrain", help="stage-1 alignment pretraining"),
-           kg=True, data=True, out=True, checkpoint=True, resume=True)
-    common(sub.add_parser("finetune", help="stage-2 task fine-tuning"),
-           kg=True, data=True, out=True, checkpoint=True, resume=True)
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p_eval, kg=True, data=True, checkpoint=True)
-    p_eval.add_argument("--out", help="optional output directory for metrics")
-    p_retr = sub.add_parser("retrieve", help="print top-k knowledge matches")
-    common(p_retr, kg=True, data=True, checkpoint=True)
-    common(sub.add_parser("ablate", help="run the component ablation"),
-           kg=True, data=True, out=True)
-    sub.add_parser("check-grads", help="finite-difference gradient report") \
-        .add_argument("--seed", type=int, default=0)
+    command("gen-data", "generate a synthetic world", cmd_gen_data, kg=False, data=False)
+    command("pretrain", "stage-1 alignment pretraining", _train_command, STAGE_PRETRAIN,
+            resume=True)
+    command("finetune", "stage-2 task fine-tuning", _train_command, STAGE_FINETUNE,
+            resume=True)
+    command("eval", "evaluate a checkpoint", cmd_eval, STAGE_FINETUNE, out=False) \
+        .add_argument("--out", help="optional output directory for metrics")
+    command("retrieve", "print top-k knowledge matches", cmd_retrieve, STAGE_FINETUNE,
+            out=False)
+    command("ablate", "run the component ablation", cmd_ablate)
+    check = sub.add_parser("check-grads", help="finite-difference gradient report")
+    check.set_defaults(run=cmd_check_grads)
+    check.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _load_config(args) -> TrainConfig:
     cfg = parse_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.seed = args.seed
     return cfg
 
@@ -121,39 +123,30 @@ def _build_graph(cfg: TrainConfig, kg_path):
     return build_graph(load_triples(kg_path), cfg.d_k, derive_seed(cfg.seed, "graph"))
 
 
-def _config_differences(saved: dict, current: dict, prefix: str = "") -> list[str]:
-    """Qualified keys whose values differ, apart from RESUMABLE_CHANGES."""
-    keys = []
-    for key in sorted(set(saved) | set(current)):
-        old, new = saved.get(key), current.get(key)
-        if isinstance(old, dict) and isinstance(new, dict):
-            keys += _config_differences(old, new, f"{prefix}{key}.")
-        elif old != new and prefix + key not in RESUMABLE_CHANGES:
-            keys.append(prefix + key)
-    return keys
-
-
-def _prepare_state(cfg, graph, args, stage):
+def _prepare_state(cfg, graph, args):
     """The only way into a stage: the run resumed with ``--resume``, else a
-    new one with ``--checkpoint``'s parameters if given, entering ``stage``."""
-    if getattr(args, "resume", False):
+    new one with ``--checkpoint``'s parameters if given, entering ``args.stage``."""
+    if args.resume:
         path = args.checkpoint or os.path.join(args.out, CHECKPOINT_NAME)
-        data = load_checkpoint(path)
-        changed = _config_differences(data.config, cfg.to_dict())
-        if changed:
-            raise ConfigError(f"checkpoint {path} was saved with a different config "
-                              f"(differing keys: {', '.join(changed)})")
-        if data.stage != stage:
+        state = load_state(path, cfg, graph)
+        if state.stage != args.stage:
             raise DataError(
                 f"checkpoint {path} was saved in a different training stage")
-        state = make_run(cfg, graph)
-        restore_state(state, data, resume=True)
         return state
     state = make_run(cfg, graph)
     if args.checkpoint:
-        restore_state(state, load_checkpoint(args.checkpoint), resume=False)
-    start_stage(state, stage)
+        load_weights(state, load_checkpoint(args.checkpoint).tensors)
+    start_stage(state, args.stage)
     return state
+
+
+def _load_run(args):
+    """The run a command with a stage works on, and its examples: the config,
+    then the graph, then the examples, then the run."""
+    cfg = _load_config(args)
+    graph = _build_graph(cfg, args.kg)
+    examples = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
+    return _prepare_state(cfg, graph, args), examples
 
 
 def _append_log(out_dir, record):
@@ -162,7 +155,8 @@ def _append_log(out_dir, record):
 
 
 def _trim_log(out_dir, command, epochs_done):
-    """Drop ``command``'s run-log lines for epochs after ``epochs_done``.
+    """Drop ``command``'s run-log lines whose epoch is a number above
+    ``epochs_done``, and keep every other parsed line as it is.
 
     An epoch's line is appended before its checkpoint is saved, so an
     interrupt between the two leaves a line that the resumed run writes
@@ -180,7 +174,8 @@ def _trim_log(out_dir, command, epochs_done):
         except json.JSONDecodeError:
             continue
         if not (isinstance(record, dict) and record.get("command") == command
-                and record.get("epoch", 0) > epochs_done):
+                and type(record.get("epoch")) in (int, float)
+                and record["epoch"] > epochs_done):
             kept.append(line + "\n")
     if len(kept) == len(lines):
         return
@@ -191,9 +186,9 @@ def _trim_log(out_dir, command, epochs_done):
 
 
 def cmd_gen_data(args) -> int:
+    started = time.perf_counter()
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    started = time.perf_counter()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     if world.vocab_size != cfg.vocab_size:
         raise ConfigError(
@@ -206,69 +201,57 @@ def cmd_gen_data(args) -> int:
     write_examples(data_path, examples)
     graph = _build_graph(cfg, kg_path)
     print(json.dumps(subgraph_stats(graph), sort_keys=True))
-    write_manifest(args.out, "gen-data", cfg.to_dict(),
-                   {"config": args.config}, ["kg.tsv", "dataset.jsonl"],
-                   cfg.seed, time.perf_counter() - started)
-    return EXIT_OK
-
-
-def _train_command(args, stage) -> int:
-    cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    started = time.perf_counter()
-    graph = _build_graph(cfg, args.kg)
-    examples = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
-    state = _prepare_state(cfg, graph, args, stage)
-    dataset = collate_dataset(state, examples)
-    ckpt_path = os.path.join(args.out, CHECKPOINT_NAME)
-    if stage == STAGE_PRETRAIN:
-        total_epochs, run_epoch, name = cfg.pretrain_epochs, pretrain_epoch, "pretrain"
-    else:
-        total_epochs, run_epoch, name = cfg.finetune_epochs, finetune_epoch, "finetune"
-    if args.resume:
-        _trim_log(args.out, name, state.epochs_done)
-    while state.epochs_done < total_epochs:
-        stats = run_epoch(state, dataset)
-        record = {"command": name, "epoch": state.epochs_done, **stats}
-        _append_log(args.out, record)
-        save_state(ckpt_path, state)
-    write_manifest(args.out, name, cfg.to_dict(),
-                   {"config": args.config, "kg": args.kg, "data": args.data,
-                    "checkpoint": args.checkpoint},
-                   [CHECKPOINT_NAME, RUN_LOG_NAME], cfg.seed,
+    write_manifest(args.out, "gen-data", cfg, [args.config], ["kg.tsv", "dataset.jsonl"],
                    time.perf_counter() - started)
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def _train_command(args) -> int:
     started = time.perf_counter()
-    graph = _build_graph(cfg, args.kg)
-    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
-    state = _prepare_state(cfg, graph, args, STAGE_FINETUNE)
-    metrics = evaluate(state, dataset)
+    state, examples = _load_run(args)
+    cfg = state.cfg
+    os.makedirs(args.out, exist_ok=True)
+    dataset = collate_dataset(state, examples)
+    ckpt_path = os.path.join(args.out, CHECKPOINT_NAME)
+    if args.stage == STAGE_PRETRAIN:
+        total_epochs, run_epoch = cfg.pretrain_epochs, pretrain_epoch
+    else:
+        total_epochs, run_epoch = cfg.finetune_epochs, finetune_epoch
+    if args.resume:
+        _trim_log(args.out, args.command, state.epochs_done)
+    while state.epochs_done < total_epochs:
+        stats = run_epoch(state, dataset)
+        record = {"command": args.command, "epoch": state.epochs_done, **stats}
+        _append_log(args.out, record)
+        save_state(ckpt_path, state)
+    write_manifest(args.out, args.command, cfg,
+                   [args.config, args.kg, args.data, args.checkpoint],
+                   [CHECKPOINT_NAME, RUN_LOG_NAME], time.perf_counter() - started)
+    return EXIT_OK
+
+
+def cmd_eval(args) -> int:
+    started = time.perf_counter()
+    state, examples = _load_run(args)
+    metrics = evaluate(state, examples)
     print(json.dumps(metrics, sort_keys=True))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "metrics.json"), "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        write_manifest(args.out, "eval", cfg.to_dict(),
-                       {"config": args.config, "kg": args.kg, "data": args.data,
-                        "checkpoint": args.checkpoint},
-                       ["metrics.json"], cfg.seed, time.perf_counter() - started)
+        write_manifest(args.out, "eval", state.cfg,
+                       [args.config, args.kg, args.data, args.checkpoint],
+                       ["metrics.json"], time.perf_counter() - started)
     return EXIT_OK
 
 
 def cmd_retrieve(args) -> int:
-    cfg = _load_config(args)
-    graph = _build_graph(cfg, args.kg)
-    dataset = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
-    state = _prepare_state(cfg, graph, args, STAGE_FINETUNE)
+    state, examples = _load_run(args)
     knowledge = knowledge_matrix(state)
-    batch = collate_dataset(state, dataset)
-    fused = encode_rows(state.model, batch, cfg.batch_size)
-    k = min(cfg.retrieve_k, state.graph.n_nodes)
+    batch = collate_dataset(state, examples)
+    fused = encode_rows(state.model, batch, state.cfg.batch_size)
+    k = min(state.cfg.retrieve_k, state.graph.n_nodes)
     scores = cosine_scores(fused, knowledge.data)
     top = topk_indices(scores, k)
     sims = np.take_along_axis(scores, top, axis=1)
@@ -282,9 +265,9 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    started = time.perf_counter()
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    started = time.perf_counter()
     triples = load_triples(args.kg)
     nodes, _ = index_nodes(triples)
     examples = read_examples(args.data, cfg.n_classes, cfg.d_i, nodes)
@@ -299,10 +282,8 @@ def cmd_ablate(args) -> int:
     with open(os.path.join(args.out, "ablation.md"), "w", encoding="utf-8") as fh:
         fh.write(md_text)
     print(md_text, end="")
-    write_manifest(args.out, "ablate", cfg.to_dict(),
-                   {"config": args.config, "kg": args.kg, "data": args.data},
-                   ["ablation.csv", "ablation.md"], cfg.seed,
-                   time.perf_counter() - started)
+    write_manifest(args.out, "ablate", cfg, [args.config, args.kg, args.data],
+                   ["ablation.csv", "ablation.md"], time.perf_counter() - started)
     return EXIT_OK
 
 
@@ -317,40 +298,21 @@ def cmd_check_grads(args) -> int:
     return EXIT_OK if all_ok else EXIT_NUMERIC
 
 
-def _dispatch(args) -> int:
-    if args.command == "gen-data":
-        return cmd_gen_data(args)
-    if args.command == "pretrain":
-        return _train_command(args, STAGE_PRETRAIN)
-    if args.command == "finetune":
-        return _train_command(args, STAGE_FINETUNE)
-    if args.command == "eval":
-        return cmd_eval(args)
-    if args.command == "retrieve":
-        return cmd_retrieve(args)
-    if args.command == "ablate":
-        return cmd_ablate(args)
-    if args.command == "check-grads":
-        return cmd_check_grads(args)
-    raise UsageError("missing command; try --help")
-
-
 def _fail(code: int, message: str) -> int:
     print(json.dumps({"code": code, "message": message}), file=sys.stderr)
     return code
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.command is None:
+            raise UsageError("missing command; try --help")
         # non-finite values are reported as NumericError, not as warnings
         with np.errstate(all="ignore"):
-            return _dispatch(args)
+            return args.run(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    except (ConfigError, DataError, TripleParseError, CheckpointError) as exc:
-        return _fail(EXIT_DATA, str(exc))
     except OSError as exc:
         return _fail(EXIT_DATA, f"{exc.__class__.__name__}: {exc}")
     except NumericError as exc:

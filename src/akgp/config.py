@@ -84,10 +84,6 @@ class TrainConfig:
     retrieve_k: int = 5
     world: WorldConfig = field(default_factory=WorldConfig)
 
-    @property
-    def d_e(self) -> int:
-        return self.d_m
-
     def weight_shapes(self) -> dict[str, tuple[str, tuple[int, int]]]:
         """Each weight matrix of the model by its seed tag: the keys that set
         its shape, and the shape. A weight over a fused pair of d_m rows has

@@ -23,10 +23,6 @@ class EncoderParams:
     w_fusion: Tensor   # (2*d_m, d_m)
     b_fusion: Tensor   # (d_m,)
 
-    @property
-    def vocab_size(self) -> int:
-        return self.token_table.shape[0]
-
 
 def encode_visual(images: Tensor, params: EncoderParams) -> Tensor:
     """tanh(images @ W_v + b_v) for a (B, d_i) batch."""

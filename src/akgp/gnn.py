@@ -24,9 +24,6 @@ class GnnParams:
     w2: Tensor  # (d_h, d_e)
     b2: Tensor  # (d_e,)
 
-    def named(self):
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
-
 
 def gnn_layer(adjacency: CsrMatrix, features: Tensor, weight: Tensor,
               bias: Tensor) -> Tensor:

@@ -19,6 +19,7 @@ import platform
 import numpy as np
 
 from . import __version__
+from .config import TrainConfig
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -49,16 +50,17 @@ def environment() -> dict:
     }
 
 
-def write_manifest(out_dir, command: str, config_dict: dict,
-                   inputs: dict[str, str], outputs: list[str], seed: int,
-                   wall_clock_seconds: float) -> str:
+def write_manifest(out_dir, command: str, cfg: TrainConfig, inputs: list,
+                   outputs: list[str], wall_clock_seconds: float) -> str:
+    """Write ``manifest.json`` into ``out_dir``: the paths in ``inputs`` that
+    are set are digested, and ``cfg`` gives the config and the seed."""
     record = {
         "command": command,
-        "config": config_dict,
+        "config": cfg.to_dict(),
         "environment": environment(),
-        "inputs": {str(path): digest_file(path) for path in inputs.values() if path},
+        "inputs": {str(path): digest_file(path) for path in inputs if path},
         "outputs": sorted(outputs),
-        "seed": seed,
+        "seed": cfg.seed,
         "wall_clock_seconds": wall_clock_seconds,
     }
     path = os.path.join(out_dir, "manifest.json")

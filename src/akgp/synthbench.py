@@ -27,6 +27,7 @@ from .trainer import (
     collate_dataset,
     evaluate,
     finetune_epoch,
+    load_weights,
     make_run,
     pretrain_epoch,
     start_stage,
@@ -164,8 +165,7 @@ def run_cell(state: TrainerState, weights: dict[str, np.ndarray], train: Batch,
              test: Batch, variant: PipelineVariant) -> float:
     """Fine-tune one (configuration, seed) cell on its seed's run, starting
     from ``weights`` (every named tensor); returns test accuracy."""
-    for name, tensor in state.model.named_tensors():
-        tensor.data[...] = weights[name]
+    load_weights(state, weights)
     start_stage(state, STAGE_FINETUNE)
     for _ in range(state.cfg.finetune_epochs):
         finetune_epoch(state, train, variant)

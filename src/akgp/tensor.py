@@ -66,9 +66,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def tolist(self):
-        return self.data.tolist()
-
     def requires_grad_(self, flag: bool = True) -> "Tensor":
         self.requires_grad = flag
         if flag and self.grad is None:

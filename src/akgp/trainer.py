@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import CheckpointData, load_checkpoint, save_checkpoint
-from .config import TrainConfig
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .config import ConfigError, TrainConfig
 from .data import Batch, Example, collate
 from .encoders import encode_batch
 from .fusion import adapt_task, gate_integrate, set_frozen
@@ -408,40 +408,73 @@ def save_state(path, state: TrainerState) -> None:
                     adam_t=state.opt.t, rng_state=state.rng.get_state())
 
 
-def restore_state(state: TrainerState, data: CheckpointData,
-                  resume: bool = True) -> None:
-    """Copy checkpointed arrays into an initialized run.
-
-    With ``resume`` the optimizer moments, counters, stage, and generator
-    position are restored exactly; without it only the parameters load (to
-    seed a new stage from earlier weights).
-    """
+def load_weights(state: TrainerState, tensors: dict[str, np.ndarray]) -> None:
+    """Copy ``tensors`` into the run's parameters; they must name every
+    tensor of the model, each with its shape, and nothing else. Nothing is
+    copied unless all of them fit."""
     names = dict(state.model.named_tensors())
-    missing = set(names) - set(data.tensors)
-    extra = set(data.tensors) - set(names)
+    missing, extra = names.keys() - tensors.keys(), tensors.keys() - names.keys()
     if missing or extra:
-        raise ValueError(f"checkpoint tensors do not match model "
+        raise ValueError(f"weights do not match model "
                          f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
-    for name, array in data.tensors.items():
+    for name, array in tensors.items():
         if names[name].data.shape != array.shape:
-            raise ValueError(f"checkpoint tensor {name} has shape {array.shape}, "
+            raise ValueError(f"tensor {name} has shape {array.shape}, "
                              f"model expects {names[name].data.shape}")
+    for name, array in tensors.items():
         names[name].data[...] = array
-    if not resume:
-        return
-    start_stage(state, int(data.stage))
-    state.epochs_done = int(data.epochs_done)
-    state.opt = AdamState(t=int(data.adam_t))
-    for name, array in data.opt_buffers.items():
-        kind, _, tensor_name = name.partition(".")
-        target = state.opt.m if kind == "m" else state.opt.v
-        target[tensor_name] = array.copy()
-    state.rng.set_state(data.rng_state)
+
+
+# config keys a resumed run may change: its epoch budget
+RESUMABLE_CHANGES = ("pretrain_epochs", "finetune_epochs")
+
+
+def _config_differences(saved: dict, current: dict, prefix: str = "") -> list[str]:
+    """Qualified keys whose values differ, apart from RESUMABLE_CHANGES."""
+    keys = []
+    for key in sorted(set(saved) | set(current)):
+        old, new = saved.get(key), current.get(key)
+        if isinstance(old, dict) and isinstance(new, dict):
+            keys += _config_differences(old, new, f"{prefix}{key}.")
+        elif old != new and prefix + key not in RESUMABLE_CHANGES:
+            keys.append(prefix + key)
+    return keys
 
 
 def load_state(path, cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
-    """Rebuild a resumable run from a checkpoint file."""
+    """Resume the run a checkpoint file holds, exactly: parameters, optimizer
+    moments, counters, stage and generator position.
+
+    The one resume path. Only the epoch counts of ``cfg`` may differ from
+    the checkpoint's config (else ConfigError naming the keys). The stage
+    must be 0 or 1, and the optimizer buffers must be the ``m.`` and ``v.``
+    moments of the tensors the stage trains, shaped like them, both for
+    each once a step has run (else CheckpointError naming the buffer).
+    """
     data = load_checkpoint(path)
+    changed = _config_differences(data.config, cfg.to_dict())
+    if changed:
+        raise ConfigError(f"checkpoint {path} was saved with a different config "
+                          f"(differing keys: {', '.join(changed)})")
+    if data.stage not in (STAGE_PRETRAIN, STAGE_FINETUNE):
+        raise CheckpointError(f"checkpoint {path}: stage {data.stage} is neither 0 nor 1")
     state = make_run(cfg, graph)
-    restore_state(state, data, resume=True)
+    load_weights(state, data.tensors)
+    start_stage(state, data.stage)
+    trained = {name: t.data.shape for name, t in state.model.named_tensors()
+               if t.requires_grad}
+    kept = {f"{kind}.{name}" for name in trained for kind in "mv"} if data.adam_t else set()
+    odd = sorted(data.opt_buffers.keys() - kept) or sorted(kept - data.opt_buffers.keys())
+    if odd:
+        what = "is missing" if odd[0] in kept else "is no moment of a tensor the stage trains"
+        raise CheckpointError(f"checkpoint {path}: optimizer buffer {odd[0]} {what}")
+    state.epochs_done = data.epochs_done
+    state.opt = AdamState(t=data.adam_t)
+    for name, array in data.opt_buffers.items():
+        kind, _, tensor_name = name.partition(".")
+        if array.shape != trained[tensor_name]:
+            raise CheckpointError(f"checkpoint {path}: optimizer buffer {name} has shape "
+                                  f"{array.shape}, {tensor_name} has {trained[tensor_name]}")
+        (state.opt.m if kind == "m" else state.opt.v)[tensor_name] = array.copy()
+    state.rng.set_state(data.rng_state)
     return state

@@ -1,6 +1,8 @@
 """Checkpoint format: byte-exact round trips, corruption handling, and
 interrupt/resume equivalence of training runs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from akgp.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from akgp.config import TrainConfig, WorldConfig
+from akgp.config import ConfigError, TrainConfig, WorldConfig
 from akgp.kg import build_graph
 from akgp.rng import derive_seed
 from akgp.synthbench import gen_dataset, gen_world
@@ -223,6 +225,30 @@ def test_restore_rejects_mismatched_model(tmp_path):
     )
     with pytest.raises(ValueError):
         load_state(path, other_cfg, build_graph(world.triples, 4, 0))
+
+
+def test_resume_with_changed_config_is_config_error(tmp_path):
+    cfg, world, data, graph = tiny_setup()
+    state = make_run(cfg, graph)
+    pretrain_epoch(state, data)
+    path = tmp_path / "ck.akgp"
+    save_state(path, state)
+    with pytest.raises(ConfigError, match=r"\(differing keys: lr\)$"):
+        load_state(path, replace(cfg, lr=cfg.lr * 2), fresh_graph(cfg, world))
+    # the epoch counts may change
+    longer = replace(cfg, pretrain_epochs=cfg.pretrain_epochs + 1)
+    assert load_state(path, longer, fresh_graph(cfg, world)).epochs_done == 1
+
+
+def test_resume_rejects_an_unknown_stage(tmp_path):
+    cfg, world, data, graph = tiny_setup()
+    path = tmp_path / "ck.akgp"
+    save_state(path, make_run(cfg, graph))
+    saved = load_checkpoint(path)
+    save_checkpoint(path, cfg.snapshot_json(), saved.tensors, saved.opt_buffers, stage=2,
+                    epochs_done=0, adam_t=0, rng_state=saved.rng_state)
+    with pytest.raises(CheckpointError, match=f"{path}.*stage 2"):
+        load_state(path, cfg, fresh_graph(cfg, world))
 
 
 def _reference_checkpoint() -> bytes:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -171,6 +172,68 @@ def test_interrupt_between_log_and_save_resumes_one_line_per_epoch(
         (straight / "checkpoint.akgp").read_bytes()
 
 
+@pytest.mark.parametrize("epoch", ['"1"', "null"])
+def test_resume_keeps_run_log_lines_whose_epoch_is_no_number(workdir, tmp_path, epoch):
+    out = tmp_path / "run"
+    inputs = ["--kg", workdir["kg"], "--data", workdir["data"], "--out", str(out)]
+    assert main(["pretrain", "--config", workdir["config"], *inputs]) == 0
+    odd = f'{{"command": "pretrain", "epoch": {epoch}}}'
+    with open(out / "run_log.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(odd + "\n")
+    longer = tmp_path / "three.json"
+    longer.write_text(json.dumps(dict(TINY, pretrain_epochs=3)))
+    assert main(["pretrain", "--config", str(longer), *inputs, "--resume"]) == 0
+    log = (out / "run_log.jsonl").read_text().splitlines()
+    assert log[2] == odd
+    assert [json.loads(line)["epoch"] for line in log] == [1, 2, json.loads(odd)["epoch"], 3]
+
+
+def _rename(buffers, old, new):
+    buffers[new] = buffers.pop(old)
+
+
+@pytest.mark.parametrize("edit, name", [
+    (lambda b: _rename(b, "v.theta_v.weight", "x.theta_v.weight"), "x.theta_v.weight"),
+    (lambda b: b.update({"m.theta_v.weight": np.zeros(3)}), "m.theta_v.weight"),
+    (lambda b: b.update({"m.theta_v.weight": b["m.theta_v.weight"].T}), "m.theta_v.weight"),
+    (lambda b: b.pop("v.theta_v.bias"), "v.theta_v.bias"),
+], ids=["renamed", "short", "transposed", "dropped"])
+def test_resume_from_bad_optimizer_buffer_is_data_error(workdir, tmp_path, capsys,
+                                                        edit, name):
+    out = tmp_path / "run"
+    inputs = ["--kg", workdir["kg"], "--data", workdir["data"], "--out", str(out)]
+    assert main(["pretrain", "--config", workdir["config"], *inputs]) == 0
+    path = out / "checkpoint.akgp"
+    data = load_checkpoint(path)
+    edit(data.opt_buffers)
+    save_checkpoint(path, json.dumps(data.config), data.tensors, data.opt_buffers,
+                    data.stage, data.epochs_done, data.adam_t, data.rng_state)
+    before = path.read_bytes()
+    longer = tmp_path / "three.json"
+    longer.write_text(json.dumps(dict(TINY, pretrain_epochs=3)))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(longer), *inputs, "--resume"]) == 2
+    message = json.loads(capsys.readouterr().err.strip())["message"]
+    assert str(path) in message and name in message, message
+    assert path.read_bytes() == before
+
+
+def test_checkpoint_tensor_of_wrong_shape_is_data_error(workdir, tmp_path, capsys):
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(pre)]) == 0
+    data = load_checkpoint(pre / "checkpoint.akgp")
+    data.tensors["theta_a.w_out"] = data.tensors["theta_a.w_out"].T
+    bad = tmp_path / "bad.akgp"
+    save_checkpoint(bad, json.dumps(data.config), data.tensors, data.opt_buffers,
+                    data.stage, data.epochs_done, data.adam_t, data.rng_state)
+    capsys.readouterr()
+    assert main(["finetune", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--checkpoint", str(bad),
+                 "--out", str(tmp_path / "fine")]) == 2
+    assert "theta_a.w_out" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
 @pytest.mark.parametrize("change, key", [
     ({"lr": 0.01}, "lr"),
     ({"tau": 0.5}, "tau"),
@@ -286,6 +349,12 @@ def test_missing_config_is_usage_error(workdir, capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_missing_command_is_usage_error(capsys):
+    assert main([]) == 1
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "code": 1, "message": "missing command; try --help"}
 
 
 def test_bad_config_value_is_data_error(workdir, tmp_path, capsys):

@@ -99,11 +99,6 @@ def test_snapshot_is_deterministic():
     assert json.loads(a.snapshot_json())["tau"] == 0.07
 
 
-def test_embedded_width_tracks_d_m():
-    cfg = TrainConfig(d_m=48)
-    assert cfg.d_e == 48
-
-
 @pytest.mark.parametrize("payload, key", [
     ({"lr": "0.1"}, "lr"),
     ({"world": {"n_entities": "x"}}, "world.n_entities"),

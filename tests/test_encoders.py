@@ -45,7 +45,7 @@ def token_rows(token_lists, vocab=6):
 
 
 def encode_tokens(token_ids, params):
-    return encode_text_bow(token_rows([token_ids], params.vocab_size), params)
+    return encode_text_bow(token_rows([token_ids], params.token_table.shape[0]), params)
 
 
 def test_visual_zero_input_zero_bias():

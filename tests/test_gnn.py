@@ -18,7 +18,7 @@ def small_params(d_k, d_h, d_e, seed=0, trainable=False):
         b2=zeros([d_e]),
     )
     if trainable:
-        for _, t in p.named():
+        for t in vars(p).values():
             t.requires_grad_(True)
     return p
 

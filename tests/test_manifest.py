@@ -7,6 +7,7 @@ import platform
 import numpy as np
 
 import akgp
+from akgp.config import TrainConfig
 from akgp.manifest import digest_file, write_manifest
 
 
@@ -22,9 +23,9 @@ def test_write_manifest_record(tmp_path, monkeypatch):
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     inputs = {"kg": tmp_path / "kg.tsv"}
     inputs["kg"].write_text("a\tr\tb\n")
-    path = write_manifest(tmp_path, "pretrain", {"lr": 0.001},
-                          {"kg": str(inputs["kg"]), "config": None},
-                          ["checkpoint.akgp"], seed=7, wall_clock_seconds=1.5)
+    path = write_manifest(tmp_path, "pretrain", TrainConfig(lr=0.001, seed=7),
+                          [str(inputs["kg"]), None], ["checkpoint.akgp"],
+                          wall_clock_seconds=1.5)
     record = json.loads(open(path).read())
     assert record["command"] == "pretrain"
     assert record["seed"] == 7

@@ -1,5 +1,7 @@
 """Stage contracts, freeze guarantees, determinism, and evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from akgp.trainer import (
     evaluate,
     finetune_epoch,
     knowledge_matrix,
+    load_weights,
     make_run,
     pretrain_epoch,
     start_stage,
@@ -485,3 +488,23 @@ def test_fine_tuning_fails_at_the_oracle_step_and_term(overrides, perturb, term)
     assert outcome[0] == "error" and term in outcome[2]
     assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides, perturb)
 
+
+
+@pytest.mark.parametrize("edit, text", [
+    (lambda w: w.pop("theta_a.b_out"), "missing ['theta_a.b_out'], unexpected []"),
+    (lambda w: w.update({"theta_q.w": np.zeros(1)}), "missing [], unexpected ['theta_q.w']"),
+    (lambda w: w.update({"theta_a.b_out": np.zeros(7)}),
+     "tensor theta_a.b_out has shape (7,), model expects (3,)"),
+], ids=["missing", "unexpected", "shape"])
+def test_load_weights_takes_only_the_models_tensors(edit, text):
+    cfg, _, _, graph = tiny_setup()
+    state = make_run(cfg, graph)
+    weights = {name: t.data + 1.0 for name, t in state.model.named_tensors()}
+    load_weights(state, weights)
+    assert all(np.array_equal(t.data, weights[name]) for name, t in state.model.named_tensors())
+    edit(weights)
+    weights = {name: array + 1.0 for name, array in weights.items()}
+    before = [t.data.copy() for _, t in state.model.named_tensors()]
+    with pytest.raises(ValueError, match=re.escape(text)):
+        load_weights(state, weights)
+    assert all(np.array_equal(t.data, b) for (_, t), b in zip(state.model.named_tensors(), before))
