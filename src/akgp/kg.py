@@ -23,11 +23,18 @@ from .tensor import CsrMatrix, Tensor, xavier
 
 class TripleParseError(ValueError):
     """A triple line is malformed; carries the 1-based line number, None when
-    the file is not UTF-8 text."""
+    the file is not UTF-8 text. Its ``args`` are the line number, the message
+    and the file's path, if known, so it pickles to the same error."""
 
-    def __init__(self, line_no: int | None, message: str):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str, path=None):
+        super().__init__(line_no, message, path)
         self.line_no = line_no
+
+    def __str__(self) -> str:
+        line_no, message, path = self.args
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        return message if path is None else f"{path}: {message}"
 
 
 Triple = tuple[str, str, str]
@@ -63,10 +70,9 @@ def load_triples(path) -> list[Triple]:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_triples(fh)
     except UnicodeDecodeError as exc:
-        raise TripleParseError(None, f"{path}: not UTF-8 text: {exc}") from exc
+        raise TripleParseError(None, f"not UTF-8 text: {exc}", path) from exc
     except TripleParseError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+        raise TripleParseError(exc.line_no, exc.args[1], path) from None
 
 
 def save_triples(path, triples: Iterable[Triple]) -> None:

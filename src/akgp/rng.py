@@ -164,13 +164,12 @@ class Rng:
         u = (self.next_u64() >> 11) * 2.0 ** -53  # in [0, 1)
         return low + (high - low) * u
 
-    def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        """``n`` draws of :meth:`uniform` as a float64 array.
+    def _next_u64_array(self, n: int) -> np.ndarray:
+        """``n`` outputs of :meth:`next_u64` as uint64, with the same final state.
 
-        Bit-identical to ``n`` sequential ``uniform(low, high)`` calls, with the
-        same final state. The state steps in one loop, or from ``_LANES_FROM``
-        draws in lanes of 256 steps started by :func:`_jump`; the scrambler
-        then runs over each step's ``s1`` in wrapping uint64.
+        The state steps in one loop, or from ``_LANES_FROM`` draws in lanes of
+        256 steps started by :func:`_jump`; the scrambler then runs over each
+        step's ``s1`` in wrapping uint64.
         """
         if n < _LANES_FROM:
             seen = array.array("Q", [0]) * n
@@ -185,8 +184,12 @@ class Rng:
             _xoshiro_steps(starts, seen.T)
             seen = seen.reshape(-1)[:n]
         x = np.asarray(seen, dtype=np.uint64) * 5
-        x = ((x << 7) | (x >> 57)) * 9
-        return low + (high - low) * ((x >> 11) * 2.0 ** -53)
+        return ((x << 7) | (x >> 57)) * 9
+
+    def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """``n`` draws of :meth:`uniform` as a float64 array, bit-identical to
+        ``n`` sequential ``uniform(low, high)`` calls, with the same final state."""
+        return low + (high - low) * ((self._next_u64_array(n) >> 11) * 2.0 ** -53)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
@@ -205,7 +208,21 @@ class Rng:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle: from the last item down to the
+        second, item i swaps with item ``randrange(i + 1)``.
+
+        The ``len(items) - 1`` words are drawn at once. If one of them falls in
+        :meth:`randrange`'s rejection zone, which would take a redraw, the
+        shuffle starts again from the saved state one draw at a time.
+        """
+        saved = self._s
+        bounds = np.arange(len(items), 1, -1, dtype=np.uint64)
+        words = self._next_u64_array(len(bounds))
+        # a word is rejected when it is at least 2**64 - 2**64 % bound
+        if np.any(words + (0 - bounds) % bounds < words):
+            self._s = saved
+            picks = [self.randrange(i + 1) for i in range(len(items) - 1, 0, -1)]
+        else:
+            picks = (words % bounds).tolist()
+        for i, j in zip(range(len(items) - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]

@@ -7,11 +7,15 @@ given the entity: a model can only do better than memorizing entities by
 reading the attribute off the knowledge graph. The ablation trains five
 configurations of increasing knowledge integration on identical data and
 reports per-seed accuracies; a seed's configurations share its graph,
-initial model and pretraining.
+initial model and pretraining, and the seeds' work is shared out among
+the usable cores.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -176,40 +180,146 @@ def _weights(state: TrainerState) -> dict[str, np.ndarray]:
     return {name: tensor.data.copy() for name, tensor in state.model.named_tensors()}
 
 
-def _seed_cells(triples: list[Triple], train: list[Example], test: list[Example],
-                cfg: TrainConfig, seed: int) -> list[float]:
-    """Test accuracy of every configuration for one seed.
+def _unit_cells(pretrain: bool) -> list[int]:
+    """Indices into ``ABLATION_CONFIGS`` of the configurations that start from
+    the pretrained weights (``pretrain``) or from the initial ones."""
+    return [ci for ci, (_, _, from_pretrained) in enumerate(ABLATION_CONFIGS)
+            if from_pretrained == pretrain]
 
-    The cells share the seed's graph, initial model and collated splits,
-    and those that pretrain share one pretraining: it never reads the
-    variant, so each would reach the same weights.
+
+def _run_unit(triples: list[Triple], train: list[Example], test: list[Example],
+              cfg: TrainConfig, seed: int, pretrain: bool, accuracies: list[float]) -> None:
+    """Append to ``accuracies`` the test accuracy of each configuration of one
+    seed that starts from the pretrained weights (``pretrain``) or from the
+    initial ones, in the order of :func:`_unit_cells`.
+
+    A unit builds its seed's graph, initial model and collated splits, so it
+    can run in any process; its cells share them, and the pretrained cells
+    share one pretraining: it never reads the variant, so each would reach
+    the same weights.
     """
     seed_cfg = replace(cfg, seed=seed)
     graph = build_graph(triples, seed_cfg.d_k, derive_seed(seed, "graph"))
     state = make_run(seed_cfg, graph)
     train_batch, test_batch = collate_dataset(state, train), collate_dataset(state, test)
-    initial = _weights(state)
-    for _ in range(seed_cfg.pretrain_epochs):
-        pretrain_epoch(state, train_batch)
-    pretrained = _weights(state)
-    return [run_cell(state, pretrained if pretrain else initial, train_batch, test_batch,
-                     variant) for _, variant, pretrain in ABLATION_CONFIGS]
+    if pretrain:
+        for _ in range(seed_cfg.pretrain_epochs):
+            pretrain_epoch(state, train_batch)
+    weights = _weights(state)
+    for ci in _unit_cells(pretrain):
+        accuracies.append(run_cell(state, weights, train_batch, test_batch,
+                                   ABLATION_CONFIGS[ci][1]))
+
+
+def _run_share(share, triples, train, test, cfg) -> list:
+    """``(unit, accuracies, exception or None)`` for each ``(seed index, seed,
+    pretrain)`` unit of a share. A unit whose seed index is above that of a
+    failed unit is skipped: it cannot hold the first failure."""
+    results, failed_at = [], None
+    for unit in share:
+        index, seed, pretrain = unit
+        if failed_at is not None and index > failed_at:
+            continue
+        accuracies: list[float] = []
+        try:
+            _run_unit(triples, train, test, cfg, seed, pretrain, accuracies)
+        except Exception as exc:  # the caller raises the first in the serial order
+            results.append((unit, accuracies, exc))
+            failed_at = index
+        else:
+            results.append((unit, accuracies, None))
+    return results
+
+
+def _send_share(sender, share, triples, train, test, cfg) -> None:
+    sender.send(_run_share(share, triples, train, test, cfg))
+    sender.close()
+
+
+def _share_count(n_units: int) -> int:
+    """One share per usable core, at most one per unit; one share where fork
+    or the affinity mask is unavailable, or where another thread runs, which
+    could hold a lock that a forked child would wait on forever."""
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_units)
+
+
+def _run_units(triples, train, test, cfg, seeds: list[int]) -> list:
+    """Every unit's result, as :func:`_run_share` gives them.
+
+    Each seed is two units: its pretraining chain and its cells from the
+    initial weights. The units, longest first, are dealt in turn into one
+    share per usable core. The caller works share 0; each other share runs
+    in a forked child, which inherits the inputs without pickling and sends
+    its results back over a pipe. Every child is joined before this returns
+    or raises.
+    """
+    units = [(i, seed, pretrain) for pretrain in (True, False)
+             for i, seed in enumerate(seeds)]
+    n_shares = _share_count(len(units))
+    shares = [units[k::n_shares] for k in range(n_shares)]
+    context = multiprocessing.get_context("fork") if n_shares > 1 else None
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send_share,
+                                    args=(sender, share, triples, train, test, cfg))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        results = _run_share(shares[0], triples, train, test, cfg)
+        for child, receiver in children:
+            try:
+                results += receiver.recv()
+            except EOFError:  # it died without sending
+                child.join()
+                raise RuntimeError(f"ablation worker {child.pid} exited with code "
+                                   f"{child.exitcode} before sending its results") from None
+            child.join()
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():  # the caller was interrupted or a child died
+                child.terminate()
+            child.join()
+    return results
+
+
+def _serial_position(unit, accuracies: list[float]) -> tuple[int, int]:
+    """Where a failed unit stopped, in the order one process would run the
+    seeds: each seed's pretraining, then its cells in ``ABLATION_CONFIGS``
+    order."""
+    index, _, pretrain = unit
+    if pretrain and not accuracies:  # in set-up or pretraining
+        return index, -1
+    return index, _unit_cells(pretrain)[len(accuracies)]
 
 
 def run_ablation(triples: list[Triple], train: list[Example],
                  test: list[Example], cfg: TrainConfig, seeds: list[int]) -> list[AblationRow]:
-    """Train and evaluate the five configurations on identical splits, seed by seed."""
+    """Train and evaluate the five configurations on identical splits for
+    each seed, on every usable core. The rows do not depend on the core
+    count; a failure raises the exception that running the seeds one after
+    another in one process would raise."""
     if len(seeds) < 3:
         raise ValueError(f"need at least 3 seeds, got {len(seeds)}")
     train_ids = {id(ex) for ex in train}
     if any(id(ex) in train_ids for ex in test):
         raise ValueError("train and test splits overlap")
-    per_seed = [_seed_cells(triples, train, test, cfg, seed) for seed in seeds]
+    results = _run_units(triples, train, test, cfg, seeds)
+    failures = [(_serial_position(unit, accs), exc) for unit, accs, exc in results if exc]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    accuracy = {(index, ci): acc for (index, _, pretrain), accs, _ in results
+                for ci, acc in zip(_unit_cells(pretrain), accs)}
 
     rows: list[AblationRow] = []
     baseline_mean = None
     for ci, (name, _, _) in enumerate(ABLATION_CONFIGS):
-        accs = [cells[ci] for cells in per_seed]
+        accs = [accuracy[index, ci] for index in range(len(seeds))]
         mean = sum(accs) / len(accs)
         if baseline_mean is None:
             baseline_mean = mean

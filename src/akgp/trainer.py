@@ -55,11 +55,15 @@ STAGE_FINETUNE = 1
 
 
 class NumericError(RuntimeError):
-    """A non-finite loss appeared mid-run."""
+    """A non-finite loss appeared mid-run. Its ``args`` are the step and the
+    message, so it pickles to the same error."""
 
     def __init__(self, step: int, message: str):
-        super().__init__(f"step {step}: {message}")
+        super().__init__(step, message)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"step {self.step}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -425,7 +429,7 @@ def load_weights(state: TrainerState, tensors: dict[str, np.ndarray]) -> None:
         names[name].data[...] = array
 
 
-# config keys a resumed run may change: its epoch budget
+# config keys a resumed run may change: its epoch budget, in stage order
 RESUMABLE_CHANGES = ("pretrain_epochs", "finetune_epochs")
 
 
@@ -446,7 +450,8 @@ def load_state(path, cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
     moments, counters, stage and generator position.
 
     The one resume path. Only the epoch counts of ``cfg`` may differ from
-    the checkpoint's config (else ConfigError naming the keys). The stage
+    the checkpoint's config, and the saved stage's count may not fall below
+    the epochs it has done (else ConfigError naming the keys). The stage
     must be 0 or 1, and the optimizer buffers must be the ``m.`` and ``v.``
     moments of the tensors the stage trains, shaped like them, both for
     each once a step has run (else CheckpointError naming the buffer).
@@ -458,6 +463,10 @@ def load_state(path, cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
                           f"(differing keys: {', '.join(changed)})")
     if data.stage not in (STAGE_PRETRAIN, STAGE_FINETUNE):
         raise CheckpointError(f"checkpoint {path}: stage {data.stage} is neither 0 nor 1")
+    key = RESUMABLE_CHANGES[data.stage]
+    if getattr(cfg, key) < data.epochs_done:
+        raise ConfigError(f"{key}: {getattr(cfg, key)} is below the {data.epochs_done} "
+                          f"epochs checkpoint {path} has done")
     state = make_run(cfg, graph)
     load_weights(state, data.tensors)
     start_stage(state, data.stage)

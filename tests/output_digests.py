@@ -13,6 +13,10 @@ this process; the default world also runs ``akgp ablate --seed 0``. One
 line per output is printed: the world, the output and its sha256. Two
 checkouts whose lines are equal produce byte-identical outputs.
 
+The ablation runs a second time on one usable core, where the calling
+process runs every unit itself; the script exits 1 if that run's
+``ablation.csv`` differs from the first run's, on every usable core.
+
 The outputs' bits depend on the numpy version and, for the 3k world, on
 the number of BLAS threads, so both are printed first, to standard error,
 as one JSON line (from ``akgp.manifest.environment()``). Compare two
@@ -32,6 +36,7 @@ import json
 import os
 import sys
 import tempfile
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
@@ -85,9 +90,14 @@ def world_digests(root: str, config: dict, ablate: bool):
     yield "eval output", _sha256(_run(["eval", *inputs, "--checkpoint", fine_ckpt]))
     yield "retrieve output", _sha256(_run(["retrieve", *inputs, "--checkpoint", fine_ckpt]))
     if ablate:
-        out = os.path.join(root, "ablate")
+        out, serial = os.path.join(root, "ablate"), os.path.join(root, "ablate_one_core")
         _run(["ablate", *inputs, "--out", out, "--seed", "0"])
-        yield "ablation.csv", _file_digest(os.path.join(out, "ablation.csv"))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            _run(["ablate", *inputs, "--out", serial, "--seed", "0"])
+        digest = _file_digest(os.path.join(out, "ablation.csv"))
+        if _file_digest(os.path.join(serial, "ablation.csv")) != digest:
+            raise SystemExit("ablation.csv differs between one usable core and all of them")
+        yield "ablation.csv", digest
 
 
 def main(argv=None) -> int:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -255,6 +256,25 @@ def test_resume_with_changed_config_is_data_error(workdir, tmp_path, capsys, cha
     assert (out / "checkpoint.akgp").read_bytes() == before
 
 
+@pytest.mark.parametrize("command, key", [("pretrain", "pretrain_epochs"),
+                                          ("finetune", "finetune_epochs")])
+def test_resume_with_fewer_epochs_than_done_is_config_error(workdir, tmp_path, capsys,
+                                                            command, key):
+    out = tmp_path / "run"
+    inputs = ["--kg", workdir["kg"], "--data", workdir["data"], "--out", str(out)]
+    assert main([command, "--config", workdir["config"], *inputs]) == 0  # 2 epochs
+    before = {name: (out / name).read_bytes()
+              for name in ("checkpoint.akgp", "run_log.jsonl", "manifest.json")}
+    shorter = tmp_path / "one.json"
+    shorter.write_text(json.dumps(dict(TINY, **{key: 1})))
+    capsys.readouterr()
+    code = main([command, "--config", str(shorter), *inputs, "--resume"])
+    assert code == 2
+    message = json.loads(capsys.readouterr().err.strip())["message"]
+    assert message.startswith(f"{key}: 1 is below the 2 epochs")
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
 def test_retrieve_prints_json_lines(workdir, capsys):
     assert main(["retrieve", "--config", workdir["config"], "--kg", workdir["kg"],
                  "--data", workdir["data"]]) == 0
@@ -329,6 +349,40 @@ def test_ablate_ignores_akgp_threads(workdir, tmp_path, monkeypatch):
     assert main(["ablate", "--config", workdir["config"], "--kg", workdir["kg"],
                  "--data", workdir["data"], "--out", str(set_), "--seed", "1"]) == 0
     assert (unset / "ablation.csv").read_bytes() == (set_ / "ablation.csv").read_bytes()
+
+
+def _usable_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_ablate_writes_the_same_bytes_on_any_core_count(workdir, tmp_path, monkeypatch):
+    written = []
+    for cores in (1, 2, 3):
+        _usable_cores(monkeypatch, cores)
+        out = tmp_path / f"cores{cores}"
+        assert main(["ablate", "--config", workdir["config"], "--kg", workdir["kg"],
+                     "--data", workdir["data"], "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        written.append({name: (out / name).read_bytes()
+                        for name in ("ablation.csv", "ablation.md")})
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_ablate_numeric_failure_writes_one_stderr_line(workdir, tmp_path, monkeypatch,
+                                                       capfd, cores):
+    # capfd also sees what a forked child writes to the process's stderr
+    _usable_cores(monkeypatch, cores)
+    config = tmp_path / "huge_lr.json"
+    config.write_text(json.dumps(dict(TINY, lr=1e300)))
+    capfd.readouterr()
+    code = main(["ablate", "--config", str(config), "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(tmp_path / "abl")])
+    assert code == 3
+    err = capfd.readouterr().err
+    assert err == json.dumps({"code": 3,
+                              "message": "step 2: alignment loss became non-finite"}) + "\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_check_grads_exit_zero(capsys):

@@ -66,3 +66,51 @@ def test_jump_equals_one_lane_of_steps(state):
     for _ in range(_LANE):
         rng.next_u64()
     assert _jump(np.array(state, dtype=np.uint64)).tolist() == list(rng.get_state())
+
+
+def _shuffle_one_draw_at_a_time(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 1600, _LANES_FROM + 7])
+def test_shuffle_equals_one_draw_at_a_time(n):
+    for seed in range(20):
+        bulk, one_by_one = Rng(derive_seed(seed, "shuffle")), Rng(derive_seed(seed, "shuffle"))
+        got, expected = list(range(n)), list(range(n))
+        bulk.shuffle(got)
+        _shuffle_one_draw_at_a_time(one_by_one, expected)
+        assert got == expected
+        assert bulk.get_state() == one_by_one.get_state()
+
+
+def _state_whose_first_output_is(word):
+    """Invert the ** scrambler, rotl(s1 * 5, 7) * 9: the state's other words
+    do not enter the first output."""
+    mask = (1 << 64) - 1
+    x = (word * pow(9, -1, 1 << 64)) & mask
+    x = ((x >> 7) | (x << 57)) & mask
+    return (11, (x * pow(5, -1, 1 << 64)) & mask, 22, 33)
+
+
+def test_shuffle_redraws_a_word_in_the_rejection_zone():
+    # randrange(3) rejects only 2**64 - 1, the one word above 3 * (2**64 // 3)
+    state = _state_whose_first_output_is((1 << 64) - 1)
+    probe = Rng(0)
+    probe.set_state(state)
+    assert probe.next_u64() == (1 << 64) - 1
+    bulk, one_by_one = Rng(0), Rng(0)
+    bulk.set_state(state)
+    one_by_one.set_state(state)
+    got, expected = list("abc"), list("abc")
+    bulk.shuffle(got)
+    _shuffle_one_draw_at_a_time(one_by_one, expected)
+    assert got == expected
+    assert bulk.get_state() == one_by_one.get_state()
+    # the redraw consumed one word more than the shuffle's two
+    plain = Rng(0)
+    plain.set_state(state)
+    for _ in range(3):
+        plain.next_u64()
+    assert bulk.get_state() == plain.get_state()

@@ -1,5 +1,9 @@
 """World generation, dataset construction, and ablation harness mechanics."""
 
+import multiprocessing
+import os
+import pickle
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +12,7 @@ import pytest
 from akgp import synthbench, trainer
 from akgp.config import TrainConfig, WorldConfig
 from akgp.data import Example
-from akgp.kg import build_graph
+from akgp.kg import TripleParseError, build_graph
 from akgp.rng import Rng, derive_seed
 from akgp.synthbench import (
     ABLATION_CONFIGS,
@@ -25,6 +29,7 @@ from akgp.synthbench import (
 )
 from akgp.trainer import (
     STAGE_FINETUNE,
+    NumericError,
     collate_dataset,
     evaluate,
     finetune_epoch,
@@ -58,6 +63,12 @@ def run_cell_from_scratch(triples, train, test, cfg, variant, pretrain, seed):
     for _ in range(cell_cfg.finetune_epochs):
         finetune_epoch(state, train_batch, variant)
     return evaluate(state, test, variant)
+
+
+def usable_cores(monkeypatch, n):
+    """Make the ablation see ``n`` usable cores, so it deals its units into
+    ``n`` shares: the caller's and ``n - 1`` forked children's."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def small_spec(**overrides):
@@ -182,6 +193,9 @@ def test_run_ablation_structure_and_determinism():
 @pytest.mark.parametrize("freeze", [None, ["theta_k"], []],  # None: the default
                          ids=["default", "theta_k", "nothing"])
 def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
+    # on one core the caller runs every unit, so every evaluate call is seen:
+    # each seed's pretraining chain, then each seed's cells from the initial weights
+    usable_cores(monkeypatch, 1)
     cfg = tiny_cfg() if freeze is None else replace(tiny_cfg(), freeze=freeze)
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     train, test = split_dataset(gen_dataset(world, 60, seed=23))
@@ -195,13 +209,15 @@ def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
     monkeypatch.setattr(synthbench, "evaluate", recorded)
     run_ablation(world.triples, train, test, cfg, seeds)
     want = [run_cell_from_scratch(world.triples, train, test, cfg, variant, pretrain, seed)
-            for seed in seeds for _, variant, pretrain in ABLATION_CONFIGS]
+            for chain in (True, False) for seed in seeds
+            for _, variant, pretrain in ABLATION_CONFIGS if pretrain == chain]
     assert got == want
 
 
 def test_ablation_work_counts(monkeypatch):
-    # work-count guard: a seed's cells share one graph, one pretraining and
-    # one collation of each split
+    # work-count guard: each of a seed's two units builds one graph and
+    # collates each split once, and its pretrained cells share one pretraining
+    usable_cores(monkeypatch, 1)  # calls made in a child are not seen
     cfg = tiny_cfg()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     train, test = split_dataset(gen_dataset(world, 60, seed=24))
@@ -213,8 +229,110 @@ def test_ablation_work_counts(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
     run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
-    assert calls == {"build_graph": 3, "pretrain_epoch": 3 * cfg.pretrain_epochs,
-                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 3 * 2}
+    assert calls == {"build_graph": 3 * 2, "pretrain_epoch": 3 * cfg.pretrain_epochs,
+                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 3 * 2 * 2}
+
+
+def _tiny_splits(seed):
+    cfg = tiny_cfg()
+    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
+    return (world.triples, *split_dataset(gen_dataset(world, 60, seed=seed)))
+
+
+def test_rows_do_not_depend_on_the_core_count(monkeypatch):
+    triples, train, test = _tiny_splits(25)
+    rows = []
+    for cores in (1, 2, 3):
+        usable_cores(monkeypatch, cores)
+        rows.append(run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2]))
+        assert multiprocessing.active_children() == []
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+@pytest.mark.parametrize("failing, first", [
+    # seed 1's chain fails in a child and its +encoder cell in the caller
+    ({(1, "full"), (1, "+encoder")}, (1, "+encoder")),
+    # the child's first failure skips its later unit of seed 2
+    ({(2, "baseline"), (1, "full"), (0, "+encoder")}, (0, "+encoder")),
+    ({(2, "baseline"), (1, "full")}, (1, "full")),
+])
+def test_a_failed_cell_raises_the_first_failure_in_the_serial_order(monkeypatch, failing,
+                                                                    first):
+    triples, train, test = _tiny_splits(26)
+    # +retrieval and +alignment share a variant, so the cases name neither
+    names = {variant: name for name, variant, _ in ABLATION_CONFIGS}
+    real_run_cell = synthbench.run_cell
+
+    def failing_cell(state, weights, train_batch, test_batch, variant):
+        cell = (state.cfg.seed, names[variant])
+        if cell in failing:
+            raise ValueError(f"cell {cell} failed")
+        return real_run_cell(state, weights, train_batch, test_batch, variant)
+
+    monkeypatch.setattr(synthbench, "run_cell", failing_cell)
+    for cores in (1, 2, 3):
+        usable_cores(monkeypatch, cores)
+        with pytest.raises(ValueError) as raised:
+            run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+        assert str(raised.value) == f"cell {first} failed"
+        assert multiprocessing.active_children() == []
+
+
+def test_units_run_in_forked_children_unless_another_thread_runs(monkeypatch, tmp_path):
+    triples, train, test = _tiny_splits(28)
+    real_run_cell = synthbench.run_cell
+
+    def logged_cell(*args):
+        with open(tmp_path / "pids", "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_run_cell(*args)
+
+    def pids_of_cells():
+        path = tmp_path / "pids"
+        pids = path.read_text().split()
+        path.unlink()
+        return set(map(int, pids)), len(pids)
+
+    monkeypatch.setattr(synthbench, "run_cell", logged_cell)
+    usable_cores(monkeypatch, 3)
+    rows = run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+    pids, cells = pids_of_cells()
+    assert cells == 15 and len(pids) == 3 and os.getpid() in pids
+
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        assert run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2]) == rows
+    finally:
+        release.set()
+        waiting.join(timeout=60)
+    assert pids_of_cells() == ({os.getpid()}, 15)
+
+
+def test_no_child_outlives_a_dead_child_or_an_interrupted_caller(monkeypatch):
+    triples, train, test = _tiny_splits(29)
+    caller, real_run_cell = os.getpid(), synthbench.run_cell
+
+    def child_dies(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        return real_run_cell(*args)
+
+    def caller_interrupted(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return real_run_cell(*args)
+
+    usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(synthbench, "run_cell", child_dies)
+    with pytest.raises(RuntimeError, match="exited with code 7 before sending its results"):
+        run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(synthbench, "run_cell", caller_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+    assert multiprocessing.active_children() == []
 
 
 def test_run_ablation_validation():
@@ -265,3 +383,17 @@ def test_label_shuffled_control_at_default_scale():
     acc = run_cell_from_scratch(world.triples, train, test, cfg, variant, pretrain,
                                 seed=0)["accuracy"]
     assert abs(acc - 0.25) <= 0.05
+
+
+@pytest.mark.parametrize("error", [
+    NumericError(2, "alignment loss became non-finite"),
+    TripleParseError(3, "empty field"),
+    TripleParseError(3, "empty field", "kg.tsv"),
+    TripleParseError(None, "not UTF-8 text", "kg.tsv"),
+], ids=repr)
+def test_errors_pickle_to_the_same_error(error):
+    # a forked ablation worker sends its unit's exception to the caller
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) and copy.args == error.args
+    assert vars(copy) == vars(error)
