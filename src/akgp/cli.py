@@ -45,7 +45,6 @@ from .trainer import (
     finetune_epoch,
     knowledge_matrix,
     load_state,
-    load_weights,
     make_run,
     pretrain_epoch,
     save_state,
@@ -133,9 +132,8 @@ def _prepare_state(cfg, graph, args):
             raise DataError(
                 f"checkpoint {path} was saved in a different training stage")
         return state
-    state = make_run(cfg, graph)
-    if args.checkpoint:
-        load_weights(state, load_checkpoint(args.checkpoint).tensors)
+    weights = load_checkpoint(args.checkpoint).tensors if args.checkpoint else None
+    state = make_run(cfg, graph, weights)
     start_stage(state, args.stage)
     return state
 

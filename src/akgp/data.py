@@ -136,49 +136,15 @@ def write_examples(path, examples: list[Example]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _example(record, n_classes: int | None, width: int | None, nodes) -> Example:
-    """The example one parsed JSON line holds, its fields' types checked:
-    ``width`` finite image features, a label below ``n_classes`` (or
-    within int64), and a gold node in ``nodes``; a ``width`` or ``nodes``
-    of None is not checked."""
-    if not isinstance(record, dict):
-        raise DataError("expected a JSON object")
-    for name in ("image_features", "token_ids", "label"):
-        if name not in record:
-            raise DataError(f"missing field {name!r}")
-    features, tokens, label = record["image_features"], record["token_ids"], record["label"]
-    gold = record.get("gold_node")
-    # JSON parses to exact builtin types, and a bool is no number here
-    if not (type(features) is list and set(map(type, features)) <= {int, float}):
-        raise DataError("field 'image_features': must be a list of numbers")
-    if not (type(tokens) is list and set(map(type, tokens)) <= {int}):
-        raise DataError("field 'token_ids': must be a list of integers")
-    if type(label) is not int:
-        raise DataError("field 'label': must be an integer")
-    bound = 1 << 63 if n_classes is None else n_classes
-    if not 0 <= label < bound:
-        raise DataError(f"field 'label': {label} is not a class id in [0, {bound})")
-    if not (gold is None or type(gold) is str):
-        raise DataError("field 'gold_node': must be a string or null")
-    if gold is not None and nodes is not None and gold not in nodes:
-        raise DataError(f"gold node {gold!r} not present in the graph")
-    try:
-        finite = all(map(math.isfinite, features))
-    except OverflowError as exc:  # an integer beyond the float64 range
-        raise DataError(f"field 'image_features': {exc}") from exc
-    if not finite:
-        raise DataError("field 'image_features': must be finite numbers")
-    if width is not None and len(features) != width:
-        raise DataError(f"field 'image_features': {len(features)} numbers, expected {width}")
-    return Example(features, tokens, label, gold)
-
-
 def read_examples(path, n_classes: int | None = None, width: int | None = None,
                   nodes=None) -> list[Example]:
-    """The examples of a JSON-lines file, one per non-blank line; every
-    line's image features must have ``width`` numbers, or as many as the
-    first line's when ``width`` is None. ``nodes``, when given, holds the
-    graph's node ids, and every gold node must be one of them."""
+    """The examples of a JSON-lines file, one per non-blank line, read in one
+    pass. Each line is an object whose fields' types are checked: ``width``
+    finite image features (as many as the first line's when ``width`` is
+    None), a label below ``n_classes`` (or within int64), and a gold node in
+    ``nodes`` when that is given. A bad line raises DataError naming the
+    file, the line and the first check it fails."""
+    bound = 1 << 63 if n_classes is None else n_classes
     examples = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -187,13 +153,44 @@ def read_examples(path, n_classes: int | None = None, width: int | None = None,
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: line {line_no}: invalid JSON: {exc}") from exc
-                try:
-                    if width is None and examples:
-                        width = len(examples[0].image_features)
-                    examples.append(_example(record, n_classes, width, nodes))
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"invalid JSON: {exc}") from exc
+                    if not isinstance(record, dict):
+                        raise DataError("expected a JSON object")
+                    try:
+                        features, tokens, label = (record["image_features"],
+                                                   record["token_ids"], record["label"])
+                    except KeyError as exc:
+                        raise DataError(f"missing field {exc.args[0]!r}") from None
+                    gold = record.get("gold_node")
+                    # JSON parses to exact builtin types, and a bool is no number here
+                    if not (type(features) is list and set(map(type, features)) <= {int, float}):
+                        raise DataError("field 'image_features': must be a list of numbers")
+                    if not (type(tokens) is list and set(map(type, tokens)) <= {int}):
+                        raise DataError("field 'token_ids': must be a list of integers")
+                    if type(label) is not int:
+                        raise DataError("field 'label': must be an integer")
+                    if not 0 <= label < bound:
+                        raise DataError(f"field 'label': {label} is not a class id "
+                                        f"in [0, {bound})")
+                    if not (gold is None or type(gold) is str):
+                        raise DataError("field 'gold_node': must be a string or null")
+                    if gold is not None and nodes is not None and gold not in nodes:
+                        raise DataError(f"gold node {gold!r} not present in the graph")
+                    try:
+                        finite = all(map(math.isfinite, features))
+                    except OverflowError as exc:  # an integer beyond the float64 range
+                        raise DataError(f"field 'image_features': {exc}") from exc
+                    if not finite:
+                        raise DataError("field 'image_features': must be finite numbers")
+                    if width is None:
+                        width = len(features)
+                    elif len(features) != width:
+                        raise DataError(f"field 'image_features': {len(features)} numbers, "
+                                        f"expected {width}")
+                    examples.append(Example(features, tokens, label, gold))
                 except DataError as exc:
                     raise DataError(f"{path}: line {line_no}: {exc}") from exc
     except UnicodeDecodeError as exc:

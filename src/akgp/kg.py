@@ -10,6 +10,7 @@ not type the adjacency.
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -43,21 +44,28 @@ Triple = tuple[str, str, str]
 def parse_triples(source: str | Iterable[str]) -> list[Triple]:
     """Parse tab-separated triples, skipping blank lines and ``#`` comments.
 
-    Fields are stripped of surrounding whitespace. Duplicate triples are
-    retained; deduplication happens in :func:`build_graph`.
+    A string is split into lines where a text-mode file read splits it: at
+    each line feed, carriage return, or the pair of them. Fields are stripped
+    of surrounding whitespace. Duplicate triples are retained; deduplication
+    happens in :func:`build_graph`.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
     triples: list[Triple] = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
             continue
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) != 3:
-            raise TripleParseError(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        if any(not f for f in fields):
+        try:
+            head, relation, tail = line.split("\t")
+        except ValueError:
+            n_fields = line.count("\t") + 1
+            raise TripleParseError(
+                line_no, f"expected 3 tab-separated fields, got {n_fields}") from None
+        head, relation, tail = head.strip(), relation.strip(), tail.strip()
+        if not (head and relation and tail):
             raise TripleParseError(line_no, "empty field")
-        triples.append((fields[0], fields[1], fields[2]))
+        triples.append((head, relation, tail))
     return triples
 
 

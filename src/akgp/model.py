@@ -3,12 +3,15 @@
 Groups: visual encoder, text encoder, fusion, knowledge path (GNN weights
 plus the graph's node features), gate, and task adaptor. Weight matrices
 are xavier-initialized from seeds derived deterministically from the master
-seed; biases start at zero.
+seed, or left unfilled for a caller that copies every tensor in; biases
+start at zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import TrainConfig
 from .encoders import EncoderParams
@@ -65,14 +68,17 @@ class ModelParams:
         )
 
 
-def init_model(cfg: TrainConfig, graph: KnowledgeGraph) -> ModelParams:
+def init_model(cfg: TrainConfig, graph: KnowledgeGraph, fill: bool = True) -> ModelParams:
     """Create all parameter groups; adopts the graph's feature matrix into
-    the knowledge group so one freeze flag governs the whole knowledge path."""
+    the knowledge group so one freeze flag governs the whole knowledge path.
+    Without ``fill`` the weight matrices are allocated but not drawn."""
 
     shapes = cfg.weight_shapes()
 
     def mat(tag):
-        return xavier(shapes[tag][1], derive_seed(cfg.seed, tag)).requires_grad_(True)
+        shape = shapes[tag][1]
+        weight = xavier(shape, derive_seed(cfg.seed, tag)) if fill else Tensor(np.empty(shape))
+        return weight.requires_grad_(True)
 
     def vec(shape):
         return zeros(shape).requires_grad_(True)

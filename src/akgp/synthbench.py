@@ -13,7 +13,6 @@ the usable cores.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -240,6 +239,8 @@ def _share_count(n_units: int) -> int:
     """One share per usable core, at most one per unit; one share where fork
     or the affinity mask is unavailable, or where another thread runs, which
     could hold a lock that a forked child would wait on forever."""
+    import multiprocessing  # here, not at the top: no other command loads it
+
     if ("fork" not in multiprocessing.get_all_start_methods()
             or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
         return 1
@@ -256,6 +257,8 @@ def _run_units(triples, train, test, cfg, seeds: list[int]) -> list:
     its results back over a pipe. Every child is joined before this returns
     or raises.
     """
+    import multiprocessing
+
     units = [(i, seed, pretrain) for pretrain in (True, False)
              for i, seed in enumerate(seeds)]
     n_shares = _share_count(len(units))

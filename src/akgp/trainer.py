@@ -106,13 +106,17 @@ class TrainerState:
     cache: StageCache = field(default_factory=StageCache)  # replaced by start_stage
 
 
-def make_run(cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
+def make_run(cfg: TrainConfig, graph: KnowledgeGraph,
+             weights: dict[str, np.ndarray] | None = None) -> TrainerState:
     """A new run in the pretraining stage; an invalid ``cfg`` raises
-    ConfigError naming the key."""
+    ConfigError naming the key. Its parameters are drawn from the seed, or,
+    given ``weights``, allocated undrawn and filled by :func:`load_weights`."""
     cfg.validate()
-    model = init_model(cfg, graph)
+    model = init_model(cfg, graph, fill=weights is None)
     state = TrainerState(cfg=cfg, graph=graph, model=model, opt=AdamState(),
                          rng=Rng(derive_seed(cfg.seed, "stage.pretrain")))
+    if weights is not None:
+        load_weights(state, weights)
     start_stage(state, STAGE_PRETRAIN)
     return state
 
@@ -467,8 +471,7 @@ def load_state(path, cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
     if getattr(cfg, key) < data.epochs_done:
         raise ConfigError(f"{key}: {getattr(cfg, key)} is below the {data.epochs_done} "
                           f"epochs checkpoint {path} has done")
-    state = make_run(cfg, graph)
-    load_weights(state, data.tensors)
+    state = make_run(cfg, graph, data.tensors)
     start_stage(state, data.stage)
     trained = {name: t.data.shape for name, t in state.model.named_tensors()
                if t.requires_grad}

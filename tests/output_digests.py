@@ -15,7 +15,10 @@ checkouts whose lines are equal produce byte-identical outputs.
 
 The ablation runs a second time on one usable core, where the calling
 process runs every unit itself; the script exits 1 if that run's
-``ablation.csv`` differs from the first run's, on every usable core.
+``ablation.csv`` differs from the first run's, on every usable core. Each
+world's fine-tuning also runs one epoch short and is then resumed with
+``--resume`` to the full budget; the script exits 1 if that run's
+checkpoint or run log differs from the straight run's.
 
 The outputs' bits depend on the numpy version and, for the 3k world, on
 the number of BLAS threads, so both are printed first, to standard error,
@@ -41,6 +44,7 @@ from unittest import mock
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 from akgp import cli  # noqa: E402
+from akgp.config import parse_config  # noqa: E402
 from akgp.manifest import environment  # noqa: E402
 
 WORLDS = [
@@ -83,6 +87,15 @@ def world_digests(root: str, config: dict, ablate: bool):
     pre_ckpt = os.path.join(pre, "checkpoint.akgp")
     _run(["finetune", *inputs, "--out", fine, "--checkpoint", pre_ckpt])
     fine_ckpt = os.path.join(fine, "checkpoint.akgp")
+    short_cfg, resumed = os.path.join(root, "short.json"), os.path.join(root, "resumed")
+    with open(short_cfg, "w", encoding="utf-8") as fh:
+        json.dump(dict(config, finetune_epochs=parse_config(cfg).finetune_epochs - 1), fh)
+    _run(["finetune", "--config", short_cfg, *inputs[2:], "--out", resumed,
+          "--checkpoint", pre_ckpt])
+    _run(["finetune", *inputs, "--out", resumed, "--resume"])
+    for name in ("checkpoint.akgp", "run_log.jsonl"):
+        if _file_digest(os.path.join(resumed, name)) != _file_digest(os.path.join(fine, name)):
+            raise SystemExit(f"{name} differs between a resumed fine-tuning and a straight one")
     yield "pretrain checkpoint", _file_digest(pre_ckpt)
     yield "pretrain run log", _file_digest(os.path.join(pre, "run_log.jsonl"))
     yield "finetune checkpoint", _file_digest(fine_ckpt)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import akgp.cli
+import akgp.model
 from akgp.checkpoint import load_checkpoint, save_checkpoint
 from akgp.cli import main
 from akgp.config import TrainConfig, WorldConfig
@@ -217,22 +218,6 @@ def test_resume_from_bad_optimizer_buffer_is_data_error(workdir, tmp_path, capsy
     message = json.loads(capsys.readouterr().err.strip())["message"]
     assert str(path) in message and name in message, message
     assert path.read_bytes() == before
-
-
-def test_checkpoint_tensor_of_wrong_shape_is_data_error(workdir, tmp_path, capsys):
-    pre = tmp_path / "pre"
-    assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
-                 "--data", workdir["data"], "--out", str(pre)]) == 0
-    data = load_checkpoint(pre / "checkpoint.akgp")
-    data.tensors["theta_a.w_out"] = data.tensors["theta_a.w_out"].T
-    bad = tmp_path / "bad.akgp"
-    save_checkpoint(bad, json.dumps(data.config), data.tensors, data.opt_buffers,
-                    data.stage, data.epochs_done, data.adam_t, data.rng_state)
-    capsys.readouterr()
-    assert main(["finetune", "--config", workdir["config"], "--kg", workdir["kg"],
-                 "--data", workdir["data"], "--checkpoint", str(bad),
-                 "--out", str(tmp_path / "fine")]) == 2
-    assert "theta_a.w_out" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
 @pytest.mark.parametrize("change, key", [
@@ -467,6 +452,67 @@ def test_unknown_config_key_is_data_error(workdir, tmp_path, capsys):
                  "--data", workdir["data"]]) == 2
 
 
+def _no_parameter_draws(monkeypatch):
+    """Make every draw of a model parameter fail; the graph's node features
+    are drawn elsewhere."""
+    def draw(*args, **kwargs):
+        raise AssertionError("a model parameter was drawn")
+    monkeypatch.setattr(akgp.model, "xavier", draw)
+
+
+def test_checkpoint_started_commands_draw_no_parameters(workdir, tmp_path, monkeypatch):
+    inputs = ["--config", workdir["config"], "--kg", workdir["kg"], "--data", workdir["data"]]
+    pre = tmp_path / "pre"
+    assert main(["pretrain", *inputs, "--out", str(pre)]) == 0
+    checkpoint = ["--checkpoint", str(pre / "checkpoint.akgp")]
+
+    def outputs(tag):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["finetune", *inputs, *checkpoint, "--out", str(tmp_path / tag)]) == 0
+            assert main(["eval", *inputs, *checkpoint]) == 0
+            assert main(["retrieve", *inputs, *checkpoint]) == 0
+        files = [(tmp_path / tag / name).read_bytes()
+                 for name in ("checkpoint.akgp", "run_log.jsonl")]
+        return out.getvalue(), files
+
+    expected = outputs("drawn")
+    _no_parameter_draws(monkeypatch)
+    assert outputs("loaded") == expected
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(dict(TINY, pretrain_epochs=3)))
+    assert main(["pretrain", "--config", str(longer), "--kg", workdir["kg"],
+                 "--data", workdir["data"], "--out", str(pre), "--resume"]) == 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.pop("theta_a.w_out"),
+     "weights do not match model (missing ['theta_a.w_out'], unexpected [])"),
+    (lambda t: t.update({"theta_q.w": np.zeros(2)}),
+     "weights do not match model (missing [], unexpected ['theta_q.w'])"),
+    (lambda t: t.update({"theta_a.w_out": t["theta_a.w_out"].T}),
+     "tensor theta_a.w_out has shape (2, 8), model expects (8, 2)"),
+], ids=["missing", "extra", "misshapen"])
+@pytest.mark.parametrize("resume", [False, True], ids=["checkpoint", "resume"])
+def test_checkpoint_of_other_tensors_is_data_error(workdir, tmp_path, capsys, edit, message,
+                                                   resume):
+    pre = tmp_path / "pre"
+    inputs = ["--config", workdir["config"], "--kg", workdir["kg"], "--data", workdir["data"]]
+    assert main(["pretrain", *inputs, "--out", str(pre)]) == 0
+    path = pre / "checkpoint.akgp"
+    data = load_checkpoint(path)
+    edit(data.tensors)
+    save_checkpoint(path, json.dumps(data.config), data.tensors, data.opt_buffers,
+                    data.stage, data.epochs_done, data.adam_t, data.rng_state)
+    capsys.readouterr()
+    if resume:
+        argv = ["pretrain", *inputs, "--out", str(pre), "--resume"]
+    else:
+        argv = ["finetune", *inputs, "--out", str(tmp_path / "fine"), "--checkpoint", str(path)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err) == {"code": 2, "message": message}
+
+
 def test_corrupt_checkpoint_is_data_error(workdir, tmp_path, capsys):
     bad = tmp_path / "bad.akgp"
     bad.write_bytes(b"NOPE" + b"\x00" * 50)
@@ -602,21 +648,34 @@ def test_nan_during_finetune_exits_numeric(workdir, tmp_path, capsys):
     assert err["code"] == 3 and "step 1" in err["message"]
 
 
+def _python(*args):
+    """A new interpreter's run of ``args``, importing akgp from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_numeric_failure_writes_one_stderr_line(workdir, tmp_path):
     """numpy's overflow warnings must not reach stderr ahead of the JSON line."""
     config = tmp_path / "overflow.json"
     config.write_text(json.dumps(dict(TINY, lambda1=1e308, freeze=["theta_v"])))
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run(
-        [sys.executable, "-m", "akgp.cli", "finetune", "--config", str(config),
-         "--kg", workdir["kg"], "--data", workdir["data"], "--out", str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=120)
+    result = _python("-m", "akgp.cli", "finetune", "--config", str(config),
+                     "--kg", workdir["kg"], "--data", workdir["data"],
+                     "--out", str(tmp_path / "run"))
     assert result.returncode == 3
     lines = result.stderr.splitlines()
     assert len(lines) == 1, result.stderr
     assert json.loads(lines[0])["code"] == 3
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    """Only ``akgp ablate`` forks, so no other command pays for the import."""
+    result = _python("-c", "import sys, akgp.cli; "
+                           "print(sorted(m for m in sys.modules if 'multiprocessing' in m))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", ["kg", "data"])
@@ -638,6 +697,60 @@ def test_malformed_kg_is_data_error(workdir, tmp_path, capsys):
                  "--data", workdir["data"]])
     _assert_data_error(capsys, code,
                        f"{bad}: line 2: expected 3 tab-separated fields, got 1")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"label": 1} x', "invalid JSON: Extra data: line 1 column 14 (char 13)"),
+    ('{"label": 1', "invalid JSON: Expecting ',' delimiter: line 1 column 12 (char 11)"),
+    ("\ufeff{}", "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                 "line 1 column 1 (char 0)"),
+    ("[1]", "expected a JSON object"),
+    ({"image_features": None}, "missing field 'image_features'"),
+    ({"token_ids": None}, "missing field 'token_ids'"),
+    ({"label": None}, "missing field 'label'"),
+    ({"image_features": [0.5] * 5 + ["1"]}, "field 'image_features': must be a list of numbers"),
+    ({"image_features": [0.5] * 5 + [True]}, "field 'image_features': must be a list of numbers"),
+    ({"image_features": 0.5}, "field 'image_features': must be a list of numbers"),
+    ({"token_ids": [1, 1.0]}, "field 'token_ids': must be a list of integers"),
+    ({"token_ids": {"0": 1}}, "field 'token_ids': must be a list of integers"),
+    ({"token_ids": []}, "token sequence must be non-empty"),
+    ({"label": 1.0}, "field 'label': must be an integer"),
+    ({"label": False}, "field 'label': must be an integer"),
+    ({"label": -1}, "field 'label': -1 is not a class id in [0, 2)"),
+    ({"label": 2}, "field 'label': 2 is not a class id in [0, 2)"),
+    ({"gold_node": 3}, "field 'gold_node': must be a string or null"),
+    ({"gold_node": "nowhere"}, "gold node 'nowhere' not present in the graph"),
+    ({"image_features": [0.5] * 5 + [float("nan")]},
+     "field 'image_features': must be finite numbers"),
+    ({"image_features": [0.5] * 5 + [10**400]},
+     "field 'image_features': int too large to convert to float"),
+    ({"image_features": [0.5] * 7}, "field 'image_features': 7 numbers, expected 6"),
+    # the first failing check names the error
+    ({"token_ids": "x", "label": "x"}, "field 'token_ids': must be a list of integers"),
+    ({"label": 99, "gold_node": 3}, "field 'label': 99 is not a class id in [0, 2)"),
+    ({"gold_node": "nowhere", "image_features": [float("inf")]},
+     "gold node 'nowhere' not present in the graph"),
+    ({"image_features": [float("inf")], "token_ids": []},
+     "field 'image_features': must be finite numbers"),
+])
+def test_dataset_errors_name_the_line_counting_blank_lines(workdir, tmp_path, capsys,
+                                                           line, message):
+    """The exact message of each dataset error under ``akgp eval``; the bad
+    record is line 4, after a valid one, a blank line and a blank-looking one."""
+    with open(workdir["data"]) as fh:
+        first, second = fh.readline(), json.loads(fh.readline())
+    if isinstance(line, dict):  # fields to set, or to drop where None
+        record = {k: v for k, v in dict(second, **line).items()
+                  if not (k in line and line[k] is None)}
+        line = json.dumps(record)
+    data = tmp_path / "bad.jsonl"
+    data.write_text(first + "\n \t\n" + line + "\n" + first, encoding="utf-8")
+    code = main(["eval", "--config", workdir["config"], "--kg", workdir["kg"],
+                 "--data", str(data)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "code": 2, "message": f"{data}: line 4: {message}"}
 
 
 @pytest.fixture(scope="module")

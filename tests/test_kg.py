@@ -10,7 +10,9 @@ from akgp.config import ConfigError
 from akgp.kg import (
     TripleParseError,
     build_graph,
+    load_triples,
     parse_triples,
+    save_triples,
     serialize_triples,
     subgraph_stats,
 )
@@ -42,6 +44,65 @@ def test_parse_rejects_empty_field():
 def test_serialize_round_trip():
     triples = [("a", "r", "b"), ("b", "s", "c"), ("a", "r", "b")]
     assert parse_triples(serialize_triples(triples)) == triples
+
+
+# every character str.splitlines breaks on that a text-mode file read keeps
+# inside a line
+LINE_INNER = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", LINE_INNER)
+def test_parse_splits_lines_as_a_file_read_does(tmp_path, char):
+    triples = [(f"a{char}b", "r", "c"), ("d", f"s{char}t", "e")]
+    text = serialize_triples(triples)
+    assert parse_triples(text) == triples
+    save_triples(tmp_path / "kg.tsv", triples)
+    assert load_triples(tmp_path / "kg.tsv") == triples
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a\tr\tb\nx\ty\n", "line 2: expected 3 tab-separated fields, got 2"),
+    ("a\tr\tb\nw\tx\ty\tz\n", "line 2: expected 3 tab-separated fields, got 4"),
+    ("a\tr\t \n", "line 1: expected 3 tab-separated fields, got 2"),  # the line is stripped
+    ("\n# c\na\t\tb\n", "line 3: empty field"),
+    ("a\t \tb\n", "line 1: empty field"),
+    ("a\tr\tb\r\nc\ts\r\n", "line 2: expected 3 tab-separated fields, got 2"),
+    ("a\tr\tb\rc\ts\r", "line 2: expected 3 tab-separated fields, got 2"),
+])
+def test_parse_error_messages(tmp_path, text, expected):
+    with pytest.raises(TripleParseError) as exc:
+        parse_triples(text)
+    assert str(exc.value) == expected
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(TripleParseError) as exc:
+        load_triples(path)
+    assert str(exc.value) == f"{path}: {expected}"
+    assert exc.value.line_no == int(expected.split(":")[0].split()[1])
+
+
+@pytest.mark.parametrize("text", [
+    "a\tr\tb\r\nc\ts\td\r\n",
+    "a\tr\tb\rc\ts\td",
+    "   # a comment with leading spaces\n\t# and a tab\na\tr\tb\n \t \nc\ts\td\n",
+    " a \t r\t b \nc\ts\td",
+])
+def test_parse_skips_comments_and_blank_lines_and_strips_fields(tmp_path, text):
+    expected = [("a", "r", "b"), ("c", "s", "d")]
+    assert parse_triples(text) == expected
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_triples(path) == expected
+
+
+def test_non_utf8_triples_name_the_file(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(b"a\tr\tb\n\xff\n")
+    with pytest.raises(TripleParseError) as exc:
+        load_triples(path)
+    assert exc.value.line_no is None
+    assert str(exc.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode "
+                              "byte 0xff in position 6: invalid start byte")
 
 
 def test_build_graph_two_nodes():

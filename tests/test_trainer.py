@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import akgp.model
 from akgp.config import TrainConfig, WorldConfig
 from akgp.kg import build_graph
 from akgp.losses import align_loss_batch, loss_cls_batch, loss_total
@@ -24,9 +25,11 @@ from akgp.trainer import (
     evaluate,
     finetune_epoch,
     knowledge_matrix,
+    load_state,
     load_weights,
     make_run,
     pretrain_epoch,
+    save_state,
     start_stage,
 )
 
@@ -508,3 +511,30 @@ def test_load_weights_takes_only_the_models_tensors(edit, text):
     with pytest.raises(ValueError, match=re.escape(text)):
         load_weights(state, weights)
     assert all(np.array_equal(t.data, b) for (_, t), b in zip(state.model.named_tensors(), before))
+    with pytest.raises(ValueError, match=re.escape(text)):
+        make_run(cfg, graph, weights)
+
+
+def test_runs_from_weights_draw_nothing_and_own_their_arrays(monkeypatch, tmp_path):
+    cfg, _, data, graph = tiny_setup()
+    drawn = make_run(cfg, graph)
+    pretrain_epoch(drawn, data)
+    weights = {name: t.data.copy() for name, t in drawn.model.named_tensors()}
+    save_state(tmp_path / "run.akgp", drawn)
+    graphs = [tiny_setup()[3] for _ in range(3)]  # the node features are drawn here
+    expected = make_run(cfg, graphs[0])
+    load_weights(expected, weights)
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a model parameter was drawn")
+
+    monkeypatch.setattr(akgp.model, "xavier", draw)
+    runs = [make_run(cfg, graphs[1], weights), load_state(tmp_path / "run.akgp", cfg, graphs[2])]
+    for run in runs:
+        assert [name for name, _ in run.model.named_tensors()] == list(weights)
+        for (_, t), (_, e) in zip(run.model.named_tensors(), expected.model.named_tensors()):
+            assert t.data.dtype == e.data.dtype and t.data.shape == e.data.shape
+            assert t.data.tobytes() == e.data.tobytes() and t.data.flags.writeable
+    arrays = [t.data for run in (expected, *runs) for _, t in run.model.named_tensors()]
+    arrays += list(weights.values())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
