@@ -10,11 +10,12 @@ through the returned live row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng, splitmix64_array
+from .rng import Rng, splitmix64_array, splitmix64_finish, splitmix64_skip
 from .tensor import COSINE_EPS, ShapeError, Tensor, gather_rows, reshape, row_norms
 
 
@@ -92,21 +93,42 @@ def retrieve_top1(query: Tensor, knowledge: Tensor) -> RetrievalResult:
     return retrieve_topk(query, knowledge, 1)[0]
 
 
+_BLOCK_KEYS = 1 << 15  # keys of one block of sampled rows: 256 KB, cache-sized
+_MAX_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _candidate_budget(count: int) -> int:  # keys per row a block's bound keeps, about
+    return 4 * count + 16
+
+
+def _smallest(keys: np.ndarray, count: int, positives=None) -> np.ndarray:
+    """Columns of each row's ``count`` smallest keys, ascending, once the
+    ``positives`` columns hold the maximum; short rows sort whole, faster."""
+    rows = np.arange(len(keys))[:, None]
+    if positives is not None:
+        keys[rows[:, 0], positives] = _MAX_KEY
+    if keys.shape[1] <= 2 * _candidate_budget(count):
+        return np.argsort(keys, axis=1)[:, :count]
+    chosen = np.argpartition(keys, count - 1, axis=1)[:, :count]
+    return chosen[rows, np.argsort(keys[rows, chosen], axis=1, kind="stable")]
+
+
 def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
                            rng: Rng, group_sizes=None) -> np.ndarray:
     """Negatives for a whole batch from one draw of the sequential stream
     per group of rows.
 
-    Each node gets an independent 64-bit key (counter-based expansion of a
-    single generator word); the row's positive is masked to the maximum key
-    and the ``count`` smallest remaining keys, in ascending key order, are
-    the sample. Per row this is exactly uniform without replacement over the
-    non-positive nodes. splitmix64 maps distinct counters to distinct words,
-    so no two keys tie and a partial selection equals a full sort's prefix.
-
-    ``group_sizes`` splits the rows into consecutive groups, each expanded
-    from its own word of the stream in order, so one call gives what one
-    call per group would; by default all rows form one group.
+    Each node gets an independent 64-bit splitmix64 key, expanded from one
+    generator word per group (row j of a group continues its counters after
+    ``j * n_nodes`` keys); the row's positive is masked to the maximum key
+    and the ``count`` smallest remaining keys, ascending, are the sample:
+    exactly uniform without replacement over the non-positive nodes. Keys
+    are distinct, so any exact selection equals a full sort's prefix, and
+    one call gives what one call per group (``group_sizes``; by default one
+    group) would. Past ``_BLOCK_KEYS`` keys, blocks of rows are expanded
+    into one buffer and only keys below a power of two (about
+    ``_candidate_budget(count)`` per row) kept; a row left with fewer than
+    ``count``, which is rare, is expanded again whole.
     """
     positives = np.asarray(positive_indices, dtype=np.int64)
     if count < 1:
@@ -114,16 +136,43 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     if count > n_nodes - 1:
         raise ValueError(
             f"cannot draw {count} negatives from {n_nodes} nodes excluding the positive")
-    n_rows = positives.shape[0]
+    if positives.ndim != 1:
+        raise ValueError(f"positives must be 1-d, got shape {positives.shape}")
+    n_rows = len(positives)
+    if n_rows and positives.view(np.uint64).max() >= n_nodes:  # a negative wraps above
+        row = int(np.argmax((positives < 0) | (positives >= n_nodes)))
+        raise ValueError(f"row {row}: positive {positives[row]} is not a node in [0, {n_nodes})")
     sizes = [n_rows] if group_sizes is None else [int(n) for n in group_sizes]
     if not sizes or sum(sizes) != n_rows:
         raise ValueError(f"group sizes {sizes} do not add up to {n_rows} rows")
-    keys = splitmix64_array([rng.next_u64() for _ in sizes], max(sizes) * n_nodes)
-    if min(sizes) != max(sizes):  # shorter groups use a prefix of their row
-        keys = np.concatenate([row[:n * n_nodes] for row, n in zip(keys, sizes)])
-    keys = keys.reshape(n_rows, n_nodes)
-    rows = np.arange(n_rows)[:, None]
-    keys[rows[:, 0], positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
-    chosen = np.argpartition(keys, count - 1, axis=1)[:, :count]
-    order = np.argsort(keys[rows, chosen], axis=1, kind="stable")
-    return chosen[rows, order].astype(np.int64)
+    words = [rng.next_u64() for _ in sizes]
+    # 2**-shift of the keys fall below the bound: about the budget per row
+    shift = round(math.log2((n_nodes - 1) / _candidate_budget(count)))
+    if n_rows * n_nodes <= _BLOCK_KEYS or shift < 1:  # one block, or no keys to drop
+        keys = splitmix64_array(words, max(sizes) * n_nodes)
+        if min(sizes) != max(sizes):  # shorter groups use a prefix of their row
+            keys = np.concatenate([row[:n * n_nodes] for row, n in zip(keys, sizes)])
+        return _smallest(keys.reshape(n_rows, n_nodes), count, positives)
+    steps = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    seeds = splitmix64_skip(np.repeat(np.array(words, dtype=np.uint64), sizes), steps * n_nodes)
+    bound = np.uint64(1 << (64 - shift))  # splitmix64_finish keeps which words are below it
+    buffer = np.empty((_BLOCK_KEYS // n_nodes or 1, n_nodes), dtype=np.uint64)
+    flat, key = [], []
+    for lo in range(0, n_rows, len(buffer)):
+        block = splitmix64_array(seeds[lo:lo + len(buffer)], n_nodes, buffer[:n_rows - lo],
+                                 finish=False)
+        block[np.arange(len(block)), positives[lo:lo + len(buffer)]] = _MAX_KEY
+        found = np.flatnonzero(block < bound)
+        flat.append(found + lo * n_nodes)
+        key.append(splitmix64_finish(block.reshape(-1)[found]))
+    row, node = np.divmod(np.concatenate(flat), n_nodes)
+    have = np.bincount(row, minlength=n_rows)
+    first = np.cumsum(have) - have
+    grid = np.full((n_rows, max(count, int(have.max()))), _MAX_KEY)
+    grid[row, np.arange(len(row)) - first[row]] = np.concatenate(key)  # left-aligned
+    sample = np.empty((n_rows, count), dtype=np.int64)
+    full = have >= count
+    sample[full] = node[first[full, None] + _smallest(grid[full], count)]
+    short = np.flatnonzero(~full)
+    sample[short] = _smallest(splitmix64_array(seeds[short], n_nodes), count, positives[short])
+    return sample

@@ -42,11 +42,13 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def splitmix64_array(seed, count: int) -> np.ndarray:
+def splitmix64_array(seed, count: int, out=None, finish: bool = True) -> np.ndarray:
     """``count`` splitmix64 outputs for counters 1..count, as uint64.
 
     Bit-identical to calling :func:`splitmix64` sequentially from ``seed``.
     A sequence of seeds gives a (len(seed), count) array, one row per seed.
+    ``out`` (uint64, of the result's shape) receives it. ``finish=False``
+    leaves the last step to :func:`splitmix64_finish`.
     """
     if np.ndim(seed):
         start = np.asarray(seed, dtype=np.uint64)[:, None]
@@ -54,13 +56,29 @@ def splitmix64_array(seed, count: int) -> np.ndarray:
         start = np.uint64(seed & _MASK64)
     z = np.arange(1, count + 1, dtype=np.uint64)  # array arithmetic wraps silently
     z *= _GAMMA
-    z = z + start
+    z = np.add(z, start, out=out)
     z ^= z >> _SHIFT30
     z *= _MIX1
     z ^= z >> _SHIFT27
     z *= _MIX2
+    return splitmix64_finish(z) if finish else z
+
+
+def splitmix64_finish(z: np.ndarray) -> np.ndarray:
+    """splitmix64's last step, ``z ^= z >> 31``, in place; returns ``z``.
+
+    An unfinished word is below ``2**b`` exactly when its output is, for any
+    b. Output bit k is ``z[k] ^ z[k + 31]`` (zero above bit 63): if z's bits
+    b..63 are zero, so are the output's; conversely, from bit 63 down, each
+    output bit k >= b is ``z[k]`` xor a higher bit already shown zero.
+    """
     z ^= z >> _SHIFT31
     return z
+
+
+def splitmix64_skip(seed, steps) -> np.ndarray:
+    """The uint64 splitmix64 state ``steps`` outputs after ``seed``."""
+    return np.asarray(seed, dtype=np.uint64) + np.asarray(steps, dtype=np.uint64) * _GAMMA
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -79,10 +97,6 @@ def derive_seed(seed: int, tag: str) -> int:
     """
     _, mixed = splitmix64((seed & _MASK64) ^ fnv1a_64(tag.encode("utf-8")))
     return mixed
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 def _xoshiro_steps(state, seen):
@@ -131,12 +145,7 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        s = seed & _MASK64
-        words = []
-        for _ in range(4):
-            s, z = splitmix64(s)
-            words.append(z)
-        self._s = words
+        self._s = splitmix64_array(seed, 4).tolist()
 
     def get_state(self) -> tuple[int, int, int, int]:
         return tuple(self._s)
@@ -148,17 +157,9 @@ class Rng:
         self._s = words
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        x = (self._s[1] * 5) & _MASK64
+        self._s = _xoshiro_steps(self._s, [0])
+        return (((x << 7) | (x >> 57)) * 9) & _MASK64
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0 ** -53  # in [0, 1)

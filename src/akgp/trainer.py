@@ -257,8 +257,8 @@ def _check_finite(value: float, step: int, what: str) -> None:
         raise NumericError(step, f"{what} became non-finite")
 
 
-# 8-byte words of working memory (512 KB) one evaluation of frozen
-# alignment terms works on: it takes whole steps until their rows reach it
+# 8-byte words of working memory (512 KB) one evaluation of frozen alignment
+# terms works on: it takes whole steps until their rows' knowledge reaches it
 _ALIGN_WORDS = 1 << 16
 
 
@@ -266,15 +266,13 @@ def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[fl
     """Each step's alignment term, a constant of its loss when the fused
     rows and the knowledge are frozen.
 
-    Whole steps are evaluated together until their rows' working memory
-    (``row_words`` each) reaches ``_ALIGN_WORDS``. Negatives take one stream
-    word per step, in step order, and the loss is row by row, so each step
-    gets the bits it would have had alone.
+    Whole steps are evaluated together until the knowledge rows their rows
+    read (``row_words`` each) reach ``_ALIGN_WORDS``. Negatives take one
+    stream word per step, in step order, and the loss is row by row, so each
+    step gets the bits it would have had alone.
     """
-    cfg, cache = state.cfg, state.cache
-    knowledge = cache.knowledge
-    n_nodes, width = knowledge.shape
-    row_words = n_nodes + (cfg.n_negatives + 1) * width  # sampling keys, knowledge rows
+    cfg, cache, knowledge = state.cfg, state.cache, state.cache.knowledge
+    row_words = (cfg.n_negatives + 1) * knowledge.shape[1]
     terms, group = [], []
     for i, rows in enumerate(steps):
         group.append(rows)
@@ -284,7 +282,7 @@ def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[fl
         positives = np.concatenate([
             _positive_indices(cfg, cache.batch.gold_indices[r], None, knowledge,
                               cache.retrieved[r]) for r in group])
-        negatives = sample_negatives_batch(positives, n_nodes, cfg.n_negatives,
+        negatives = sample_negatives_batch(positives, knowledge.shape[0], cfg.n_negatives,
                                            state.rng, sizes)
         per_row = align_loss_rows(Tensor(cache.fused[np.concatenate(group)]), knowledge,
                                   positives, negatives, cfg.tau, cfg.denominator,

@@ -1,4 +1,4 @@
-"""Print the sha256 of every output of two regenerated worlds.
+"""Print the sha256 of every output of three regenerated worlds.
 
 Usage, from any directory::
 
@@ -20,10 +20,12 @@ world's fine-tuning also runs one epoch short and is then resumed with
 ``--resume`` to the full budget; the script exits 1 if that run's
 checkpoint or run log differs from the straight run's.
 
-The outputs' bits depend on the numpy version and, for the 3k world, on
-the number of BLAS threads, so both are printed first, to standard error,
-as one JSON line (from ``akgp.manifest.environment()``). Compare two
-checkouts' lines only when these agree.
+The worlds have about 24, 3,000 and 10,000 knowledge nodes; the larger two
+draw their negatives in blocks of rows. The outputs' bits depend on the
+numpy version and, for the 3k and 10k worlds, on the number of BLAS
+threads, so both are printed first, to standard error, as one JSON line
+(from ``akgp.manifest.environment()``). Compare two checkouts' lines only
+when these agree.
 
 The file name does not start with ``test_``, so pytest does not collect it.
 It needs only the standard library and akgp's own dependencies.
@@ -51,6 +53,8 @@ WORLDS = [
     ("default", {}, True),
     ("3k", {"seed": 7, "vocab_size": 3014, "pretrain_epochs": 1, "finetune_epochs": 3,
             "world": {"seed": 7, "n_entities": 3000, "n_examples": 512}}, False),
+    ("10k", {"seed": 11, "vocab_size": 10014, "pretrain_epochs": 1, "finetune_epochs": 2,
+             "world": {"seed": 11, "n_entities": 10000, "n_examples": 256}}, False),
 ]
 
 

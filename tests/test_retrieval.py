@@ -1,8 +1,13 @@
 """Retrieval against brute-force oracles, tie-breaking, negative sampling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from akgp import retrieval
 from akgp.retrieval import (
     batch_top1_indices,
     cosine_scores,
@@ -168,17 +173,93 @@ def test_negatives_uniform_frequency():
 
 @pytest.mark.parametrize("n_nodes,count", [(2, 1), (7, 6), (7, 3), (50, 8), (50, 49)])
 def test_negatives_batch_equals_full_sort(n_nodes, count):
-    # oracle: the former full stable argsort of the same keys
     for seed in range(60):
-        positives = np.arange(5) * 3 % n_nodes
-        oracle_rng, rng = Rng(seed), Rng(seed)
-        keys = splitmix64_array(oracle_rng.next_u64(), 5 * n_nodes).reshape(5, n_nodes)
-        keys[np.arange(5), positives] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        expected = np.argsort(keys, axis=1, kind="stable")[:, :count]
-        got = sample_negatives_batch(positives, n_nodes, count, rng)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, expected)
-        assert rng.next_u64() == oracle_rng.next_u64()  # same stream position
+        assert_sample_equals_oracle(np.arange(5) * 3 % n_nodes, n_nodes, count, seed)
+
+
+def full_sort_negatives(positives, n_nodes, count, rng, sizes=None):
+    """Oracle: every group's keys from one stream word, laid out row after
+    row, the positive masked to the maximum, then a full stable sort."""
+    positives = np.asarray(positives)
+    out, lo = [], 0
+    for size in sizes or [len(positives)]:
+        keys = splitmix64_array(rng.next_u64(), size * n_nodes).reshape(size, n_nodes)
+        keys[np.arange(size), positives[lo:lo + size]] = np.uint64(0xFFFFFFFFFFFFFFFF)
+        out.append(np.argsort(keys, axis=1, kind="stable")[:, :count])
+        lo += size
+    return np.concatenate(out)
+
+
+def assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes=None):
+    rng, oracle_rng = Rng(seed), Rng(seed)
+    got = sample_negatives_batch(positives, n_nodes, count, rng, sizes)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, full_sort_negatives(positives, n_nodes, count, oracle_rng,
+                                                   sizes))
+    assert rng.get_state() == oracle_rng.get_state()  # one word per group
+
+
+@pytest.mark.parametrize("count", [1, 8, 64])
+@pytest.mark.parametrize("n_nodes", [1100, 3004, 10004])
+def test_negatives_at_scale_equal_full_sort(n_nodes, count):
+    # uneven groups, an empty one among them, more rows than one block holds,
+    # and positives at both ends of the node range
+    sizes = [7, 0, 23, 1, 13]
+    positives = np.random.default_rng(n_nodes + count).integers(0, n_nodes, sum(sizes))
+    positives[:3] = [0, n_nodes - 1, 0]
+    positives[-1] = n_nodes - 1
+    assert_sample_equals_oracle(positives, n_nodes, count, seed=count, sizes=sizes)
+    assert_sample_equals_oracle(positives[:32], n_nodes, count, seed=count + 1)
+
+
+@pytest.mark.parametrize("budget", [lambda count: count, lambda count: 1])
+def test_rows_short_of_candidates_equal_full_sort(budget):
+    # a budget of count, or of 1, leaves many rows with fewer than count keys
+    # below the bound; they are selected from all their keys again
+    n_nodes, count = 3004, 8
+    positives = np.arange(70) * 41 % n_nodes
+    calls = []
+    smallest = retrieval._smallest
+
+    def spy(keys, *args):
+        calls.append(keys.shape)
+        return smallest(keys, *args)
+
+    with mock.patch.object(retrieval, "_candidate_budget", budget), \
+            mock.patch.object(retrieval, "_smallest", spy):
+        assert_sample_equals_oracle(positives, n_nodes, count, seed=9, sizes=[32, 38])
+    assert len(calls) == 2 and calls[1][1] == n_nodes and calls[1][0] > 0  # re-expanded
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_nodes=st.integers(2, 2500), count=st.integers(1, 80),
+       sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       block=st.sampled_from([1 << 15, 1 << 10, 1]), seed=st.integers(0, 2**32))
+def test_negatives_equal_full_sort_property(n_nodes, count, sizes, block, seed):
+    count = min(count, n_nodes - 1)
+    positives = np.random.default_rng(seed).integers(0, n_nodes, sum(sizes))
+    with mock.patch.object(retrieval, "_BLOCK_KEYS", block):
+        assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes)
+
+
+@pytest.mark.parametrize("positives,n_nodes,message", [
+    ([-1], 5, "row 0: positive -1 is not a node in [0, 5)"),
+    ([0, 1, 5, 7], 5, "row 2: positive 5 is not a node in [0, 5)"),
+    ([[0, 1]], 5, "positives must be 1-d, got shape (1, 2)"),
+    ([3, -4], 3004, "row 1: positive -4 is not a node in [0, 3004)"),
+])
+def test_negatives_reject_malformed_positives(positives, n_nodes, message):
+    rng = Rng(1)
+    with pytest.raises(ValueError) as err:
+        sample_negatives_batch(positives, n_nodes, 2, rng)
+    assert str(err.value) == message
+    assert rng.get_state() == Rng(1).get_state()  # the stream did not move
+
+
+def test_negatives_of_no_rows_still_take_their_words():
+    positives = np.zeros(0, dtype=np.int64)
+    assert sample_negatives_batch(positives, 3004, 8, Rng(2), [0, 0]).shape == (0, 8)
+    assert_sample_equals_oracle(positives, 3004, 8, seed=2, sizes=[0, 0])
 
 
 def test_negatives_too_many_rejected():

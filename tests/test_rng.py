@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from akgp.rng import (_LANE, _LANES_FROM, Rng, _jump, derive_seed, fnv1a_64, splitmix64,
-                      splitmix64_array)
+                      splitmix64_array, splitmix64_finish, splitmix64_skip)
 
 
 def test_fnv1a_known_vectors():
@@ -18,6 +18,14 @@ def test_fnv1a_known_vectors():
 def test_derive_seed_is_pinned():
     # the graph seed of every default run; a change here changes every result
     assert derive_seed(0, "graph") == 0x462A81274F877372
+
+
+def test_generator_draws_are_pinned():
+    # splitmix64's reference outputs seed the state; xoshiro256** then draws
+    rng = Rng(0)
+    assert rng.get_state()[0] == 0xE220A8397B1DCDAF
+    assert [rng.next_u64() for _ in range(3)] == [
+        0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0]
 
 
 def _sequential_splitmix64(seed, count):
@@ -35,6 +43,39 @@ def test_splitmix64_array_equals_sequential_splitmix64():
     rows = splitmix64_array(seeds, 50)
     assert rows.shape == (len(seeds), 50)
     assert rows.tolist() == [_sequential_splitmix64(seed, 50) for seed in seeds]
+
+
+def test_splitmix64_array_into_a_buffer_and_unfinished():
+    seeds = [3, (1 << 64) - 1, derive_seed(5, "negatives")]
+    whole = splitmix64_array(seeds, 40)
+    out = np.zeros((3, 40), dtype=np.uint64)
+    assert splitmix64_array(seeds, 40, out) is out
+    assert np.array_equal(out, whole)
+    unfinished = splitmix64_array(seeds, 40, finish=False)
+    assert not np.array_equal(unfinished, whole)
+    assert np.array_equal(splitmix64_finish(unfinished), whole)
+
+
+def test_splitmix64_skip_continues_the_counters():
+    seed, steps = derive_seed(1, "negatives"), 7 * 11
+    whole = splitmix64_array(seed, 10 * 11)
+    assert np.array_equal(splitmix64_array(splitmix64_skip(seed, steps), 33), whole[steps:])
+    rows = splitmix64_array(splitmix64_skip(seed, np.arange(10) * 11), 11)
+    assert np.array_equal(rows.reshape(-1), whole)
+
+
+def test_finish_keeps_every_power_of_two_bound():
+    # an unfinished word is below 2**b exactly when its finished word is, for
+    # every b: the block sampler of akgp.retrieval tests its bound early
+    words = splitmix64_array(derive_seed(2, "bound"), 64)
+    # every position of the highest set bit, and each bound and the word below it
+    z = np.concatenate([words >> np.uint64(k) for k in range(64)]
+                       + [np.array([(1 << b) - 1, 1 << b], dtype=np.uint64)
+                          for b in range(64)])
+    finished = splitmix64_finish(z.copy())
+    for b in range(64):
+        bound = np.uint64(1 << b)
+        assert np.array_equal(finished < bound, z < bound), b
 
 
 @pytest.mark.parametrize("n, low, high", [(0, 0.0, 1.0), (1, -1.0, 1.0), (977, -0.3, 2.5),

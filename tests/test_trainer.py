@@ -34,14 +34,14 @@ from akgp.trainer import (
 )
 
 
-def tiny_setup(seed=0, n_examples=64, **cfg_overrides):
-    cfg = TrainConfig(
-        d_i=6, d_t=6, d_m=8, d_k=5, d_h=6, d_a=8,
-        vocab_size=20, n_classes=3, batch_size=16, seed=seed,
-        world=WorldConfig(n_entities=6, n_attributes=3, n_examples=n_examples,
-                          sigma_noise=0.5, seed=99),
+def tiny_setup(seed=0, n_examples=64, n_entities=6, **cfg_overrides):
+    cfg = TrainConfig(**{
+        "d_i": 6, "d_t": 6, "d_m": 8, "d_k": 5, "d_h": 6, "d_a": 8,
+        "vocab_size": n_entities + 14, "n_classes": 3, "batch_size": 16, "seed": seed,
+        "world": WorldConfig(n_entities=n_entities, n_attributes=3, n_examples=n_examples,
+                             sigma_noise=0.5, seed=99),
         **cfg_overrides,
-    )
+    })
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     data = gen_dataset(world, n_examples, seed=7)
     graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
@@ -364,14 +364,27 @@ def pretrain_epoch_step_by_step(state, data):
     return {"mean_align_loss": total / count}
 
 
+# a graph of 1,103 nodes: a step's 32 rows of negative-sampling keys fill
+# more than one block, so the sampler takes its block path
+BLOCK_PATH = {"n_entities": 1100, "batch_size": 32}
+
+
 @pytest.mark.parametrize("denominator", ["positive_included", "negatives_only"])
 @pytest.mark.parametrize("positive_source", ["gold_node", "retrieved"])
 def test_pretraining_equals_step_by_step_oracle(positive_source, denominator):
+    _assert_pretraining_equals_step_by_step_oracle(positive_source=positive_source,
+                                                   denominator=denominator)
+
+
+def test_pretraining_on_the_block_path_equals_step_by_step_oracle():
+    _assert_pretraining_equals_step_by_step_oracle(**BLOCK_PATH)
+
+
+def _assert_pretraining_equals_step_by_step_oracle(**overrides):
     outcomes = []
     for run_epoch in (pretrain_epoch, pretrain_epoch_step_by_step):
-        # 70 examples in batches of 16: 4 full steps and a last one of 6
-        cfg, _, data, graph = tiny_setup(n_examples=70, positive_source=positive_source,
-                                         denominator=denominator)
+        # 70 examples: in batches of 16, 4 full steps and a last one of 6
+        cfg, _, data, graph = tiny_setup(n_examples=70, **overrides)
         state = make_run(cfg, graph)
         dataset = collate_dataset(state, data)
         stats = [run_epoch(state, dataset) for _ in range(2)]
@@ -404,6 +417,7 @@ def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE
     {"denominator": "negatives_only"},
     {"positive_source": "retrieved"},
     {"freeze": ["theta_v", "theta_t", "theta_m"]},  # knowledge trains: term on the tape
+    BLOCK_PATH,
 ])
 def test_fine_tuning_equals_step_by_step_oracle(overrides, words, monkeypatch):
     if words is not None:
