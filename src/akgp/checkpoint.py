@@ -147,6 +147,18 @@ def _read_record(src: _Source) -> tuple[str, np.ndarray]:
     return name, array
 
 
+def _read_records(src: _Source, kind: str) -> dict[str, np.ndarray]:
+    """A count, then that many records, each name once."""
+    records: dict[str, np.ndarray] = {}
+    (count,) = struct.unpack("<I", _read_exact(src, 4, f"{kind} count"))
+    for _ in range(count):
+        name, array = _read_record(src)
+        if name in records:
+            raise CheckpointError(f"{kind} {name} appears twice")
+        records[name] = array
+    return records
+
+
 def load_checkpoint(path) -> CheckpointData:
     """Parse a checkpoint file; any malformed content raises CheckpointError."""
     with open(path, "rb") as fh:
@@ -163,17 +175,8 @@ def load_checkpoint(path) -> CheckpointData:
         if not isinstance(config, dict):
             raise CheckpointError("config snapshot is not a JSON object")
 
-        tensors: dict[str, np.ndarray] = {}
-        (n_tensors,) = struct.unpack("<I", _read_exact(src, 4, "tensor count"))
-        for _ in range(n_tensors):
-            name, array = _read_record(src)
-            tensors[name] = array
-
-        opt_buffers: dict[str, np.ndarray] = {}
-        (n_buffers,) = struct.unpack("<I", _read_exact(src, 4, "optimizer buffer count"))
-        for _ in range(n_buffers):
-            name, array = _read_record(src)
-            opt_buffers[name] = array
+        tensors = _read_records(src, "tensor")
+        opt_buffers = _read_records(src, "optimizer buffer")
 
         stage, epochs_done, adam_t = struct.unpack("<QQQ", _read_exact(src, 24, "counters"))
         (n_words,) = struct.unpack("<I", _read_exact(src, 4, "generator state size"))

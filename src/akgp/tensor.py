@@ -16,9 +16,10 @@ machinery it validates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,21 +233,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a_data @ b_data, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` of a 2-d ``x``, the 1-d bias added to every row."""
+def linear(x: Tensor, w: Tensor, b: Tensor, rows: RowBlock | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` of a 2-d ``x``, the 1-d bias added to every row.
+
+    Given ``rows``, ``x`` holds those rows of an operand of ``rows.n`` rows
+    whose other rows are zero, and the result holds the same rows of its
+    map. Every product still runs on all ``rows.n`` rows (see
+    :func:`_spread`), so each row has the bits of the whole map, and ``w``
+    and ``b`` get the gradient of the whole map with the other rows'
+    gradient zero.
+    """
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(f"linear needs 2-d x and w and a 1-d b, "
                          f"got {x.shape}, {w.shape} and {b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"linear dims differ: {x.shape} @ {w.shape} + {b.shape}")
-    x_data, w_data = x.data, w.data
+    if rows is not None and x.shape[0] != len(rows.index):
+        raise ShapeError(f"linear of {len(rows.index)} rows got {x.shape}")
+    x_data, w_data = _spread(x.data, rows), w.data
 
     def bwd(g):
-        return (g @ w_data.T if x.requires_grad else None,
+        g = _spread(g, rows)
+        return (_take(g @ w_data.T, rows) if x.requires_grad else None,
                 x_data.T @ g if w.requires_grad else None,
                 g.sum(axis=0) if b.requires_grad else None)
 
-    return _emit(x_data @ w_data + b.data, (x, w, b), bwd)
+    return _emit(_take(x_data @ w_data, rows) + b.data, (x, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -411,10 +423,15 @@ class CsrMatrix:
         if np.count_nonzero(lengths <= SLOT_ROW_MAX) < SLOT_ROWS_FROM:
             self._cols, self._values, self._values_t = indices, values, values_t
             return
-        order, counts, rows, long_rows = _slot_order(indptr)
-        self._cols = indices[order]
-        self._values = values[order]
-        self._values_t = values_t[order]
+        self._store(indices, values, values_t, *_slot_order(indptr))
+
+    def _store(self, cols: np.ndarray, values: np.ndarray, values_t: np.ndarray,
+               order: np.ndarray, counts: list[int], rows: np.ndarray,
+               long_rows: np.ndarray) -> None:
+        """Keep the entries ``order`` of the given arrays, in the order the
+        slot sums read them (:func:`_slot_order` names the other arguments)."""
+        self._cols, self._values, self._values_t = cols[order], values[order], values_t[order]
+        lengths = np.diff(self.indptr)
         starts = np.cumsum([0] + counts).tolist()
         self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]
         self._n_slotted = starts[-1]
@@ -429,6 +446,44 @@ class CsrMatrix:
     @property
     def n(self) -> int:
         return self.indptr.shape[0] - 1
+
+    @functools.cached_property
+    def abs_row_bound(self) -> float:
+        """A bound on the sum of any row's absolute values."""
+        return float(np.abs(self._values).max()) * int(np.diff(self.indptr).max())
+
+    def row_block(self, rows: np.ndarray) -> RowBlock:
+        """The rows ``rows`` (ascending, distinct) and their entries as a
+        :class:`RowBlock`.
+
+        Its matrix stores them as this one does, in its own order: the
+        order of this matrix's slots, restricted to ``rows``, is the order
+        of the block's. So it sums each row as this matrix does, with the
+        bits of ``np.add.reduceat`` (see :func:`_csr_rows`), also when it
+        has fewer than ``SLOT_ROWS_FROM`` short rows.
+        """
+        lengths = self.indptr[rows + 1] - self.indptr[rows]
+        block = CsrMatrix.__new__(CsrMatrix)
+        block.indptr = np.concatenate([[0], np.cumsum(lengths)])
+        block._slots = []
+        if not self._slots:  # CSR order: each row's entries are contiguous
+            order = _ranges(self.indptr[rows], lengths)
+            block._cols, block._values, block._values_t = (
+                self._cols[order], self._values[order], self._values_t[order])
+            return RowBlock(rows, self.n, block)
+        places = self._positions[rows]
+        short = lengths <= SLOT_ROW_MAX
+        local = np.flatnonzero(short)
+        by_place = np.argsort(places[local])
+        first = places[local][by_place]  # each short row's entry 0, in slot order
+        counts = np.searchsorted(first, [b - a for a, b in self._slots]).tolist()
+        long_rows = np.flatnonzero(~short)
+        long_first = self._n_slotted + self._long_starts[places[long_rows] - self._n_slotted]
+        order = np.concatenate([a + first[:c] for (a, _), c in zip(self._slots, counts)]
+                               + [_ranges(long_first, lengths[long_rows])])
+        block._store(self._cols, self._values, self._values_t, order, counts,
+                     local[by_place], long_rows)
+        return RowBlock(rows, self.n, block)
 
     def _in_csr_order(self, stored: np.ndarray) -> np.ndarray:
         if not self._slots:
@@ -448,6 +503,44 @@ class CsrMatrix:
     @property
     def values_t(self) -> np.ndarray:  # (nnz,) float64
         return self._in_csr_order(self._values_t)
+
+
+class RowBlock(NamedTuple):
+    """Rows ``index`` (ascending, distinct) of an operand or result of
+    ``n`` rows. ``matrix`` holds the same rows of a :class:`CsrMatrix` as a
+    matrix of their own, its columns still those of all ``n`` rows:
+    :func:`spmm` computes only these rows of its product with it, and
+    :func:`linear`, which needs no matrix, takes ``index`` and ``n``."""
+
+    index: np.ndarray
+    n: int
+    matrix: CsrMatrix | None
+
+    def columns(self) -> np.ndarray:
+        """The columns, ascending and distinct, that these rows hold entries in."""
+        seen = np.zeros(self.n, dtype=bool)
+        seen[self.matrix._cols] = True
+        return np.flatnonzero(seen)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integers from each of ``starts`` on, as many as its ``lengths``."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _spread(a: np.ndarray, rows: RowBlock | None) -> np.ndarray:
+    """The ``rows.n``-row array whose rows ``rows.index`` are ``a``'s and
+    whose other rows are zero; ``a`` itself when ``rows`` is None."""
+    if rows is None:
+        return a
+    out = np.zeros((rows.n, a.shape[1]))
+    out[rows.index] = a
+    return out
+
+
+def _take(a: np.ndarray, rows: RowBlock | None) -> np.ndarray:
+    return a if rows is None else a[rows.index]
 
 
 def _csr_rows(adj: CsrMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
@@ -508,7 +601,8 @@ def _reduceat_rows(cols: np.ndarray, values: np.ndarray, starts: np.ndarray,
     return np.add.reduceat(products, starts, axis=1).T
 
 
-def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:
+def spmm(adj: CsrMatrix, x: Tensor, rows: RowBlock | None = None,
+         x_rows: RowBlock | None = None) -> Tensor:
     """Sparse-dense product ``adj @ x`` for a 2-d ``x``.
 
     Only ``x`` is an input on the tape: the matrix is constant, so the
@@ -518,14 +612,24 @@ def spmm(adj: CsrMatrix, x: Tensor) -> Tensor:
     with fewer than ``SLOT_ROWS_FROM`` such rows uses ``np.add.reduceat``
     alone. Both give the bits of a row-by-row ``np.add.reduceat`` (see
     :func:`_csr_rows`).
+
+    ``rows`` and ``x_rows`` are row blocks of ``adj`` (:meth:`CsrMatrix.row_block`).
+    Given ``rows``, only those rows of the product are computed, each over
+    all its entries, so with the bits of the whole product. Given
+    ``x_rows``, ``x`` holds only those rows of the operand, and the others
+    are zero. The backward pass is then the product with ``adj.T``, whose
+    rows are ``x_rows`` and whose operand rows are ``rows``.
     """
-    if x.data.ndim != 2 or x.shape[0] != adj.n:
-        raise ShapeError(f"spmm needs a 2-d operand with {adj.n} rows, got {x.shape}")
+    n_in = adj.n if x_rows is None else len(x_rows.index)
+    if x.data.ndim != 2 or x.shape[0] != n_in:
+        raise ShapeError(f"spmm needs a 2-d operand with {n_in} rows, got {x.shape}")
+    out_rows = adj if rows is None else rows.matrix
+    in_rows = adj if x_rows is None else x_rows.matrix
 
     def bwd(g):
-        return (_csr_rows(adj, g, True),)
+        return (_csr_rows(in_rows, _spread(g, rows), True),)
 
-    return _emit(_csr_rows(adj, x.data, False), (x,), bwd)
+    return _emit(_csr_rows(out_rows, _spread(x.data, x_rows), False), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ def dense_adjacency(triples, node_index):
     return binary / binary.sum(axis=1, keepdims=True)
 
 
-def expand(adj: CsrMatrix, transpose: bool = False) -> np.ndarray:
-    """The dense matrix a CSR stores, or its stored transpose."""
+def expand(adj: CsrMatrix, transpose: bool = False, n_cols: int | None = None) -> np.ndarray:
+    """The dense matrix a CSR stores, or its stored transpose; ``n_cols``
+    columns for a block of rows (``CsrMatrix.row_block``)."""
     n = adj.n
-    dense = np.zeros((n, n))
+    dense = np.zeros((n, n if n_cols is None else n_cols))
     rows = np.repeat(np.arange(n), np.diff(adj.indptr))
     dense[rows, adj.indices] = adj.values_t if transpose else adj.values
     return dense

@@ -18,7 +18,10 @@ process runs every unit itself; the script exits 1 if that run's
 ``ablation.csv`` differs from the first run's, on every usable core. Each
 world's fine-tuning also runs one epoch short and is then resumed with
 ``--resume`` to the full budget; the script exits 1 if that run's
-checkpoint or run log differs from the straight run's.
+checkpoint or run log differs from the straight run's. The 3k and 10k
+worlds' pretraining, whose steps encode only the knowledge rows their loss
+reads, runs a second time with every step encoding every node; the script
+exits 1 if that run's checkpoint or run log differs.
 
 The worlds have about 24, 3,000 and 10,000 knowledge nodes; the larger two
 draw their negatives in blocks of rows. The outputs' bits depend on the
@@ -45,16 +48,18 @@ from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from akgp import cli  # noqa: E402
+from akgp import cli, trainer  # noqa: E402
 from akgp.config import parse_config  # noqa: E402
 from akgp.manifest import environment  # noqa: E402
 
+# (name, config, whether to run the ablation, whether to pretrain again
+# with every step encoding every node)
 WORLDS = [
-    ("default", {}, True),
+    ("default", {}, True, False),
     ("3k", {"seed": 7, "vocab_size": 3014, "pretrain_epochs": 1, "finetune_epochs": 3,
-            "world": {"seed": 7, "n_entities": 3000, "n_examples": 512}}, False),
+            "world": {"seed": 7, "n_entities": 3000, "n_examples": 512}}, False, True),
     ("10k", {"seed": 11, "vocab_size": 10014, "pretrain_epochs": 1, "finetune_epochs": 2,
-             "world": {"seed": 11, "n_entities": 10000, "n_examples": 256}}, False),
+             "world": {"seed": 11, "n_entities": 10000, "n_examples": 256}}, False, True),
 ]
 
 
@@ -77,7 +82,14 @@ def _run(argv: list[str]) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
-def world_digests(root: str, config: dict, ablate: bool):
+def _same_files(first: str, second: str, what: str) -> None:
+    """Exit 1 unless the two runs wrote the same checkpoint and run log."""
+    for name in ("checkpoint.akgp", "run_log.jsonl"):
+        if _file_digest(os.path.join(first, name)) != _file_digest(os.path.join(second, name)):
+            raise SystemExit(f"{name} differs between {what}")
+
+
+def world_digests(root: str, config: dict, ablate: bool, every_node: bool):
     """(output name, sha256) of every output of one world under ``root``."""
     cfg = os.path.join(root, "config.json")
     with open(cfg, "w", encoding="utf-8") as fh:
@@ -88,6 +100,11 @@ def world_digests(root: str, config: dict, ablate: bool):
     inputs = ["--config", cfg, "--kg", kg, "--data", data]
     pre, fine = os.path.join(root, "pretrain"), os.path.join(root, "finetune")
     _run(["pretrain", *inputs, "--out", pre])
+    if every_node:
+        whole = os.path.join(root, "pretrain_every_node")
+        with mock.patch.object(trainer, "_loss_rows", lambda *args: None):
+            _run(["pretrain", *inputs, "--out", whole])
+        _same_files(whole, pre, "a pretraining that encodes every node and the straight one")
     pre_ckpt = os.path.join(pre, "checkpoint.akgp")
     _run(["finetune", *inputs, "--out", fine, "--checkpoint", pre_ckpt])
     fine_ckpt = os.path.join(fine, "checkpoint.akgp")
@@ -97,9 +114,7 @@ def world_digests(root: str, config: dict, ablate: bool):
     _run(["finetune", "--config", short_cfg, *inputs[2:], "--out", resumed,
           "--checkpoint", pre_ckpt])
     _run(["finetune", *inputs, "--out", resumed, "--resume"])
-    for name in ("checkpoint.akgp", "run_log.jsonl"):
-        if _file_digest(os.path.join(resumed, name)) != _file_digest(os.path.join(fine, name)):
-            raise SystemExit(f"{name} differs between a resumed fine-tuning and a straight one")
+    _same_files(resumed, fine, "a resumed fine-tuning and a straight one")
     yield "pretrain checkpoint", _file_digest(pre_ckpt)
     yield "pretrain run log", _file_digest(os.path.join(pre, "run_log.jsonl"))
     yield "finetune checkpoint", _file_digest(fine_ckpt)
@@ -127,10 +142,10 @@ def main(argv=None) -> int:
           file=sys.stderr, flush=True)
     with contextlib.ExitStack() as stack:
         base = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
-        for name, config, ablate in WORLDS:
+        for name, config, ablate, every_node in WORLDS:
             root = os.path.join(base, name)
             os.makedirs(root, exist_ok=True)
-            for output, digest in world_digests(root, config, ablate):
+            for output, digest in world_digests(root, config, ablate, every_node):
                 print(f"{name:8s} {output:20s} {digest}", flush=True)
     return 0
 

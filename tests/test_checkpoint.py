@@ -1,6 +1,7 @@
 """Checkpoint format: byte-exact round trips, corruption handling, and
 interrupt/resume equivalence of training runs."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from akgp.checkpoint import (
+    MAGIC,
     BadMagicError,
     CheckpointError,
     DimOverflowError,
     TruncatedCheckpointError,
+    _write_record,
     load_checkpoint,
     save_checkpoint,
 )
@@ -249,6 +252,34 @@ def test_resume_rejects_an_unknown_stage(tmp_path):
                     epochs_done=0, adam_t=0, rng_state=saved.rng_state)
     with pytest.raises(CheckpointError, match=f"{path}.*stage 2"):
         load_state(path, cfg, fresh_graph(cfg, world))
+
+
+def _write_records(path, tensors, buffers):
+    """A checkpoint file holding the (name, array) records given, in order,
+    repeated names included, which save_checkpoint's dicts cannot hold."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        raw = b"{}"
+        fh.write(struct.pack("<I", len(raw)) + raw)
+        for records in (tensors, buffers):
+            fh.write(struct.pack("<I", len(records)))
+            for name, array in records:
+                _write_record(fh, name, array)
+        fh.write(struct.pack("<QQQ", 0, 0, 1) + struct.pack("<I", 1) + struct.pack("<Q", 7))
+
+
+@pytest.mark.parametrize("kind", ["tensor", "optimizer buffer"])
+def test_repeated_record_name_rejected(tmp_path, kind):
+    # a repeated name would load the later record alone: fewer arrays than
+    # the file declares, and a save of the load would not reproduce the file
+    once = [("a.w", np.zeros((2, 3))), ("b.v", np.ones(2))]
+    twice = once + [("a.w", np.full((2, 3), 5.0))]
+    path = tmp_path / "ck.akgp"
+    _write_records(path, *((twice, once) if kind == "tensor" else (once, twice)))
+    with pytest.raises(CheckpointError, match=f"{kind} a.w appears twice"):
+        load_checkpoint(path)
+    _write_records(path, once, once)
+    assert list(load_checkpoint(path).tensors) == ["a.w", "b.v"]
 
 
 def _reference_checkpoint() -> bytes:

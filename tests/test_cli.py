@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import struct
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import akgp.cli
 import akgp.model
-from akgp.checkpoint import load_checkpoint, save_checkpoint
+from akgp.checkpoint import _write_record, load_checkpoint, save_checkpoint
 from akgp.cli import main
 from akgp.config import TrainConfig, WorldConfig
 
@@ -520,6 +521,26 @@ def test_corrupt_checkpoint_is_data_error(workdir, tmp_path, capsys):
                  "--data", workdir["data"], "--checkpoint", str(bad)])
     assert code == 2
     assert "magic" in json.loads(capsys.readouterr().err.strip())["message"]
+
+
+def test_checkpoint_with_a_repeated_record_is_data_error(workdir, tmp_path, capsys):
+    pre = tmp_path / "pre"
+    inputs = ["--config", workdir["config"], "--kg", workdir["kg"], "--data", workdir["data"]]
+    assert main(["pretrain", *inputs, "--out", str(pre)]) == 0
+    raw = (pre / "checkpoint.akgp").read_bytes()
+    # the first tensor record written twice, and the count raised to match
+    at = 5 + 4 + struct.unpack_from("<I", raw, 5)[0]
+    (count,) = struct.unpack_from("<I", raw, at)
+    data = load_checkpoint(pre / "checkpoint.akgp")
+    first, array = next(iter(data.tensors.items()))
+    record = io.BytesIO()
+    _write_record(record, first, array)
+    twice = tmp_path / "twice.akgp"
+    twice.write_bytes(raw[:at] + struct.pack("<I", count + 1) + record.getvalue() + raw[at + 4:])
+    capsys.readouterr()
+    assert main(["eval", *inputs, "--checkpoint", str(twice)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "code": 2, "message": f"tensor {first} appears twice"}
 
 
 def test_truncated_checkpoint_is_data_error(workdir, tmp_path, capsys):

@@ -1,12 +1,16 @@
 """Knowledge encoder: propagation semantics, equivariance, gradients."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graph_oracle import csr_from_dense, dense_adjacency, expand
+from akgp import gnn
 from akgp.gnn import GnnParams, encode_knowledge, gnn_layer
 from akgp.kg import KnowledgeGraph, build_graph
 from akgp.tensor import (
-    Tape, Tensor, backward, fd_check, from_array, mul, relu, sum_all, uniform, xavier, zeros,
+    Tape, Tensor, backward, fd_check, from_array, gather_rows, mul, relu, sum_all, uniform,
+    xavier, zeros,
 )
 
 
@@ -164,3 +168,62 @@ def test_large_chain_stays_sparse():
     assert out.shape == (n, 3)
     assert g.features.grad.shape == (n, 4) and np.all(np.isfinite(g.features.grad))
     assert np.any(p.w1.grad != 0.0)
+
+
+def _random_graph(n, hubs, medium, edges, rng):
+    """Triples over n nodes: random edges (short rows), stars of 9 to 16
+    entries, and hubs of 129 or more entries where n allows."""
+    names = [f"n{i}" for i in range(n)]
+    pairs = [(i, i) for i in range(n)] + [tuple(rng.integers(n, size=2)) for _ in range(edges)]
+    for size in list(hubs) + list(rng.integers(8, 16, size=medium)):
+        centre = rng.integers(n)
+        pairs += [(centre, leaf) for leaf in rng.choice(n, min(size, n), replace=False)]
+    return build_graph([(names[a], "r", names[b]) for a, b in pairs], 1, 0)
+
+
+def _leaf_grads(graph, params, rows, picks, weights):
+    """Embeddings the loss reads and every leaf gradient of a loss of
+    ``picks`` rows: of the whole result, or of its ``rows`` alone."""
+    leaves = [graph.features, *vars(params).values()]
+    for t in leaves:
+        t.requires_grad_(False).requires_grad_(True)
+    with Tape() as tape:
+        if rows is None:
+            out = encode_knowledge(graph, params)
+        else:
+            out = encode_knowledge(graph, params, graph.adjacency.row_block(rows))
+        picked = gather_rows(out, picks)
+        loss = sum_all(mul(picked, weights))
+    backward(loss, tape)
+    return [picked.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), hubs=st.lists(st.integers(129, 140), max_size=2),
+       medium=st.integers(0, 6), edges=st.integers(0, 400), seed=st.integers(0, 2**32 - 1),
+       dims=st.sampled_from([(3, 4, 5), (16, 32, 32)]), share=st.floats(0.0, 1.0),
+       fill=st.sampled_from(["finite", "nan", "inf", "overflow"]))
+def test_encoded_rows_bit_equal_to_the_whole_encoding(n, hubs, medium, edges, seed, dims,
+                                                      share, fill):
+    rng = np.random.default_rng(seed)
+    graph = _random_graph(n, hubs, medium, edges, rng)
+    d_k, d_h, d_e = dims
+    n = graph.n_nodes
+    graph.features = Tensor(rng.uniform(-1.0, 1.0, (n, d_k)))
+    params = GnnParams(xavier([d_k, d_h], seed % 1000), uniform([d_h], -1, 1, 1),
+                       xavier([d_h, d_e], 2), uniform([d_e], -1, 1, 3))
+    if fill == "overflow":  # finite inputs whose hidden rows overflow
+        graph.features.data *= 1e300
+        params.w1.data *= 1e10
+    elif fill != "finite":
+        graph.features.data[rng.integers(n), rng.integers(d_k)] = {"nan": np.nan, "inf": np.inf}[fill]
+    assert gnn._rows_stay_finite(graph, params) == (fill == "finite")
+    rows = np.flatnonzero(rng.random(n) < share)
+    if rows.size == 0:
+        rows = np.array([rng.integers(n)])
+    picks = rng.integers(len(rows), size=2 * len(rows) + 1)  # repeats, as a loss's
+    weights = Tensor(rng.uniform(-1.0, 1.0, (len(picks), d_e)))
+    with np.errstate(all="ignore"):
+        whole = _leaf_grads(graph, params, None, rows[picks], weights)
+        part = _leaf_grads(graph, params, rows, picks, weights)
+    assert part == whole

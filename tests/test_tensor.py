@@ -21,6 +21,7 @@ from akgp.tensor import (
     SLOT_ROW_MAX,
     SLOT_ROWS_FROM,
     CsrMatrix,
+    RowBlock,
     ShapeError,
     Tape,
     TapeError,
@@ -140,6 +141,29 @@ def test_linear_bit_equal_to_numpy():
     grads = tape.records[0].backward(g)
     expected = (g @ w.data.T, x.data.T @ g, g.sum(axis=0))
     assert [gi.tobytes() for gi in grads] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("d_in, d_out", [(16, 32), (32, 32), (4, 3)])
+def test_linear_rows_bit_equal_to_the_whole_map(d_in, d_out):
+    # a product of fewer rows may take another BLAS kernel (one row, or
+    # few rows of a transposed operand), so each of these row counts is tried
+    n = 300
+    x, w, b = (Tensor(rand(shape, seed).data, requires_grad=True)
+               for shape, seed in (([n, d_in], 1), ([d_in, d_out], 2), ([d_out], 3)))
+    g = rand([n, d_out], 4).data
+    rng = np.random.default_rng(d_in)
+    for k in (1, 2, 7, 40, 150, n):
+        rows = RowBlock(np.sort(rng.choice(n, k, replace=False)), n, None)
+        g[np.setdiff1d(np.arange(n), rows.index)] = 0.0
+        with Tape() as tape:
+            whole = linear(x, w, b)
+            part = linear(Tensor(x.data[rows.index], requires_grad=True), w, b, rows)
+        assert part.data.tobytes() == whole.data[rows.index].tobytes()
+        whole_grads = tape.records[0].backward(g)
+        part_grads = tape.records[1].backward(g[rows.index])
+        assert part_grads[0].tobytes() == whole_grads[0][rows.index].tobytes()
+        assert [gi.tobytes() for gi in part_grads[1:]] == \
+            [gi.tobytes() for gi in whole_grads[1:]]
 
 
 @pytest.mark.parametrize("shapes", [
@@ -340,9 +364,16 @@ def _signed_dense(pattern, seed):
     return pattern * rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
 
 
+def _row_subsets(n, seed):
+    """Row sets to take blocks of: one row, a random share, all rows."""
+    rng = np.random.default_rng(seed)
+    return [np.array([rng.integers(n)]),
+            np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9)), np.arange(n)]
+
+
 def _assert_csr_rows_bit_equal(dense, x):
     """Both paths, the one the matrix selects and the other, against the
-    row-major reduction."""
+    row-major reduction; and blocks of rows of each against its rows."""
     adj = csr_from_dense(dense)
     short_rows = np.count_nonzero(np.diff(adj.indptr) <= SLOT_ROW_MAX)
     assert bool(adj._slots) == (short_rows >= SLOT_ROWS_FROM)
@@ -357,6 +388,13 @@ def _assert_csr_rows_bit_equal(dense, x):
             assert got.shape == want.shape == (m.n, x.shape[1])
             assert got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+            for rows in _row_subsets(m.n, len(x)):
+                block = m.row_block(rows)
+                assert (block.index is rows) and block.n == m.n
+                with np.errstate(invalid="ignore"):
+                    part = _csr_rows(block.matrix, x, transpose)
+                assert part.flags.c_contiguous
+                assert part.tobytes() == got[rows].tobytes()
 
 
 def _fill(x, fill, rng):
@@ -397,6 +435,67 @@ def test_csr_rows_bit_equal_on_random_patterns(n, density, seed, width, fill):
     pattern = rng.random((n, n)) < density
     dense = _signed_dense(pattern | pattern.T | np.eye(n, dtype=bool), seed)
     _assert_csr_rows_bit_equal(dense, _fill(rng.uniform(-1.0, 1.0, (n, width)), fill, rng))
+
+
+def test_row_block_columns_and_csr_arrays():
+    dense = _signed_dense(CSR_PATTERNS["mixed"][0](3), 3)
+    adj = csr_from_dense(dense)
+    assert adj._slots  # the block is built from the slot order
+    rows = np.array([0, 5, 17, 40, 41, len(dense) - 1])
+    block = adj.row_block(rows)
+    assert np.array_equal(block.columns(), np.flatnonzero(dense[rows].any(axis=0)))
+    assert np.array_equal(expand(block.matrix, n_cols=len(dense)), dense[rows])
+    assert np.array_equal(expand(block.matrix, True, len(dense)), dense.T[rows])
+
+
+def _star_chain():
+    # the star-and-chain graph of gradcheck's spmm case: degrees 4, 3, 2 and 1
+    return build_graph([("hub", "r", leaf) for leaf in "abcd"] + [("a", "r", "x"),
+                                                                    ("x", "r", "y")],
+                       feature_dim=1, seed=0).adjacency
+
+
+def _row_cases():
+    """(name, build) pairs like gradcheck's op cases, for the row options
+    of spmm and linear; build(seed) returns (f, probe_point)."""
+    adj = _star_chain()
+    rows, x_rows = adj.row_block(np.array([1, 4])), adj.row_block(np.array([0, 2, 5, 6]))
+    within = adj.row_block(np.array([6]))  # its columns are rows of x_rows
+    lin_rows = RowBlock(np.array([0, 3, 4]), 5, None)
+
+    def case(op, shape):
+        def build(seed):
+            w = rand(list(op(rand(shape, seed), seed).shape), seed + 77)
+            return (lambda x: sum_all(mul(op(x, seed), w))), rand(shape, seed)
+        return build
+
+    return [
+        ("spmm.rows", case(lambda x, s: spmm(adj, x, rows), [7, 3])),
+        ("spmm.x_rows", case(lambda x, s: spmm(adj, x, within, x_rows), [4, 3])),
+        ("linear.x.rows", case(
+            lambda x, s: linear(x, rand([4, 3], s + 1), rand([3], s + 2), lin_rows), [3, 4])),
+        ("linear.w.rows", case(
+            lambda x, s: linear(rand([3, 4], s + 1), x, rand([3], s + 2), lin_rows), [4, 3])),
+        ("linear.b.rows", case(
+            lambda x, s: linear(rand([3, 4], s + 1), rand([4, 3], s + 2), x, lin_rows), [3])),
+    ]
+
+
+@pytest.mark.parametrize("name,build", _row_cases(), ids=[name for name, _ in _row_cases()])
+def test_row_options_match_fd(name, build):
+    for seed in range(5):
+        f, probe = build(seed)
+        report = fd_check(f, probe)
+        assert report.passed, f"{name} seed {seed}: {report}"
+
+
+def test_row_options_check_shapes():
+    adj = _star_chain()
+    block = adj.row_block(np.array([1, 4]))
+    with pytest.raises(ShapeError):
+        spmm(adj, rand([7, 3], 0), block, block)  # x holds 2 rows, not 7
+    with pytest.raises(ShapeError):
+        linear(rand([3, 4], 0), rand([4, 3], 1), rand([3], 2), block)
 
 
 def test_csr_rejects_empty_row():

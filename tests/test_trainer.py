@@ -380,6 +380,47 @@ def test_pretraining_on_the_block_path_equals_step_by_step_oracle():
     _assert_pretraining_equals_step_by_step_oracle(**BLOCK_PATH)
 
 
+def _rows_path_steps(monkeypatch) -> list[bool]:
+    """Records, for each step that could, whether it took the rows path."""
+    taken, loss_rows = [], trainer._loss_rows
+
+    def recorded(*args):
+        rows = loss_rows(*args)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(trainer, "_loss_rows", recorded)
+    return taken
+
+
+# a graph of 1,103 nodes with 3 negatives per row: a full step reads about
+# 120 knowledge rows, which mostly hold fewer entries than there are nodes
+ROWS_PATH = {"n_entities": 1100, "batch_size": 32, "n_negatives": 3}
+
+
+def test_pretraining_on_the_rows_path_equals_step_by_step_oracle(monkeypatch):
+    taken = _rows_path_steps(monkeypatch)
+    _assert_pretraining_equals_step_by_step_oracle(**ROWS_PATH)
+    # 2 epochs of 3 steps; a step whose rows include an attribute node,
+    # which holds an entry in a third of the graph, encodes every node, so
+    # both paths run
+    assert len(taken) == 6 and True in taken and False in taken
+
+
+def test_the_default_world_encodes_every_node(monkeypatch):
+    taken = _rows_path_steps(monkeypatch)
+    cfg = TrainConfig(pretrain_epochs=1)
+    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
+    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    assert graph.n_nodes == 24
+    state = make_run(cfg, graph)
+    stats = pretrain_epoch(state, gen_dataset(world, 128, seed=1))
+    # a step reads at least 9 rows of at least 4 entries: more than 24, so
+    # no step checks whether only the rows it reads could be encoded
+    assert state.opt.t == 4 and np.isfinite(stats["mean_align_loss"])
+    assert taken == []
+
+
 def _assert_pretraining_equals_step_by_step_oracle(**overrides):
     outcomes = []
     for run_epoch in (pretrain_epoch, pretrain_epoch_step_by_step):
