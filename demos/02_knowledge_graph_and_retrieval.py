@@ -23,13 +23,14 @@ animal\tneeds\tfood
 triples = parse_triples(TRIPLES)
 print("parsed triples:", triples)
 
-graph = build_graph(triples, feature_dim=8, seed=11)
+graph = build_graph(triples)
 print("\nnodes in first-appearance order:", graph.node_ids)
 adjacency = graph.adjacency  # sparse: row i's entries are values[indptr[i]:indptr[i+1]]
 print("adjacency row sums:", np.add.reduceat(adjacency.values, adjacency.indptr[:-1]).round(9))
 print("stats:", subgraph_stats(graph))
 
-params = GnnParams(
+params = GnnParams(  # the learned node features are a parameter, like the weights
+    features=xavier([graph.n_nodes, 8], 11),
     w1=xavier([8, 12], 1), b1=zeros([12]),
     w2=xavier([12, 6], 2), b2=zeros([6]),
 )

@@ -9,7 +9,6 @@ import tempfile
 
 from akgp.config import TrainConfig, WorldConfig
 from akgp.kg import build_graph
-from akgp.rng import derive_seed
 from akgp.synthbench import gen_dataset, gen_world, split_dataset
 from akgp.trainer import (
     STAGE_FINETUNE,
@@ -32,7 +31,7 @@ world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
 cfg.vocab_size = world.vocab_size
 data = gen_dataset(world, cfg.world.n_examples, seed=cfg.world.seed)
 train, test = split_dataset(data)
-graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+graph = build_graph(world.triples)
 
 state = make_run(cfg, graph)
 train_set = collate_dataset(state, train)  # once; each epoch cuts its batches from it
@@ -57,8 +56,7 @@ print("\n=== bit-exact resume ===")
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "checkpoint.akgp")
     save_state(path, state)
-    twin = load_state(path, cfg, build_graph(world.triples, cfg.d_k,
-                                             derive_seed(cfg.seed, "graph")))
+    twin = load_state(path, cfg, build_graph(world.triples))
     a = finetune_epoch(state, train_set)
     b = finetune_epoch(twin, train_set)
     print("one more epoch, original:", a["mean_total_loss"])

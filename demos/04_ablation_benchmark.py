@@ -11,6 +11,7 @@ Run:  python demos/04_ablation_benchmark.py
 """
 
 from akgp.config import TrainConfig, WorldConfig
+from akgp.kg import build_graph
 from akgp.synthbench import (
     ablation_markdown,
     gen_dataset,
@@ -33,7 +34,7 @@ print(f"{cfg.world.n_entities} entities, {cfg.world.n_attributes} attributes, "
       f"{len(train)} train / {len(test)} test examples")
 print("chance accuracy:", 1.0 / cfg.world.n_attributes)
 
-rows = run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
+rows = run_ablation(build_graph(world.triples), train, test, cfg, seeds=[0, 1, 2])
 print()
 print(ablation_markdown(rows))
 print("Reading the table: the baseline has no knowledge path, +encoder sees "

@@ -22,12 +22,12 @@ from .checkpoint import load_checkpoint
 from .config import ConfigError, TrainConfig, parse_config
 from .data import DataError, read_examples, write_examples
 from .gradcheck import run_gradient_report
-from .kg import build_graph, index_nodes, load_triples, save_triples, subgraph_stats
+from .kg import build_graph, load_triples, save_triples, subgraph_stats
 from .manifest import write_manifest
 from .retrieval import cosine_scores, topk_indices
-from .rng import derive_seed
 from .synthbench import (
     DEFAULT_ABLATION_SEEDS,
+    TEMPLATE_TOKENS,
     ablation_csv,
     ablation_markdown,
     gen_dataset,
@@ -118,10 +118,6 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
-def _build_graph(cfg: TrainConfig, kg_path):
-    return build_graph(load_triples(kg_path), cfg.d_k, derive_seed(cfg.seed, "graph"))
-
-
 def _prepare_state(cfg, graph, args):
     """The only way into a stage: the run resumed with ``--resume``, else a
     new one with ``--checkpoint``'s parameters if given, entering ``args.stage``."""
@@ -142,7 +138,7 @@ def _load_run(args):
     """The run a command with a stage works on, and its examples: the config,
     then the graph, then the examples, then the run."""
     cfg = _load_config(args)
-    graph = _build_graph(cfg, args.kg)
+    graph = build_graph(load_triples(args.kg))
     examples = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
     return _prepare_state(cfg, graph, args), examples
 
@@ -186,18 +182,20 @@ def _trim_log(out_dir, command, epochs_done):
 def cmd_gen_data(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
-    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
-    if world.vocab_size != cfg.vocab_size:
+    world_vocab = len(TEMPLATE_TOKENS) + cfg.world.n_entities
+    if world_vocab != cfg.vocab_size:
         raise ConfigError(
             f"vocab_size: config says {cfg.vocab_size} but the world implies "
-            f"{world.vocab_size} (template plus entity tokens)")
+            f"{world_vocab} (template plus entity tokens)")
+    cfg.validate(cfg.world.n_entities + cfg.world.n_attributes)  # every attribute is dealt
+    os.makedirs(args.out, exist_ok=True)
+    world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     examples = gen_dataset(world, cfg.world.n_examples, cfg.world.seed)
     kg_path = os.path.join(args.out, "kg.tsv")
     data_path = os.path.join(args.out, "dataset.jsonl")
     save_triples(kg_path, world.triples)
     write_examples(data_path, examples)
-    graph = _build_graph(cfg, kg_path)
+    graph = build_graph(load_triples(kg_path))
     print(json.dumps(subgraph_stats(graph), sort_keys=True))
     write_manifest(args.out, "gen-data", cfg, [args.config], ["kg.tsv", "dataset.jsonl"],
                    time.perf_counter() - started)
@@ -266,13 +264,12 @@ def cmd_ablate(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args)
     os.makedirs(args.out, exist_ok=True)
-    triples = load_triples(args.kg)
-    nodes, _ = index_nodes(triples)
-    examples = read_examples(args.data, cfg.n_classes, cfg.d_i, nodes)
+    graph = build_graph(load_triples(args.kg))
+    examples = read_examples(args.data, cfg.n_classes, cfg.d_i, graph.node_index)
     train, test = split_dataset(examples)
     seeds = (list(DEFAULT_ABLATION_SEEDS) if args.seed is None
              else [args.seed, args.seed + 1, args.seed + 2])
-    rows = run_ablation(triples, train, test, cfg, seeds)
+    rows = run_ablation(graph, train, test, cfg, seeds)
     csv_text = ablation_csv(rows, seeds)
     md_text = ablation_markdown(rows)
     with open(os.path.join(args.out, "ablation.csv"), "w", encoding="utf-8") as fh:

@@ -84,11 +84,12 @@ class TrainConfig:
     retrieve_k: int = 5
     world: WorldConfig = field(default_factory=WorldConfig)
 
-    def weight_shapes(self) -> dict[str, tuple[str, tuple[int, int]]]:
-        """Each weight matrix of the model by its seed tag: the keys that set
-        its shape, and the shape. A weight over a fused pair of d_m rows has
-        2*d_m rows."""
+    def weight_shapes(self, n_nodes: int) -> dict[str, tuple[str, tuple[int, int]]]:
+        """Each weight matrix of the model by its seed tag (``graph`` for the
+        features of ``n_nodes`` nodes): the keys that set its shape, and the
+        shape. A weight over a fused pair of d_m rows has 2*d_m rows."""
         return {
+            "graph": ("d_k", (n_nodes, self.d_k)),
             "visual.weight": ("d_i/d_m", (self.d_i, self.d_m)),
             "text.table": ("vocab_size/d_t", (self.vocab_size, self.d_t)),
             "text.weight": ("d_t/d_m", (self.d_t, self.d_m)),
@@ -100,7 +101,9 @@ class TrainConfig:
             "adaptor.w_out": ("d_a/n_classes", (self.d_a, self.n_classes)),
         }
 
-    def validate(self) -> None:
+    def validate(self, n_nodes: int = 1) -> None:
+        """Check every value and every parameter's size over ``n_nodes``
+        graph nodes; one, the fewest a graph has, checks the config alone."""
         for name in ("d_i", "d_t", "d_m", "d_k", "d_h", "d_a"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: dimensions must be >= 1")
@@ -109,7 +112,7 @@ class TrainConfig:
         if self.n_classes < 2:
             raise ConfigError("n_classes: must be >= 2")
         # checked before anything is allocated against the most a checkpoint loads
-        for keys, shape in self.weight_shapes().values():
+        for keys, shape in self.weight_shapes(n_nodes).values():
             if math.prod(shape) > MAX_ELEMENTS:
                 raise ConfigError(f"{keys}: a {shape[0]} x {shape[1]} parameter has more "
                                   f"than the {MAX_ELEMENTS} elements a checkpoint holds")

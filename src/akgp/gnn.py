@@ -1,10 +1,11 @@
 """Graph neural network producing one embedding per knowledge node.
 
-Two rounds of mean-style message passing over the row-normalized adjacency:
-a relu hidden layer followed by a linear output layer, so the embedding
-geometry stays unconstrained for cosine retrieval downstream. Propagation
-multiplies by the sparse CSR adjacency (:func:`akgp.tensor.spmm`), so a
-layer costs time and memory in proportion to the edge count, not N×N.
+Two rounds of mean-style message passing of the learned node features
+(:class:`GnnParams`) over the graph's row-normalized adjacency: a relu
+hidden layer followed by a linear output layer, so the embedding geometry
+stays unconstrained for cosine retrieval downstream. Propagation multiplies
+by the sparse CSR adjacency (:func:`akgp.tensor.spmm`), so a layer costs
+time and memory in proportion to the edge count, not N×N.
 
 A caller that reads only some rows of the result can ask for those rows
 alone: layer 2 then runs on them and layer 1 on their receptive field, the
@@ -29,8 +30,9 @@ _ROW_BOUND = 2.0 ** 1000
 
 @dataclass
 class GnnParams:
-    """Weights of the two propagation layers."""
+    """The node features and the weights of the two propagation layers."""
 
+    features: Tensor  # (n_nodes, d_k)
     w1: Tensor  # (d_k, d_h)
     b1: Tensor  # (d_h,)
     w2: Tensor  # (d_h, d_e)
@@ -56,7 +58,7 @@ def _rows_stay_finite(graph: KnowledgeGraph, params: GnnParams) -> bool:
     below ``_ROW_BOUND``: then no row outside a receptive field holds an
     inf or a NaN to multiply a zero gradient row with."""
     spread = graph.adjacency.abs_row_bound
-    layer1 = spread * _abs_max(graph.features.data)
+    layer1 = spread * _abs_max(params.features.data)
     hidden = layer1 * _abs_max(params.w1.data) * len(params.w1.data) + _abs_max(params.b1.data)
     bounds = [layer1, hidden, spread * hidden, _abs_max(params.w2.data)]
     return all(bound < _ROW_BOUND for bound in bounds)  # False for a NaN
@@ -64,7 +66,8 @@ def _rows_stay_finite(graph: KnowledgeGraph, params: GnnParams) -> bool:
 
 def encode_knowledge(graph: KnowledgeGraph, params: GnnParams,
                      rows: RowBlock | None = None) -> Tensor:
-    """Embed every node; row i of the result is the embedding of node i.
+    """Embed every node of ``graph`` from ``params.features``; row i of the
+    result is the embedding of node i.
 
     Given ``rows``, a row block of the adjacency
     (:meth:`akgp.tensor.CsrMatrix.row_block`), row j of the result is the
@@ -90,10 +93,10 @@ def encode_knowledge(graph: KnowledgeGraph, params: GnnParams,
     """
     adjacency = graph.adjacency
     if rows is None:
-        hidden = relu(gnn_layer(adjacency, graph.features, params.w1, params.b1))
+        hidden = relu(gnn_layer(adjacency, params.features, params.w1, params.b1))
         return gnn_layer(adjacency, hidden, params.w2, params.b2)
     if not _rows_stay_finite(graph, params):
         return gather_rows(encode_knowledge(graph, params), rows.index)
     reach = adjacency.row_block(rows.columns())
-    hidden = relu(gnn_layer(adjacency, graph.features, params.w1, params.b1, reach))
+    hidden = relu(gnn_layer(adjacency, params.features, params.w1, params.b1, reach))
     return gnn_layer(adjacency, hidden, params.w2, params.b2, rows, reach)

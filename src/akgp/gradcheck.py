@@ -57,8 +57,7 @@ def _op_cases():
     # a star on "hub" plus a chain hanging off one leaf: degrees 4, 3, 2 and
     # 1 differ, so the row-normalized matrix is far from symmetric
     star_chain = build_graph(
-        [("hub", "r", leaf) for leaf in "abcd"] + [("a", "r", "x"), ("x", "r", "y")],
-        feature_dim=1, seed=0).adjacency
+        [("hub", "r", leaf) for leaf in "abcd"] + [("a", "r", "x"), ("x", "r", "y")]).adjacency
     return [
         ("matmul.left", simple(lambda x, s: T.matmul(x, _rand([4, 3], s + 1)), [5, 4])),
         ("matmul.right", simple(lambda x, s: T.matmul(_rand([5, 4], s + 1), x), [4, 3])),
@@ -115,7 +114,7 @@ def _micro_config(seed):
 def _micro_model(seed):
     cfg = _micro_config(seed)
     triples = [("a", "r", "b"), ("b", "r", "c")]
-    graph = build_graph(triples, cfg.d_k, derive_seed(seed, "graph"))
+    graph = build_graph(triples)
     model = init_model(cfg, graph)
     # Nonzero biases keep every node embedding away from the zero vector,
     # where cosine similarity has its (deliberate) dead spot; finite
@@ -148,8 +147,6 @@ def _pipeline_case(kind):
             originals = tensors[probe_name]
             group, _, short = probe_name.partition(".")
             getattr(model, group)[short] = x
-            if short == "node_features":
-                graph.features = x
             try:
                 knowledge = encode_knowledge(graph, model.gnn_params())
                 fused = encode_batch(Tensor(images.data), bow,
@@ -164,8 +161,6 @@ def _pipeline_case(kind):
                 return loss_total(align, task, 0.7, 1.3)
             finally:
                 getattr(model, group)[short] = originals
-                if short == "node_features":
-                    graph.features = originals
 
         probe = dict(model.named_tensors())[probe_name]
         return f, Tensor(probe.data.copy())

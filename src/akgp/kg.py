@@ -1,11 +1,12 @@
-"""Knowledge graph ingestion: triple files to adjacency and node features.
+"""Knowledge graph ingestion: triple files to a node index and adjacency.
 
 Triples arrive as tab-separated ``head<TAB>relation<TAB>tail`` lines. The
 graph's adjacency is the symmetric binary edge pattern with self-loops,
 row-normalized so each row sums to one, stored sparse as a row-sorted CSR
-matrix with its transpose (memory grows with the edge count, not N×N), plus
-a learned node-feature matrix. Relations are kept on the triple list but do
-not type the adjacency.
+matrix with its transpose (memory grows with the edge count, not N×N).
+Relations do not type the adjacency. A graph is structure only and depends
+on its triples alone; the learned node features are a model parameter
+(:func:`akgp.model.init_model`).
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .checkpoint import MAX_ELEMENTS
-from .config import ConfigError
-from .tensor import CsrMatrix, Tensor, xavier
+from .tensor import CsrMatrix
 
 
 class TripleParseError(ValueError):
@@ -90,53 +89,34 @@ def save_triples(path, triples: Iterable[Triple]) -> None:
 
 @dataclass
 class KnowledgeGraph:
-    """Node store with row-normalized sparse adjacency and trainable features.
-
-    ``adjacency`` row i sums to 1 (self-loops guarantee no zero row) and
-    ``features`` row i is the learned input vector of node i.
-    """
+    """Node store with row-normalized sparse adjacency; ``adjacency`` row i
+    sums to 1 (self-loops guarantee no zero row)."""
 
     node_ids: list[str]
     node_index: dict[str, int]
-    triples: list[Triple]
     adjacency: CsrMatrix
-    features: Tensor
 
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
 
-def index_nodes(triples: list[Triple]) -> tuple[dict[str, int], np.ndarray]:
-    """The nodes of ``triples``, indexed in first-appearance order (head
-    before tail), and the index of each head and tail, interleaved."""
-    node_index: dict[str, int] = {}
-    ends = np.array([node_index.setdefault(name, len(node_index))
-                     for head, _, tail in triples for name in (head, tail)],
-                    dtype=np.int64)
-    return node_index, ends
-
-
-def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> KnowledgeGraph:
+def build_graph(triples: list[Triple]) -> KnowledgeGraph:
     """Materialize a graph from triples.
 
     Nodes are indexed in first-appearance order (head before tail). The
     adjacency is the binary symmetric edge matrix plus identity, divided
     row-wise by degree + 1, built in CSR form without a dense N×N step.
-    Node features are xavier-initialized and marked trainable, since triple
-    files carry no feature information.
     """
     if not triples:
         raise ValueError("cannot build a graph from an empty triple list")
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-
-    node_index, ends = index_nodes(triples)
+    node_index: dict[str, int] = {}
+    # the node index of each head and tail, interleaved
+    ends = np.array([node_index.setdefault(name, len(node_index))
+                     for head, _, tail in triples for name in (head, tail)],
+                    dtype=np.int64)
     node_ids = list(node_index)
     n = len(node_ids)
-    if n * feature_dim > MAX_ELEMENTS:  # the features are a parameter: checked as validate does
-        raise ConfigError(f"d_k: the {n} x {feature_dim} node features have more than "
-                          f"the {MAX_ELEMENTS} elements a checkpoint holds")
 
     heads, tails, loops = ends[0::2], ends[1::2], np.arange(n, dtype=np.int64)
     # one key per distinct (row, col) entry; sorted keys are row-sorted CSR
@@ -153,14 +133,7 @@ def build_graph(triples: list[Triple], feature_dim: int, seed: int) -> Knowledge
         values=inv[rows],
         values_t=inv[cols],
     )
-    features = xavier([n, feature_dim], seed).requires_grad_(True)
-    return KnowledgeGraph(
-        node_ids=node_ids,
-        node_index=node_index,
-        triples=list(triples),
-        adjacency=adjacency,
-        features=features,
-    )
+    return KnowledgeGraph(node_ids=node_ids, node_index=node_index, adjacency=adjacency)
 
 
 def subgraph_stats(graph: KnowledgeGraph) -> dict:

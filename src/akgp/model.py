@@ -1,10 +1,10 @@
 """The named parameter groups of the full pipeline and their initialization.
 
-Groups: visual encoder, text encoder, fusion, knowledge path (GNN weights
-plus the graph's node features), gate, and task adaptor. Weight matrices
-are xavier-initialized from seeds derived deterministically from the master
-seed, or left unfilled for a caller that copies every tensor in; biases
-start at zero.
+Groups: visual encoder, text encoder, fusion, knowledge path (the node
+features plus the GNN weights), gate, and task adaptor. Weight matrices,
+the node features among them, are xavier-initialized from seeds derived
+deterministically from the master seed, or left unfilled for a caller that
+copies every tensor in; biases start at zero.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class ModelParams:
         )
 
     def gnn_params(self) -> GnnParams:
-        return GnnParams(w1=self.theta_k["w1"], b1=self.theta_k["b1"],
+        return GnnParams(features=self.theta_k["node_features"],
+                         w1=self.theta_k["w1"], b1=self.theta_k["b1"],
                          w2=self.theta_k["w2"], b2=self.theta_k["b2"])
 
     def gate_params(self) -> GateParams:
@@ -69,11 +70,11 @@ class ModelParams:
 
 
 def init_model(cfg: TrainConfig, graph: KnowledgeGraph, fill: bool = True) -> ModelParams:
-    """Create all parameter groups; adopts the graph's feature matrix into
-    the knowledge group so one freeze flag governs the whole knowledge path.
-    Without ``fill`` the weight matrices are allocated but not drawn."""
+    """Create all parameter groups for ``graph``'s nodes; the node features
+    lead the knowledge group, so one freeze flag governs the whole knowledge
+    path. Without ``fill`` the weight matrices are allocated but not drawn."""
 
-    shapes = cfg.weight_shapes()
+    shapes = cfg.weight_shapes(graph.n_nodes)
 
     def mat(tag):
         shape = shapes[tag][1]
@@ -83,7 +84,7 @@ def init_model(cfg: TrainConfig, graph: KnowledgeGraph, fill: bool = True) -> Mo
     def vec(shape):
         return zeros(shape).requires_grad_(True)
 
-    model = ModelParams(
+    return ModelParams(
         theta_v={"weight": mat("visual.weight"),
                  "bias": vec([cfg.d_m])},
         theta_t={"table": mat("text.table"),
@@ -91,7 +92,7 @@ def init_model(cfg: TrainConfig, graph: KnowledgeGraph, fill: bool = True) -> Mo
                  "bias": vec([cfg.d_m])},
         theta_m={"weight": mat("fusion.weight"),
                  "bias": vec([cfg.d_m])},
-        theta_k={"node_features": graph.features.requires_grad_(True),
+        theta_k={"node_features": mat("graph"),
                  "w1": mat("gnn.w1"),
                  "b1": vec([cfg.d_h]),
                  "w2": mat("gnn.w2"),
@@ -104,7 +105,3 @@ def init_model(cfg: TrainConfig, graph: KnowledgeGraph, fill: bool = True) -> Mo
                  "b_out": vec([cfg.n_classes])},
         gate_mode=cfg.gate,
     )
-    if graph.features.shape != (graph.n_nodes, cfg.d_k):
-        raise ValueError(
-            f"graph features {graph.features.shape} do not match configured d_k={cfg.d_k}")
-    return model

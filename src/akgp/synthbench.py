@@ -6,9 +6,9 @@ prototype, so the label is statistically unrelated to the input features
 given the entity: a model can only do better than memorizing entities by
 reading the attribute off the knowledge graph. The ablation trains five
 configurations of increasing knowledge integration on identical data and
-reports per-seed accuracies; a seed's configurations share its graph,
-initial model and pretraining, and the seeds' work is shared out among
-the usable cores.
+reports per-seed accuracies. Every seed shares one graph and one
+collation of each split, a seed's configurations share its initial model
+and pretraining, and the seeds' work is shared out among the usable cores.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import TrainConfig, WorldConfig
-from .data import Batch, Example
-from .kg import Triple, build_graph
+from .data import Batch, Example, collate
+from .kg import KnowledgeGraph, Triple
 from .rng import Rng, derive_seed
 from .trainer import (
     STAGE_FINETUNE,
     PipelineVariant,
     TrainerState,
-    collate_dataset,
     evaluate,
     finetune_epoch,
     load_weights,
@@ -186,21 +185,19 @@ def _unit_cells(pretrain: bool) -> list[int]:
             if from_pretrained == pretrain]
 
 
-def _run_unit(triples: list[Triple], train: list[Example], test: list[Example],
+def _run_unit(graph: KnowledgeGraph, train_batch: Batch, test_batch: Batch,
               cfg: TrainConfig, seed: int, pretrain: bool, accuracies: list[float]) -> None:
     """Append to ``accuracies`` the test accuracy of each configuration of one
     seed that starts from the pretrained weights (``pretrain``) or from the
     initial ones, in the order of :func:`_unit_cells`.
 
-    A unit builds its seed's graph, initial model and collated splits, so it
-    can run in any process; its cells share them, and the pretrained cells
-    share one pretraining: it never reads the variant, so each would reach
-    the same weights.
+    A unit makes its seed's run from the shared graph and collated splits;
+    its cells share the run's initial model, and the pretrained cells share
+    one pretraining: it never reads the variant, so each would reach the
+    same weights.
     """
     seed_cfg = replace(cfg, seed=seed)
-    graph = build_graph(triples, seed_cfg.d_k, derive_seed(seed, "graph"))
     state = make_run(seed_cfg, graph)
-    train_batch, test_batch = collate_dataset(state, train), collate_dataset(state, test)
     if pretrain:
         for _ in range(seed_cfg.pretrain_epochs):
             pretrain_epoch(state, train_batch)
@@ -210,7 +207,7 @@ def _run_unit(triples: list[Triple], train: list[Example], test: list[Example],
                                    ABLATION_CONFIGS[ci][1]))
 
 
-def _run_share(share, triples, train, test, cfg) -> list:
+def _run_share(share, graph, train, test, cfg) -> list:
     """``(unit, accuracies, exception or None)`` for each ``(seed index, seed,
     pretrain)`` unit of a share. A unit whose seed index is above that of a
     failed unit is skipped: it cannot hold the first failure."""
@@ -221,7 +218,7 @@ def _run_share(share, triples, train, test, cfg) -> list:
             continue
         accuracies: list[float] = []
         try:
-            _run_unit(triples, train, test, cfg, seed, pretrain, accuracies)
+            _run_unit(graph, train, test, cfg, seed, pretrain, accuracies)
         except Exception as exc:  # the caller raises the first in the serial order
             results.append((unit, accuracies, exc))
             failed_at = index
@@ -230,8 +227,8 @@ def _run_share(share, triples, train, test, cfg) -> list:
     return results
 
 
-def _send_share(sender, share, triples, train, test, cfg) -> None:
-    sender.send(_run_share(share, triples, train, test, cfg))
+def _send_share(sender, share, graph, train, test, cfg) -> None:
+    sender.send(_run_share(share, graph, train, test, cfg))
     sender.close()
 
 
@@ -247,7 +244,7 @@ def _share_count(n_units: int) -> int:
     return min(len(os.sched_getaffinity(0)), n_units)
 
 
-def _run_units(triples, train, test, cfg, seeds: list[int]) -> list:
+def _run_units(graph, train, test, cfg, seeds: list[int]) -> list:
     """Every unit's result, as :func:`_run_share` gives them.
 
     Each seed is two units: its pretraining chain and its cells from the
@@ -269,11 +266,11 @@ def _run_units(triples, train, test, cfg, seeds: list[int]) -> list:
         for share in shares[1:]:
             receiver, sender = context.Pipe(duplex=False)
             child = context.Process(target=_send_share,
-                                    args=(sender, share, triples, train, test, cfg))
+                                    args=(sender, share, graph, train, test, cfg))
             child.start()
             sender.close()
             children.append((child, receiver))
-        results = _run_share(shares[0], triples, train, test, cfg)
+        results = _run_share(shares[0], graph, train, test, cfg)
         for child, receiver in children:
             try:
                 results += receiver.recv()
@@ -301,18 +298,22 @@ def _serial_position(unit, accuracies: list[float]) -> tuple[int, int]:
     return index, _unit_cells(pretrain)[len(accuracies)]
 
 
-def run_ablation(triples: list[Triple], train: list[Example],
+def run_ablation(graph: KnowledgeGraph, train: list[Example],
                  test: list[Example], cfg: TrainConfig, seeds: list[int]) -> list[AblationRow]:
     """Train and evaluate the five configurations on identical splits for
-    each seed, on every usable core. The rows do not depend on the core
-    count; a failure raises the exception that running the seeds one after
-    another in one process would raise."""
+    each seed, on every usable core. Both splits are collated once, against
+    ``graph``, for every seed. The rows do not depend on the core count; a
+    failure raises the exception that running the seeds one after another
+    in one process would raise."""
     if len(seeds) < 3:
         raise ValueError(f"need at least 3 seeds, got {len(seeds)}")
     train_ids = {id(ex) for ex in train}
     if any(id(ex) in train_ids for ex in test):
         raise ValueError("train and test splits overlap")
-    results = _run_units(triples, train, test, cfg, seeds)
+    cfg.validate(graph.n_nodes)  # as every unit's run does first
+    train_batch, test_batch = (collate(split, cfg.vocab_size, graph.node_index)
+                               for split in (train, test))
+    results = _run_units(graph, train_batch, test_batch, cfg, seeds)
     failures = [(_serial_position(unit, accs), exc) for unit, accs, exc in results if exc]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

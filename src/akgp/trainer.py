@@ -111,10 +111,11 @@ class TrainerState:
 
 def make_run(cfg: TrainConfig, graph: KnowledgeGraph,
              weights: dict[str, np.ndarray] | None = None) -> TrainerState:
-    """A new run in the pretraining stage; an invalid ``cfg`` raises
-    ConfigError naming the key. Its parameters are drawn from the seed, or,
-    given ``weights``, allocated undrawn and filled by :func:`load_weights`."""
-    cfg.validate()
+    """A new run on ``graph`` in the pretraining stage; an invalid ``cfg``
+    raises ConfigError naming the key, before any parameter is allocated.
+    Its parameters are drawn from the seed, or, given ``weights``, allocated
+    undrawn and filled by :func:`load_weights`."""
+    cfg.validate(graph.n_nodes)
     model = init_model(cfg, graph, fill=weights is None)
     state = TrainerState(cfg=cfg, graph=graph, model=model, opt=AdamState(),
                          rng=Rng(derive_seed(cfg.seed, "stage.pretrain")))

@@ -22,7 +22,6 @@ from akgp.gradcheck import run_gradient_report
 from akgp.kg import build_graph
 from akgp.losses import loss_align, loss_cls, loss_gen
 from akgp.retrieval import retrieve_top1, retrieve_topk
-from akgp.rng import derive_seed
 from akgp.synthbench import (
     ABLATION_CONFIGS,
     DEFAULT_ABLATION_SEEDS,
@@ -56,7 +55,7 @@ def default_world_and_data():
 
 
 def fresh_state(cfg, world):
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     return make_run(cfg, graph)
 
 
@@ -131,7 +130,7 @@ def test_criterion_4_ablation_direction():
     assert cfg.world.n_entities == 20 and cfg.world.n_attributes == 4
     assert cfg.world.n_examples == 2000
     train, test = split_dataset(data)
-    rows = run_ablation(world.triples, train, test, cfg,
+    rows = run_ablation(build_graph(world.triples), train, test, cfg,
                         seeds=list(DEFAULT_ABLATION_SEEDS))
     elapsed = time.perf_counter() - started
 
@@ -219,7 +218,7 @@ def test_criterion_6_determinism_and_resume(tmp_path):
     mid_path = tmp_path / "mid.akgp"
     save_state(mid_path, partial)
 
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     resumed = load_state(mid_path, cfg, graph)
     finetune_epoch(resumed, small)
     resumed_path = tmp_path / "resumed.akgp"
@@ -264,7 +263,7 @@ def test_criterion_8_checkpoint_format(tmp_path):
     first = tmp_path / "first.akgp"
     save_state(first, state)
 
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     reloaded = load_state(first, cfg, graph)
     second = tmp_path / "second.akgp"
     save_state(second, reloaded)

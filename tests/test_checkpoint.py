@@ -21,7 +21,6 @@ from akgp.checkpoint import (
 )
 from akgp.config import ConfigError, TrainConfig, WorldConfig
 from akgp.kg import build_graph
-from akgp.rng import derive_seed
 from akgp.synthbench import gen_dataset, gen_world
 from akgp.trainer import (
     STAGE_FINETUNE,
@@ -43,12 +42,12 @@ def tiny_setup(seed=0):
     )
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     data = gen_dataset(world, 48, seed=3)
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     return cfg, world, data, graph
 
 
 def fresh_graph(cfg, world):
-    return build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    return build_graph(world.triples)
 
 
 def test_raw_round_trip_preserves_everything(tmp_path):
@@ -227,7 +226,7 @@ def test_restore_rejects_mismatched_model(tmp_path):
         world=cfg.world,
     )
     with pytest.raises(ValueError):
-        load_state(path, other_cfg, build_graph(world.triples, 4, 0))
+        load_state(path, other_cfg, build_graph(world.triples))
 
 
 def test_resume_with_changed_config_is_config_error(tmp_path):

@@ -80,6 +80,25 @@ def test_gen_data_default_world_stats(tmp_path, capsys):
         '"n_edges": 55, "n_nodes": 24}')
 
 
+@pytest.mark.parametrize("overrides, key", [
+    # a billion entities need a billion entity tokens
+    ({"world": {"n_entities": 10**9}}, "vocab_size"),
+    # 2**24 + 4 nodes of 16 features: 64 elements past the most a checkpoint loads
+    ({"world": {"n_entities": 2**24}, "vocab_size": 2**24 + 14, "d_t": 8}, "d_k"),
+])
+def test_gen_data_checks_the_config_against_the_world_before_building_it(
+        tmp_path, capsys, monkeypatch, overrides, key):
+    def build(*args):
+        raise AssertionError("the world was built")
+
+    monkeypatch.setattr(akgp.cli, "gen_world", build)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(overrides))
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "w")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["code"] == 2 and err["message"].startswith(f"{key}: "), err["message"]
+
+
 def test_train_eval_round_trip(workdir, tmp_path, capsys):
     pre = tmp_path / "pre"
     assert main(["pretrain", "--config", workdir["config"], "--kg", workdir["kg"],
@@ -278,7 +297,6 @@ def test_retrieve_encodes_in_batches_and_matches_one_batch_oracle(workdir, capsy
     from akgp.data import collate, read_examples
     from akgp.kg import build_graph, load_triples
     from akgp.retrieval import cosine_scores, topk_indices
-    from akgp.rng import derive_seed
     from akgp.tensor import Tensor
 
     encode_batch = trainer.encode_batch
@@ -297,7 +315,7 @@ def test_retrieve_encodes_in_batches_and_matches_one_batch_oracle(workdir, capsy
 
     # oracle: every query encoded in one batch
     cfg = parse_config(workdir["config"])
-    graph = build_graph(load_triples(workdir["kg"]), cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(load_triples(workdir["kg"]))
     state = trainer.make_run(cfg, graph)
     trainer.start_stage(state, trainer.STAGE_FINETUNE)
     batch = collate(examples, cfg.vocab_size, graph.node_index)

@@ -140,7 +140,7 @@ def test_freeze_policy_applies_flags():
 def _make_run_with_freeze(frozen):
     """make_run validates an in-program config as parse_config does."""
     cfg = TrainConfig(freeze=frozen)
-    make_run(cfg, build_graph([("a", "r", "b")], cfg.d_k, seed=0))
+    make_run(cfg, build_graph([("a", "r", "b")]))
 
 
 def test_freeze_policy_all_frozen_rejected():

@@ -1,5 +1,7 @@
 """Knowledge encoder: propagation semantics, equivariance, gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,13 @@ from akgp.tensor import (
 )
 
 
-def small_params(d_k, d_h, d_e, seed=0, trainable=False):
+def small_params(features, d_h, d_e, seed=0, trainable=False):
+    """Parameters over the node features ``features``, an (n, d_k) array or
+    tensor, with xavier layer weights and zero biases."""
+    features = features if isinstance(features, Tensor) else from_array(features)
     p = GnnParams(
-        w1=xavier([d_k, d_h], seed),
+        features=features,
+        w1=xavier([features.shape[1], d_h], seed),
         b1=zeros([d_h]),
         w2=xavier([d_h, d_e], seed + 1),
         b2=zeros([d_e]),
@@ -27,16 +33,10 @@ def small_params(d_k, d_h, d_e, seed=0, trainable=False):
     return p
 
 
-def graph_with_features(triples, features):
-    g = build_graph(triples, feature_dim=features.shape[1], seed=0)
-    g.features = Tensor(np.asarray(features, dtype=np.float64))
-    return g
-
-
 def two_node_mean():
     """The adjacency of one edge a-b, checked against its dense oracle."""
     triples = [("a", "r", "b")]
-    g = build_graph(triples, feature_dim=1, seed=0)
+    g = build_graph(triples)
     assert np.array_equal(expand(g.adjacency), dense_adjacency(triples, g.node_index))
     assert np.allclose(expand(g.adjacency), [[0.5, 0.5], [0.5, 0.5]])
     return g.adjacency
@@ -71,8 +71,8 @@ def test_layer_gradient_matches_fd():
 
 def test_zero_features_give_equal_rows():
     triples = [("a", "r", "b"), ("b", "r", "c")]
-    g = graph_with_features(triples, np.zeros((3, 4)))
-    p = small_params(4, 5, 6, seed=2)
+    g = build_graph(triples)
+    p = small_params(np.zeros((3, 4)), 5, 6, seed=2)
     p.b1 = uniform([5], -1, 1, 7)
     p.b2 = uniform([6], -1, 1, 8)
     out = encode_knowledge(g, p)
@@ -83,8 +83,8 @@ def test_zero_features_give_equal_rows():
 
 def test_permutation_equivariance():
     triples = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("a", "r", "d")]
-    g = build_graph(triples, feature_dim=5, seed=3)
-    p = small_params(5, 6, 4, seed=4)
+    g = build_graph(triples)
+    p = small_params(xavier([4, 5], 3), 6, 4, seed=4)
     base = encode_knowledge(g, p).data
 
     perm = np.array([2, 0, 3, 1])
@@ -93,26 +93,25 @@ def test_permutation_equivariance():
     permuted = KnowledgeGraph(
         node_ids=[g.node_ids[i] for i in perm],
         node_index={g.node_ids[i]: row for row, i in enumerate(perm)},
-        triples=g.triples,
         adjacency=csr_from_dense(pm @ dense @ pm.T),
-        features=Tensor(g.features.data[perm]),
     )
-    assert np.allclose(encode_knowledge(permuted, p).data, base[perm], atol=1e-9)
+    permuted_p = replace(p, features=Tensor(p.features.data[perm]))
+    assert np.allclose(encode_knowledge(permuted, permuted_p).data, base[perm], atol=1e-9)
 
 
 def test_isolated_identical_nodes_match():
-    g = build_graph([("a", "r", "a"), ("b", "r", "b")], feature_dim=3, seed=0)
-    g.features = Tensor(np.tile(g.features.data[0], (2, 1)))
-    out = encode_knowledge(g, small_params(3, 4, 5, seed=6))
+    g = build_graph([("a", "r", "a"), ("b", "r", "b")])
+    features = np.tile(xavier([2, 3], 0).data[0], (2, 1))
+    out = encode_knowledge(g, small_params(features, 4, 5, seed=6))
     assert np.allclose(out.data[0], out.data[1], atol=1e-12)
 
 
 def test_chain_matches_step_by_step_oracle():
     triples = [("a", "r", "b"), ("b", "r", "c")]
-    g = build_graph(triples, feature_dim=4, seed=9)
-    p = small_params(4, 5, 3, seed=10)
+    g = build_graph(triples)
+    p = small_params(xavier([3, 4], 9), 5, 3, seed=10)
 
-    a, x = dense_adjacency(triples, g.node_index), g.features.data
+    a, x = dense_adjacency(triples, g.node_index), p.features.data
     h1 = np.maximum(a @ x @ p.w1.data + p.b1.data, 0.0)
     oracle = a @ h1 @ p.w2.data + p.b2.data
     assert np.allclose(encode_knowledge(g, p).data, oracle, atol=1e-12)
@@ -120,18 +119,17 @@ def test_chain_matches_step_by_step_oracle():
 
 def test_full_gradient_paths_pass_fd():
     triples = [("a", "r", "b"), ("b", "r", "c")]
-    g = build_graph(triples, feature_dim=3, seed=11)
-    p = small_params(3, 4, 3, seed=12)
+    g = build_graph(triples)
+    p = small_params(xavier([3, 3], 11), 4, 3, seed=12)
 
     def loss_wrt_features(x):
-        probe = KnowledgeGraph(g.node_ids, g.node_index, g.triples, g.adjacency, x)
-        out = encode_knowledge(probe, p)
+        out = encode_knowledge(g, replace(p, features=x))
         return sum_all(mul(out, out))
 
-    assert fd_check(loss_wrt_features, Tensor(g.features.data.copy())).passed
+    assert fd_check(loss_wrt_features, Tensor(p.features.data.copy())).passed
 
     def loss_wrt_w2(w):
-        probe = GnnParams(w1=p.w1, b1=p.b1, w2=w, b2=p.b2)
+        probe = replace(p, w2=w)
         out = encode_knowledge(g, probe)
         return sum_all(mul(out, out))
 
@@ -158,15 +156,15 @@ def test_large_chain_stays_sparse():
     # dense, this adjacency alone would be 20,000^2 float64 = 3.2 GB
     n = 20_000
     triples = [(f"n{i}", "r", f"n{i + 1}") for i in range(n - 1)]
-    g = build_graph(triples, feature_dim=4, seed=0)
+    g = build_graph(triples)
     assert held_bytes(g.adjacency) < 2_000_000
-    p = small_params(4, 5, 3, seed=13, trainable=True)
+    p = small_params(xavier([n, 4], 0), 5, 3, seed=13, trainable=True)
     with Tape() as tape:
         out = encode_knowledge(g, p)
         loss = sum_all(mul(out, out))
     backward(loss, tape)
     assert out.shape == (n, 3)
-    assert g.features.grad.shape == (n, 4) and np.all(np.isfinite(g.features.grad))
+    assert p.features.grad.shape == (n, 4) and np.all(np.isfinite(p.features.grad))
     assert np.any(p.w1.grad != 0.0)
 
 
@@ -178,13 +176,13 @@ def _random_graph(n, hubs, medium, edges, rng):
     for size in list(hubs) + list(rng.integers(8, 16, size=medium)):
         centre = rng.integers(n)
         pairs += [(centre, leaf) for leaf in rng.choice(n, min(size, n), replace=False)]
-    return build_graph([(names[a], "r", names[b]) for a, b in pairs], 1, 0)
+    return build_graph([(names[a], "r", names[b]) for a, b in pairs])
 
 
 def _leaf_grads(graph, params, rows, picks, weights):
     """Embeddings the loss reads and every leaf gradient of a loss of
     ``picks`` rows: of the whole result, or of its ``rows`` alone."""
-    leaves = [graph.features, *vars(params).values()]
+    leaves = list(vars(params).values())
     for t in leaves:
         t.requires_grad_(False).requires_grad_(True)
     with Tape() as tape:
@@ -209,14 +207,14 @@ def test_encoded_rows_bit_equal_to_the_whole_encoding(n, hubs, medium, edges, se
     graph = _random_graph(n, hubs, medium, edges, rng)
     d_k, d_h, d_e = dims
     n = graph.n_nodes
-    graph.features = Tensor(rng.uniform(-1.0, 1.0, (n, d_k)))
-    params = GnnParams(xavier([d_k, d_h], seed % 1000), uniform([d_h], -1, 1, 1),
+    params = GnnParams(Tensor(rng.uniform(-1.0, 1.0, (n, d_k))),
+                       xavier([d_k, d_h], seed % 1000), uniform([d_h], -1, 1, 1),
                        xavier([d_h, d_e], 2), uniform([d_e], -1, 1, 3))
     if fill == "overflow":  # finite inputs whose hidden rows overflow
-        graph.features.data *= 1e300
+        params.features.data *= 1e300
         params.w1.data *= 1e10
     elif fill != "finite":
-        graph.features.data[rng.integers(n), rng.integers(d_k)] = {"nan": np.nan, "inf": np.inf}[fill]
+        params.features.data[rng.integers(n), rng.integers(d_k)] = {"nan": np.nan, "inf": np.inf}[fill]
     assert gnn._rows_stay_finite(graph, params) == (fill == "finite")
     rows = np.flatnonzero(rng.random(n) < share)
     if rows.size == 0:

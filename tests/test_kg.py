@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_oracle import dense_adjacency, expand
-from akgp.config import ConfigError
 from akgp.kg import (
     TripleParseError,
     build_graph,
@@ -107,39 +106,31 @@ def test_non_utf8_triples_name_the_file(tmp_path):
 
 def test_build_graph_two_nodes():
     triples = [("a", "r", "b")]
-    g = build_graph(triples, feature_dim=4, seed=1)
+    g = build_graph(triples)
     assert g.node_ids == ["a", "b"]
     adjacency = expand(g.adjacency)
     assert np.array_equal(adjacency, dense_adjacency(triples, g.node_index))
     assert np.allclose(adjacency, [[0.5, 0.5], [0.5, 0.5]])
-    assert g.features.shape == (2, 4)
-    assert g.features.requires_grad
-
-
-def test_node_features_too_large_to_load_are_rejected_before_allocation():
-    # 2 x (2**27 + 1) is two elements past the most a checkpoint loads
-    with pytest.raises(ConfigError, match=r"^d_k: the 2 x 134217729 node features"):
-        build_graph([("a", "r", "b")], feature_dim=2**27 + 1, seed=1)
 
 
 def test_build_graph_self_loop_only():
     triples = [("a", "r", "a")]
-    g = build_graph(triples, feature_dim=2, seed=0)
+    g = build_graph(triples)
     assert dense_adjacency(triples, g.node_index).tolist() == [[1.0]]
     assert expand(g.adjacency).tolist() == [[1.0]]
 
 
 def test_duplicate_edges_collapse():
-    g1 = build_graph([("a", "r", "b")], feature_dim=2, seed=3)
+    g1 = build_graph([("a", "r", "b")])
     triples = [("a", "r", "b"), ("a", "s", "b")]
-    g2 = build_graph(triples, feature_dim=2, seed=3)
+    g2 = build_graph(triples)
     assert np.array_equal(expand(g2.adjacency), dense_adjacency(triples, g2.node_index))
     assert np.array_equal(expand(g1.adjacency), expand(g2.adjacency))
 
 
 def test_rows_sum_to_one():
     triples = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("a", "r", "d")]
-    g = build_graph(triples, feature_dim=3, seed=5)
+    g = build_graph(triples)
     adjacency = expand(g.adjacency)
     assert np.array_equal(adjacency, dense_adjacency(triples, g.node_index))
     assert np.allclose(adjacency.sum(axis=1), 1.0, atol=1e-9)
@@ -150,7 +141,7 @@ def test_rows_sum_to_one():
 def test_csr_matches_dense_oracle(pairs):
     # a small name pool makes duplicates, self-loops and both directions common
     triples = [(f"n{h}", "r", f"n{t}") for h, t in pairs]
-    g = build_graph(triples, feature_dim=1, seed=0)
+    g = build_graph(triples)
     first_seen = list(dict.fromkeys(name for h, _, t in triples for name in (h, t)))
     assert g.node_ids == first_seen
     oracle = dense_adjacency(triples, g.node_index)
@@ -163,26 +154,25 @@ def test_csr_matches_dense_oracle(pairs):
 
 def test_node_order_deterministic():
     triples = [("x", "r", "y"), ("z", "r", "x")]
-    g1 = build_graph(triples, feature_dim=2, seed=9)
-    g2 = build_graph(triples, feature_dim=2, seed=9)
+    g1 = build_graph(triples)
+    g2 = build_graph(triples)
     assert g1.node_ids == g2.node_ids == ["x", "y", "z"]
-    assert np.array_equal(g1.features.data, g2.features.data)
 
 
 def test_empty_triples_rejected():
     with pytest.raises(ValueError):
-        build_graph([], feature_dim=2, seed=0)
+        build_graph([])
 
 
 def test_stats_single_edge():
-    g = build_graph([("a", "r", "b")], feature_dim=2, seed=0)
+    g = build_graph([("a", "r", "b")])
     stats = subgraph_stats(g)
     assert stats["n_nodes"] == 2
     assert stats["n_edges"] == 1
 
 
 def test_stats_triangle_histogram():
-    g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")], 2, 0)
+    g = build_graph([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
     assert subgraph_stats(g)["degree_histogram"] == {2: 3}
 
 
@@ -194,7 +184,7 @@ def test_stats_edge_count_matches_set_oracle():
         h = names[rng.randrange(30)]
         t = names[rng.randrange(30)]
         triples.append((h, "rel", t))
-    g = build_graph(triples, feature_dim=2, seed=0)
+    g = build_graph(triples)
 
     oracle = set()
     for h, _, t in triples:

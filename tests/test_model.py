@@ -8,12 +8,13 @@ from akgp.kg import build_graph
 from akgp.model import init_model
 from akgp.rng import derive_seed
 from akgp.synthbench import gen_world
+from akgp.tensor import xavier
 
 
 def default_model(seed=0):
     cfg = TrainConfig(seed=seed)
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     return cfg, graph, init_model(cfg, graph)
 
 
@@ -25,9 +26,19 @@ def test_groups_complete_and_uniquely_named():
     assert all(t.requires_grad for _, t in model.named_tensors())
 
 
-def test_graph_features_live_in_knowledge_group():
-    _, graph, model = default_model()
-    assert model.theta_k["node_features"] is graph.features
+def test_node_features_are_the_graph_tagged_draw_and_lead_the_knowledge_group():
+    cfg, graph, model = default_model(seed=3)
+    features = model.theta_k["node_features"]
+    drawn = xavier([graph.n_nodes, cfg.d_k], derive_seed(cfg.seed, "graph"))
+    assert features.data.tobytes() == drawn.data.tobytes() and features.requires_grad
+    assert model.gnn_params().features is features
+    # the order of the checkpoint's tensor records
+    assert [name for name, _ in model.named_tensors()] == [
+        "theta_v.weight", "theta_v.bias", "theta_t.table", "theta_t.weight", "theta_t.bias",
+        "theta_m.weight", "theta_m.bias",
+        "theta_k.node_features", "theta_k.w1", "theta_k.b1", "theta_k.w2", "theta_k.b2",
+        "w_g.weight", "w_g.bias",
+        "theta_a.w_hidden", "theta_a.b_hidden", "theta_a.w_out", "theta_a.b_out"]
 
 
 def test_init_deterministic_per_seed():

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from akgp import synthbench, trainer
+from akgp import kg, synthbench, trainer
 from akgp.config import TrainConfig, WorldConfig
 from akgp.data import Example
 from akgp.kg import TripleParseError, build_graph
@@ -53,8 +53,7 @@ def run_cell_from_scratch(triples, train, test, cfg, variant, pretrain, seed):
     ablation ran each cell before a seed's cells shared their graph, initial
     model and pretraining; returns the test ``evaluate`` dict."""
     cell_cfg = replace(cfg, seed=seed)
-    graph = build_graph(triples, cell_cfg.d_k, derive_seed(seed, "graph"))
-    state = make_run(cell_cfg, graph)
+    state = make_run(cell_cfg, build_graph(triples))
     train_batch = collate_dataset(state, train)
     if pretrain:
         for _ in range(cell_cfg.pretrain_epochs):
@@ -179,14 +178,15 @@ def test_run_ablation_structure_and_determinism():
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     data = gen_dataset(world, 60, seed=18)
     train, test = split_dataset(data)
-    rows = run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
+    graph = build_graph(world.triples)
+    rows = run_ablation(graph, train, test, cfg, seeds=[0, 1, 2])
     assert [r.name for r in rows] == ["baseline", "+encoder", "+retrieval",
                                       "+alignment", "full"]
     assert all(len(r.accuracies) == 3 for r in rows)
     assert all(0.0 <= r.mean <= 1.0 for r in rows)
     assert rows[0].delta_vs_baseline == 0.0
 
-    again = run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
+    again = run_ablation(graph, train, test, cfg, seeds=[0, 1, 2])
     assert [r.accuracies for r in again] == [r.accuracies for r in rows]
 
 
@@ -207,7 +207,7 @@ def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
         return got[-1]
 
     monkeypatch.setattr(synthbench, "evaluate", recorded)
-    run_ablation(world.triples, train, test, cfg, seeds)
+    run_ablation(build_graph(world.triples), train, test, cfg, seeds)
     want = [run_cell_from_scratch(world.triples, train, test, cfg, variant, pretrain, seed)
             for chain in (True, False) for seed in seeds
             for _, variant, pretrain in ABLATION_CONFIGS if pretrain == chain]
@@ -215,36 +215,39 @@ def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
 
 
 def test_ablation_work_counts(monkeypatch):
-    # work-count guard: each of a seed's two units builds one graph and
-    # collates each split once, and its pretrained cells share one pretraining
+    # work-count guard: the seeds share the caller's graph and one collation
+    # of each split, and a seed's pretrained cells share one pretraining
     usable_cores(monkeypatch, 1)  # calls made in a child are not seen
     cfg = tiny_cfg()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
+    graph = build_graph(world.triples)
     train, test = split_dataset(gen_dataset(world, 60, seed=24))
     calls = {"build_graph": 0, "pretrain_epoch": 0, "run_cell": 0, "collate": 0}
-    for name in calls:
-        module = trainer if name == "collate" else synthbench
+    assert not hasattr(synthbench, "build_graph")
+    for module, name in [(kg, "build_graph"), (synthbench, "pretrain_epoch"),
+                         (synthbench, "run_cell"), (synthbench, "collate"),
+                         (trainer, "collate")]:
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
-    run_ablation(world.triples, train, test, cfg, seeds=[0, 1, 2])
-    assert calls == {"build_graph": 3 * 2, "pretrain_epoch": 3 * cfg.pretrain_epochs,
-                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 3 * 2 * 2}
+    run_ablation(graph, train, test, cfg, seeds=[0, 1, 2])
+    assert calls == {"build_graph": 0, "pretrain_epoch": 3 * cfg.pretrain_epochs,
+                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 2}
 
 
 def _tiny_splits(seed):
     cfg = tiny_cfg()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
-    return (world.triples, *split_dataset(gen_dataset(world, 60, seed=seed)))
+    return (build_graph(world.triples), *split_dataset(gen_dataset(world, 60, seed=seed)))
 
 
 def test_rows_do_not_depend_on_the_core_count(monkeypatch):
-    triples, train, test = _tiny_splits(25)
+    graph, train, test = _tiny_splits(25)
     rows = []
     for cores in (1, 2, 3):
         usable_cores(monkeypatch, cores)
-        rows.append(run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2]))
+        rows.append(run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2]))
         assert multiprocessing.active_children() == []
     assert rows[1] == rows[0] and rows[2] == rows[0]
 
@@ -258,7 +261,7 @@ def test_rows_do_not_depend_on_the_core_count(monkeypatch):
 ])
 def test_a_failed_cell_raises_the_first_failure_in_the_serial_order(monkeypatch, failing,
                                                                     first):
-    triples, train, test = _tiny_splits(26)
+    graph, train, test = _tiny_splits(26)
     # +retrieval and +alignment share a variant, so the cases name neither
     names = {variant: name for name, variant, _ in ABLATION_CONFIGS}
     real_run_cell = synthbench.run_cell
@@ -273,13 +276,13 @@ def test_a_failed_cell_raises_the_first_failure_in_the_serial_order(monkeypatch,
     for cores in (1, 2, 3):
         usable_cores(monkeypatch, cores)
         with pytest.raises(ValueError) as raised:
-            run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+            run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
         assert str(raised.value) == f"cell {first} failed"
         assert multiprocessing.active_children() == []
 
 
 def test_units_run_in_forked_children_unless_another_thread_runs(monkeypatch, tmp_path):
-    triples, train, test = _tiny_splits(28)
+    graph, train, test = _tiny_splits(28)
     real_run_cell = synthbench.run_cell
 
     def logged_cell(*args):
@@ -295,7 +298,7 @@ def test_units_run_in_forked_children_unless_another_thread_runs(monkeypatch, tm
 
     monkeypatch.setattr(synthbench, "run_cell", logged_cell)
     usable_cores(monkeypatch, 3)
-    rows = run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+    rows = run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
     pids, cells = pids_of_cells()
     assert cells == 15 and len(pids) == 3 and os.getpid() in pids
 
@@ -303,7 +306,7 @@ def test_units_run_in_forked_children_unless_another_thread_runs(monkeypatch, tm
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        assert run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2]) == rows
+        assert run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2]) == rows
     finally:
         release.set()
         waiting.join(timeout=60)
@@ -311,7 +314,7 @@ def test_units_run_in_forked_children_unless_another_thread_runs(monkeypatch, tm
 
 
 def test_no_child_outlives_a_dead_child_or_an_interrupted_caller(monkeypatch):
-    triples, train, test = _tiny_splits(29)
+    graph, train, test = _tiny_splits(29)
     caller, real_run_cell = os.getpid(), synthbench.run_cell
 
     def child_dies(*args):
@@ -327,11 +330,11 @@ def test_no_child_outlives_a_dead_child_or_an_interrupted_caller(monkeypatch):
     usable_cores(monkeypatch, 2)
     monkeypatch.setattr(synthbench, "run_cell", child_dies)
     with pytest.raises(RuntimeError, match="exited with code 7 before sending its results"):
-        run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+        run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(synthbench, "run_cell", caller_interrupted)
     with pytest.raises(KeyboardInterrupt):
-        run_ablation(triples, train, test, tiny_cfg(), seeds=[0, 1, 2])
+        run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
     assert multiprocessing.active_children() == []
 
 
@@ -341,9 +344,9 @@ def test_run_ablation_validation():
     data = gen_dataset(world, 40, seed=20)
     train, test = split_dataset(data)
     with pytest.raises(ValueError, match="seeds"):
-        run_ablation(world.triples, train, test, cfg, seeds=[0, 1])
+        run_ablation(build_graph(world.triples), train, test, cfg, seeds=[0, 1])
     with pytest.raises(ValueError, match="overlap"):
-        run_ablation(world.triples, train, train[:5], cfg, seeds=[0, 1, 2])
+        run_ablation(build_graph(world.triples), train, train[:5], cfg, seeds=[0, 1, 2])
 
 
 def test_ablation_reports():

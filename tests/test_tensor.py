@@ -340,9 +340,9 @@ def _star_pattern(lengths, seed):
     return pattern
 
 
-def _default_world_pattern(seed):
+def _default_world_pattern():
     world = gen_world(WorldConfig(), 6, 1234)
-    return expand(build_graph(world.triples, 1, seed).adjacency) != 0
+    return expand(build_graph(world.triples).adjacency) != 0
 
 
 # Each pattern with a check of its row lengths. numpy's pairwise sum
@@ -351,7 +351,7 @@ CSR_PATTERNS = {
     # every length from 1 to 16, interleaved, and two hubs
     "mixed": (lambda seed: _star_pattern(list(range(1, 17)) + [129, 140], seed),
               lambda lengths: lengths == set(range(1, 17)) | {129, 140}),
-    "default world": (_default_world_pattern,
+    "default world": (lambda seed: _default_world_pattern(),
                       lambda lengths: max(lengths) <= SLOT_ROW_MAX),
     "no short row": (lambda seed: np.ones((10, 10), dtype=bool),
                      lambda lengths: min(lengths) > SLOT_ROW_MAX),
@@ -450,9 +450,8 @@ def test_row_block_columns_and_csr_arrays():
 
 def _star_chain():
     # the star-and-chain graph of gradcheck's spmm case: degrees 4, 3, 2 and 1
-    return build_graph([("hub", "r", leaf) for leaf in "abcd"] + [("a", "r", "x"),
-                                                                    ("x", "r", "y")],
-                       feature_dim=1, seed=0).adjacency
+    return build_graph([("hub", "r", leaf) for leaf in "abcd"]
+                       + [("a", "r", "x"), ("x", "r", "y")]).adjacency
 
 
 def _row_cases():

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import akgp.model
-from akgp.config import TrainConfig, WorldConfig
+from akgp.config import ConfigError, TrainConfig, WorldConfig
 from akgp.kg import build_graph
 from akgp.losses import align_loss_batch, loss_cls_batch, loss_total
 from akgp.optim import adam_step
 from akgp.retrieval import sample_negatives_batch
-from akgp.rng import derive_seed
 from akgp.synthbench import gen_dataset, gen_world
 from akgp import trainer
 from akgp.tensor import Tape, Tensor, backward
@@ -44,7 +43,7 @@ def tiny_setup(seed=0, n_examples=64, n_entities=6, **cfg_overrides):
     })
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     data = gen_dataset(world, n_examples, seed=7)
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     return cfg, world, data, graph
 
 
@@ -72,7 +71,7 @@ def test_two_example_run_descends_almost_every_epoch():
     )
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     data = gen_dataset(world, 2, seed=5)
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     state = make_run(cfg, graph)
     losses = [pretrain_epoch(state, data)["mean_align_loss"] for _ in range(50)]
     drops = sum(1 for a, b in zip(losses, losses[1:]) if b < a)
@@ -84,7 +83,7 @@ def test_untrained_model_scores_chance_on_large_sample():
     cfg = TrainConfig(seed=123)
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     data = gen_dataset(world, 1000, seed=77)
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     state = make_run(cfg, graph)
     accuracy = evaluate(state, data)["accuracy"]
     assert abs(accuracy - 0.25) <= 0.05
@@ -411,7 +410,7 @@ def test_the_default_world_encodes_every_node(monkeypatch):
     taken = _rows_path_steps(monkeypatch)
     cfg = TrainConfig(pretrain_epochs=1)
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
-    graph = build_graph(world.triples, cfg.d_k, derive_seed(cfg.seed, "graph"))
+    graph = build_graph(world.triples)
     assert graph.n_nodes == 24
     state = make_run(cfg, graph)
     stats = pretrain_epoch(state, gen_dataset(world, 128, seed=1))
@@ -576,15 +575,15 @@ def test_runs_from_weights_draw_nothing_and_own_their_arrays(monkeypatch, tmp_pa
     pretrain_epoch(drawn, data)
     weights = {name: t.data.copy() for name, t in drawn.model.named_tensors()}
     save_state(tmp_path / "run.akgp", drawn)
-    graphs = [tiny_setup()[3] for _ in range(3)]  # the node features are drawn here
-    expected = make_run(cfg, graphs[0])
+    expected = make_run(cfg, graph)
     load_weights(expected, weights)
 
     def draw(*args, **kwargs):
         raise AssertionError("a model parameter was drawn")
 
+    # the node features are a model parameter: this covers them too
     monkeypatch.setattr(akgp.model, "xavier", draw)
-    runs = [make_run(cfg, graphs[1], weights), load_state(tmp_path / "run.akgp", cfg, graphs[2])]
+    runs = [make_run(cfg, graph, weights), load_state(tmp_path / "run.akgp", cfg, graph)]
     for run in runs:
         assert [name for name, _ in run.model.named_tensors()] == list(weights)
         for (_, t), (_, e) in zip(run.model.named_tensors(), expected.model.named_tensors()):
@@ -593,3 +592,17 @@ def test_runs_from_weights_draw_nothing_and_own_their_arrays(monkeypatch, tmp_pa
     arrays = [t.data for run in (expected, *runs) for _, t in run.model.named_tensors()]
     arrays += list(weights.values())
     assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_node_features_too_large_to_load_are_rejected_before_allocation(monkeypatch):
+    # 2 x (2**27 + 1) node features are two elements past the most a
+    # checkpoint loads; over the one node of the parse-time check they fit
+    cfg = TrainConfig(d_k=2**27 + 1, d_h=1)
+    cfg.validate()
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("the model was allocated")
+
+    monkeypatch.setattr(trainer, "init_model", allocate)
+    with pytest.raises(ConfigError, match=r"^d_k: a 2 x 134217729 parameter"):
+        make_run(cfg, build_graph([("a", "r", "b")]))
