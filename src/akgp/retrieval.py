@@ -10,12 +10,12 @@ through the returned live row.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Rng, splitmix64_array, splitmix64_finish, splitmix64_skip
+from .rng import Rng, splitmix64_array, splitmix64_words
 from .tensor import COSINE_EPS, ShapeError, Tensor, gather_rows, reshape, row_norms
 
 
@@ -93,24 +93,10 @@ def retrieve_top1(query: Tensor, knowledge: Tensor) -> RetrievalResult:
     return retrieve_topk(query, knowledge, 1)[0]
 
 
-_BLOCK_KEYS = 1 << 15  # keys of one block of sampled rows: 256 KB, cache-sized
-_MAX_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _candidate_budget(count: int) -> int:  # keys per row a block's bound keeps, about
-    return 4 * count + 16
-
-
-def _smallest(keys: np.ndarray, count: int, positives=None) -> np.ndarray:
-    """Columns of each row's ``count`` smallest keys, ascending, once the
-    ``positives`` columns hold the maximum; short rows sort whole, faster."""
-    rows = np.arange(len(keys))[:, None]
-    if positives is not None:
-        keys[rows[:, 0], positives] = _MAX_KEY
-    if keys.shape[1] <= 2 * _candidate_budget(count):
-        return np.argsort(keys, axis=1)[:, :count]
-    chosen = np.argpartition(keys, count - 1, axis=1)[:, :count]
-    return chosen[rows, np.argsort(keys[rows, chosen], axis=1, kind="stable")]
+# a draw in [0, b) keeps the splitmix64 words below _DRAW_SPAN // b * b, so every
+# value has the same odds; a word above that is redrawn (odds below b / 2**64)
+_DRAW_SPAN = (1 << 64) - 1
+_PAIR_CELLS = 1 << 20  # pairs of draws, a byte each, one comparison holds (one row at least)
 
 
 def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
@@ -118,17 +104,18 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     """Negatives for a whole batch from one draw of the sequential stream
     per group of rows.
 
-    Each node gets an independent 64-bit splitmix64 key, expanded from one
-    generator word per group (row j of a group continues its counters after
-    ``j * n_nodes`` keys); the row's positive is masked to the maximum key
-    and the ``count`` smallest remaining keys, ascending, are the sample:
-    exactly uniform without replacement over the non-positive nodes. Keys
-    are distinct, so any exact selection equals a full sort's prefix, and
-    one call gives what one call per group (``group_sizes``; by default one
-    group) would. Past ``_BLOCK_KEYS`` keys, blocks of rows are expanded
-    into one buffer and only keys below a power of two (about
-    ``_candidate_budget(count)`` per row) kept; a row left with fewer than
-    ``count``, which is rare, is expanded again whole.
+    Each row draws ``count`` distinct nodes other than its positive by
+    Floyd's algorithm (Bentley and Floyd, CACM 1987) over the ``n_nodes - 1``
+    candidates, candidate c being node ``c + (c >= positive)``: draw i takes
+    t uniformly from [0, b), b = ``n_nodes - count + i``, or b - 1 if the row
+    already holds t. A row keeps its draw order; it is not sorted.
+
+    A group's stream word expands to ``size * count`` splitmix64 words, row
+    j's draw i reading word ``j * count + i``; t is the word mod b, and a word
+    at or above ``_DRAW_SPAN // b * b`` is redrawn from the group's counters
+    that follow, in row-major order. One call gives what one call per group
+    (``group_sizes``; by default one group) would. The work is rows x count
+    words and rows x count**2 comparisons, whatever ``n_nodes`` is.
     """
     positives = np.asarray(positive_indices, dtype=np.int64)
     if count < 1:
@@ -146,33 +133,46 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     if not sizes or sum(sizes) != n_rows:
         raise ValueError(f"group sizes {sizes} do not add up to {n_rows} rows")
     words = [rng.next_u64() for _ in sizes]
-    # 2**-shift of the keys fall below the bound: about the budget per row
-    shift = round(math.log2((n_nodes - 1) / _candidate_budget(count)))
-    if n_rows * n_nodes <= _BLOCK_KEYS or shift < 1:  # one block, or no keys to drop
-        keys = splitmix64_array(words, max(sizes) * n_nodes)
-        if min(sizes) != max(sizes):  # shorter groups use a prefix of their row
-            keys = np.concatenate([row[:n * n_nodes] for row, n in zip(keys, sizes)])
-        return _smallest(keys.reshape(n_rows, n_nodes), count, positives)
-    steps = np.arange(n_rows) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    seeds = splitmix64_skip(np.repeat(np.array(words, dtype=np.uint64), sizes), steps * n_nodes)
-    bound = np.uint64(1 << (64 - shift))  # splitmix64_finish keeps which words are below it
-    buffer = np.empty((_BLOCK_KEYS // n_nodes or 1, n_nodes), dtype=np.uint64)
-    flat, key = [], []
-    for lo in range(0, n_rows, len(buffer)):
-        block = splitmix64_array(seeds[lo:lo + len(buffer)], n_nodes, buffer[:n_rows - lo],
-                                 finish=False)
-        block[np.arange(len(block)), positives[lo:lo + len(buffer)]] = _MAX_KEY
-        found = np.flatnonzero(block < bound)
-        flat.append(found + lo * n_nodes)
-        key.append(splitmix64_finish(block.reshape(-1)[found]))
-    row, node = np.divmod(np.concatenate(flat), n_nodes)
-    have = np.bincount(row, minlength=n_rows)
-    first = np.cumsum(have) - have
-    grid = np.full((n_rows, max(count, int(have.max()))), _MAX_KEY)
-    grid[row, np.arange(len(row)) - first[row]] = np.concatenate(key)  # left-aligned
+    draws = splitmix64_array(words, max(sizes) * count)
+    if min(sizes) != max(sizes):  # shorter groups use a prefix of their words
+        draws = np.concatenate([row[:n * count] for row, n in zip(draws, sizes)])
+    draws = draws.reshape(n_rows, count)
+    offset = n_nodes - count - 1  # draw i's b - 1 is offset + i
+    bounds = np.arange(offset + 1, n_nodes, dtype=np.uint64)
+    if n_rows and draws.max() > _DRAW_SPAN - n_nodes:  # below every limit otherwise
+        limits = [_DRAW_SPAN // int(b) * int(b) for b in bounds]
+        group_of = np.repeat(np.arange(len(sizes)), sizes)
+        spares = [splitmix64_words(word, size * count) for word, size in zip(words, sizes)]
+        for row, i in zip(*np.nonzero(draws >= np.array(limits, dtype=np.uint64))):
+            draws[row, i] = next(w for w in spares[group_of[row]] if w < limits[i])
+    # draws as rows and sampled rows as columns: each numpy pass runs along the latter
+    picks = np.remainder(draws.T, bounds[:, None],
+                         out=np.empty((count, n_rows), dtype=np.uint64)).view(np.int64)
+    # Draw i is replaced when its row already holds its t: an earlier draw
+    # of the same t, or t = offset + j for an earlier draw j that was itself
+    # replaced. Each draw links to that j (t <= offset links to draw 0, never
+    # replaced); pointer jumping follows the links 2**rounds >= count deep.
+    replaced = np.empty((count, n_rows), dtype=bool)
+    step = max(1, _PAIR_CELLS // count**2)  # rows whose draws are compared at once
+    for lo in range(0, n_rows, step):
+        same = picks[:, None, lo:lo + step] == picks[None, :, lo:lo + step]
+        same &= _earlier(count)
+        same.any(axis=1, out=replaced[:, lo:lo + step])
+    replaced = replaced.reshape(-1)
+    link = (np.maximum(picks - offset, 0) * n_rows + np.arange(n_rows)).reshape(-1)
+    for _ in range((count - 1).bit_length()):
+        replaced |= replaced[link]
+        link = link[link]
+    picks = np.where(replaced.reshape(picks.shape), np.arange(offset, n_nodes - 1)[:, None], picks)
     sample = np.empty((n_rows, count), dtype=np.int64)
-    full = have >= count
-    sample[full] = node[first[full, None] + _smallest(grid[full], count)]
-    short = np.flatnonzero(~full)
-    sample[short] = _smallest(splitmix64_array(seeds[short], n_nodes), count, positives[short])
+    np.add(picks, picks >= positives, out=sample.T)
     return sample
+
+
+@functools.cache
+def _earlier(count: int) -> np.ndarray:
+    """(count, count, 1) read-only bool: entry [i, j] is whether j < i."""
+    step = np.arange(count)
+    earlier = (step[:, None] > step)[:, :, None]
+    earlier.flags.writeable = False
+    return earlier

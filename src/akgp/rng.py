@@ -6,9 +6,12 @@ init, shuffling, negative sampling, synthetic data) draws from these
 generators, so a run is fully reproducible from its seed and generator
 state can be frozen into checkpoints for exact resume.
 
-splitmix64 is counter-based, so blocks of it vectorize cleanly in numpy;
+splitmix64 is counter-based, so blocks of it vectorize cleanly in numpy:
 :func:`splitmix64_array` expands one 64-bit word from the sequential stream
-into an arbitrary batch of independent words without advancing any state.
+into a batch of independent words without advancing any state, and
+:func:`splitmix64_words` continues the same counters one word at a time.
+Negative sampling takes one stream word per group of rows and expands it to
+``count`` words for each row of the group.
 """
 
 from __future__ import annotations
@@ -42,43 +45,32 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def splitmix64_array(seed, count: int, out=None, finish: bool = True) -> np.ndarray:
+def splitmix64_array(seed, count: int) -> np.ndarray:
     """``count`` splitmix64 outputs for counters 1..count, as uint64.
 
     Bit-identical to calling :func:`splitmix64` sequentially from ``seed``.
     A sequence of seeds gives a (len(seed), count) array, one row per seed.
-    ``out`` (uint64, of the result's shape) receives it. ``finish=False``
-    leaves the last step to :func:`splitmix64_finish`.
     """
-    if np.ndim(seed):
-        start = np.asarray(seed, dtype=np.uint64)[:, None]
-    else:
-        start = np.uint64(seed & _MASK64)
+    if isinstance(seed, int):
+        seed &= _MASK64
     z = np.arange(1, count + 1, dtype=np.uint64)  # array arithmetic wraps silently
     z *= _GAMMA
-    z = np.add(z, start, out=out)
+    z = z + np.asarray(seed, dtype=np.uint64)[..., None]
     z ^= z >> _SHIFT30
     z *= _MIX1
     z ^= z >> _SHIFT27
     z *= _MIX2
-    return splitmix64_finish(z) if finish else z
-
-
-def splitmix64_finish(z: np.ndarray) -> np.ndarray:
-    """splitmix64's last step, ``z ^= z >> 31``, in place; returns ``z``.
-
-    An unfinished word is below ``2**b`` exactly when its output is, for any
-    b. Output bit k is ``z[k] ^ z[k + 31]`` (zero above bit 63): if z's bits
-    b..63 are zero, so are the output's; conversely, from bit 63 down, each
-    output bit k >= b is ``z[k]`` xor a higher bit already shown zero.
-    """
     z ^= z >> _SHIFT31
     return z
 
 
-def splitmix64_skip(seed, steps) -> np.ndarray:
-    """The uint64 splitmix64 state ``steps`` outputs after ``seed``."""
-    return np.asarray(seed, dtype=np.uint64) + np.asarray(steps, dtype=np.uint64) * _GAMMA
+def splitmix64_words(seed: int, skip: int):
+    """The splitmix64 outputs for counters skip + 1, skip + 2, ... of
+    ``seed``, one at a time: those that follow ``splitmix64_array(seed, skip)``."""
+    state = (seed + skip * int(_GAMMA)) & _MASK64
+    while True:
+        state, word = splitmix64(state)
+        yield word
 
 
 def fnv1a_64(data: bytes) -> int:

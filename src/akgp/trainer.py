@@ -273,7 +273,8 @@ def _check_finite(value: float, step: int, what: str) -> None:
 
 
 # 8-byte words of working memory (512 KB) one evaluation of frozen alignment
-# terms works on: it takes whole steps until their rows' knowledge reaches it
+# terms works on: it takes whole steps until the knowledge rows their loss
+# gathers reach it
 _ALIGN_WORDS = 1 << 16
 
 
@@ -281,10 +282,11 @@ def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[fl
     """Each step's alignment term, a constant of its loss when the fused
     rows and the knowledge are frozen.
 
-    Whole steps are evaluated together until the knowledge rows their rows
-    read (``row_words`` each) reach ``_ALIGN_WORDS``. Negatives take one
-    stream word per step, in step order, and the loss is row by row, so each
-    step gets the bits it would have had alone.
+    Whole steps are evaluated together until the knowledge rows their loss
+    gathers (``row_words`` each) reach ``_ALIGN_WORDS``; the size bounds
+    only that gather, as sampling works in rows x ``n_negatives`` whatever
+    the group. Negatives take one stream word per step, in step order, and
+    the loss is row by row, so each step gets the bits it would have had alone.
     """
     cfg, cache, knowledge = state.cfg, state.cache, state.cache.knowledge
     row_words = (cfg.n_negatives + 1) * knowledge.shape[1]
@@ -338,14 +340,19 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
     if state.stage != stage:
         raise RuntimeError(f"state is not in the {('pretraining', 'fine-tuning')[stage]} stage")
     finetune = stage == STAGE_FINETUNE
-    dataset = collate_dataset(state, dataset)
     cfg = state.cfg
+    aligns = not finetune or (variant.knowledge == "retrieve" and cfg.lambda1 > 0)
+    nodes = state.graph.n_nodes
+    if aligns and cfg.n_negatives >= nodes:  # checked before the shuffle draws
+        raise ConfigError(f"n_negatives: {cfg.n_negatives} negatives need at least "
+                          f"{cfg.n_negatives + 1} knowledge nodes; the graph has {nodes}")
+    dataset = collate_dataset(state, dataset)
     encoded = _encoded_dataset(state, dataset, variant)
     order = list(range(len(dataset)))
     state.rng.shuffle(order)
     steps = list(_row_chunks(order, cfg.batch_size))
     fixed_align = None  # each step's alignment term when it has no gradient
-    if finetune and not (variant.knowledge == "retrieve" and cfg.lambda1 > 0):
+    if not aligns:
         fixed_align = [0.0] * len(steps)
     elif encoded is not None and encoded.knowledge is not None:
         fixed_align = _frozen_align_terms(state, steps)

@@ -23,10 +23,9 @@ worlds' pretraining, whose steps encode only the knowledge rows their loss
 reads, runs a second time with every step encoding every node; the script
 exits 1 if that run's checkpoint or run log differs.
 
-The worlds have about 24, 3,000 and 10,000 knowledge nodes; the larger two
-draw their negatives in blocks of rows. The outputs' bits depend on the
-numpy version and, for the 3k and 10k worlds, on the number of BLAS
-threads, so both are printed first, to standard error, as one JSON line
+The worlds have about 24, 3,000 and 10,000 knowledge nodes. The outputs'
+bits depend on the numpy version and, for the 3k and 10k worlds, on the
+number of BLAS threads, so both are printed first, to standard error, as one JSON line
 (from ``akgp.manifest.environment()``). Compare two checkouts' lines only
 when these agree.
 

@@ -656,6 +656,31 @@ def test_gold_node_missing_from_graph_names_the_line(workdir, tmp_path, capsys, 
                                      "'entity_003' not present in the graph")
 
 
+@pytest.fixture()
+def three_node_world(tmp_path):
+    """The default config and a graph of 3 nodes: too few for 8 negatives."""
+    config = tmp_path / "default.json"
+    config.write_text("{}")
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("a\tr\tb\nb\tr\tc\n")
+    data = tmp_path / "data.jsonl"
+    data.write_text("".join(json.dumps({"image_features": [0.1 * i] * 16, "token_ids": [i],
+                                        "label": i % 4, "gold_node": "abc"[i % 3]}) + "\n"
+                            for i in range(6)))
+    return ["--config", str(config), "--kg", str(kg), "--data", str(data)]
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "ablate"])
+def test_too_few_nodes_for_the_negatives_is_config_error(three_node_world, tmp_path, capsys,
+                                                          command):
+    code = main([command, *three_node_world, "--out", str(tmp_path / "out")])
+    _assert_data_error(capsys, code, "n_negatives: ")
+
+
+def test_eval_samples_no_negatives_on_a_graph_too_small_for_them(three_node_world, capsys):
+    assert main(["eval", *three_node_world]) == 0
+
+
 def test_ablate_counts_test_split_lines_from_the_start_of_the_file(workdir, tmp_path,
                                                                    capsys):
     kg = _kg_without(workdir, tmp_path, "entity_003")

@@ -16,7 +16,7 @@ from akgp.retrieval import (
     sample_negatives_batch,
     topk_indices,
 )
-from akgp.rng import Rng, splitmix64_array
+from akgp.rng import Rng, splitmix64
 from akgp.tensor import (
     Tape,
     Tensor,
@@ -171,39 +171,89 @@ def test_negatives_uniform_frequency():
     assert counts[0] == 0
 
 
-@pytest.mark.parametrize("n_nodes,count", [(2, 1), (7, 6), (7, 3), (50, 8), (50, 49)])
-def test_negatives_batch_equals_full_sort(n_nodes, count):
-    for seed in range(60):
-        assert_sample_equals_oracle(np.arange(5) * 3 % n_nodes, n_nodes, count, seed)
+def test_negative_subsets_are_uniform():
+    # 6 nodes, 3 negatives: each row holds one of the 10 subsets of the 5
+    # nodes other than its positive; every positive takes a turn
+    rows = 30_000
+    positives = np.arange(rows) % 6
+    got = sample_negatives_batch(positives, 6, 3, Rng(11))
+    assert_valid_negatives(got, positives, 6)
+    candidates = got - (got > positives[:, None])  # node -> index among the other 5
+    subsets = np.bincount((1 << candidates).sum(axis=1), minlength=32)
+    counts = subsets[subsets > 0]
+    # 3,000 expected each, a standard deviation of 52: all within 5 of them
+    assert len(counts) == 10 and np.all(np.abs(counts - 3000) <= 260), counts
 
 
-def full_sort_negatives(positives, n_nodes, count, rng, sizes=None):
-    """Oracle: every group's keys from one stream word, laid out row after
-    row, the positive masked to the maximum, then a full stable sort."""
-    positives = np.asarray(positives)
-    out, lo = [], 0
+def test_negatives_at_3k_nodes_are_uniform():
+    n_nodes, count, rows = 3004, 8, 30_000
+    positives = np.random.default_rng(12).integers(0, n_nodes, rows)
+    got = sample_negatives_batch(positives, n_nodes, count, Rng(12), [1000] * 30)
+    assert_valid_negatives(got, positives, n_nodes)
+    observed = np.bincount(got.reshape(-1), minlength=n_nodes)
+    # node v is one of the 3,003 candidates of every row whose positive it is not
+    expected = (rows - np.bincount(positives, minlength=n_nodes)) * count / (n_nodes - 1)
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    # 3,003 degrees of freedom, a standard deviation of 77.5: within 5 of them
+    assert abs(chi2 - (n_nodes - 1)) <= 5 * (2 * (n_nodes - 1)) ** 0.5, chi2
+
+
+def assert_valid_negatives(got, positives, n_nodes):
+    assert got.dtype == np.int64 and got.shape[0] == len(positives)
+    assert got.min(initial=0) >= 0 and got.max(initial=0) < n_nodes
+    assert not (got == np.asarray(positives)[:, None]).any()  # never the positive
+    assert (np.diff(np.sort(got, axis=1), axis=1) > 0).all()  # no row repeats a node
+
+
+def floyd_negatives(positives, n_nodes, count, rng, sizes=None, span=(1 << 64) - 1):
+    """Oracle: Floyd's algorithm row by row in plain ints. Each group's
+    stream word continues as one splitmix64 sequence: row j's draw i reads
+    word j * count + i of it, and a word at or above span // b * b is redrawn
+    from the words after the group's, in row order. Returns the rows and the
+    number of redrawn words."""
+    out, lo, redrawn = [], 0, 0
     for size in sizes or [len(positives)]:
-        keys = splitmix64_array(rng.next_u64(), size * n_nodes).reshape(size, n_nodes)
-        keys[np.arange(size), positives[lo:lo + size]] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        out.append(np.argsort(keys, axis=1, kind="stable")[:, :count])
+        state = rng.next_u64()
+        words = []
+        for _ in range(size * count):
+            state, word = splitmix64(state)
+            words.append(word)
+        for j in range(size):
+            row = []
+            for i in range(count):
+                b = n_nodes - count + i
+                word = words[j * count + i]
+                while word >= span // b * b:
+                    state, word = splitmix64(state)
+                    redrawn += 1
+                t = word % b
+                row.append(b - 1 if t in row else t)
+            positive = int(positives[lo + j])
+            out.append([t + (t >= positive) for t in row])
         lo += size
-    return np.concatenate(out)
+    return out, redrawn
 
 
 def assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes=None):
     rng, oracle_rng = Rng(seed), Rng(seed)
     got = sample_negatives_batch(positives, n_nodes, count, rng, sizes)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, full_sort_negatives(positives, n_nodes, count, oracle_rng,
-                                                   sizes))
+    assert got.dtype == np.int64 and got.shape == (len(positives), count)
+    assert got.tolist() == floyd_negatives(positives, n_nodes, count, oracle_rng, sizes)[0]
     assert rng.get_state() == oracle_rng.get_state()  # one word per group
+
+
+@pytest.mark.parametrize("n_nodes,count", [(2, 1), (7, 6), (7, 3), (50, 8), (50, 49)])
+def test_negatives_batch_equals_full_sort(n_nodes, count):
+    # (the name is kept from the exact-keys sampler; the oracle is Floyd's)
+    for seed in range(60):
+        assert_sample_equals_oracle(np.arange(5) * 3 % n_nodes, n_nodes, count, seed)
 
 
 @pytest.mark.parametrize("count", [1, 8, 64])
 @pytest.mark.parametrize("n_nodes", [1100, 3004, 10004])
 def test_negatives_at_scale_equal_full_sort(n_nodes, count):
-    # uneven groups, an empty one among them, more rows than one block holds,
-    # and positives at both ends of the node range
+    # uneven groups, an empty one among them, and positives at both ends of
+    # the node range; the oracle is Floyd's
     sizes = [7, 0, 23, 1, 13]
     positives = np.random.default_rng(n_nodes + count).integers(0, n_nodes, sum(sizes))
     positives[:3] = [0, n_nodes - 1, 0]
@@ -212,33 +262,32 @@ def test_negatives_at_scale_equal_full_sort(n_nodes, count):
     assert_sample_equals_oracle(positives[:32], n_nodes, count, seed=count + 1)
 
 
-@pytest.mark.parametrize("budget", [lambda count: count, lambda count: 1])
-def test_rows_short_of_candidates_equal_full_sort(budget):
-    # a budget of count, or of 1, leaves many rows with fewer than count keys
-    # below the bound; they are selected from all their keys again
-    n_nodes, count = 3004, 8
-    positives = np.arange(70) * 41 % n_nodes
-    calls = []
-    smallest = retrieval._smallest
-
-    def spy(keys, *args):
-        calls.append(keys.shape)
-        return smallest(keys, *args)
-
-    with mock.patch.object(retrieval, "_candidate_budget", budget), \
-            mock.patch.object(retrieval, "_smallest", spy):
-        assert_sample_equals_oracle(positives, n_nodes, count, seed=9, sizes=[32, 38])
-    assert len(calls) == 2 and calls[1][1] == n_nodes and calls[1][0] > 0  # re-expanded
+@pytest.mark.parametrize("n_nodes,count,sizes", [(24, 8, [32]), (9, 4, [5, 0, 3]),
+                                                 (3004, 8, [40, 2]), (7, 3, [6, 1])])
+def test_rejected_words_are_redrawn_like_the_oracle(n_nodes, count, sizes):
+    # a span of 3 * 2**62 - 1 rejects about a quarter of all words, redraws included
+    span = 3 * (1 << 62) - 1
+    positives = np.random.default_rng(n_nodes).integers(0, n_nodes, sum(sizes))
+    rng, oracle_rng = Rng(count), Rng(count)
+    with mock.patch.object(retrieval, "_DRAW_SPAN", span):
+        got = sample_negatives_batch(positives, n_nodes, count, rng, sizes)
+    expected, redrawn = floyd_negatives(positives, n_nodes, count, oracle_rng, sizes, span)
+    assert redrawn > sum(sizes) * count // 8
+    assert got.tolist() == expected
+    assert rng.get_state() == oracle_rng.get_state()
+    assert_valid_negatives(got, positives, n_nodes)
 
 
 @settings(max_examples=150, deadline=None)
 @given(n_nodes=st.integers(2, 2500), count=st.integers(1, 80),
        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
-       block=st.sampled_from([1 << 15, 1 << 10, 1]), seed=st.integers(0, 2**32))
-def test_negatives_equal_full_sort_property(n_nodes, count, sizes, block, seed):
+       cells=st.sampled_from([1 << 20, 1000, 1]), seed=st.integers(0, 2**32))
+def test_negatives_equal_full_sort_property(n_nodes, count, sizes, cells, seed):
+    # (the name is kept from the exact-keys sampler; the oracle is Floyd's;
+    # fewer pair cells compare the draws of fewer rows at once)
     count = min(count, n_nodes - 1)
     positives = np.random.default_rng(seed).integers(0, n_nodes, sum(sizes))
-    with mock.patch.object(retrieval, "_BLOCK_KEYS", block):
+    with mock.patch.object(retrieval, "_PAIR_CELLS", cells):
         assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from akgp.rng import (_LANE, _LANES_FROM, Rng, _jump, derive_seed, fnv1a_64, splitmix64,
-                      splitmix64_array, splitmix64_finish, splitmix64_skip)
+                      splitmix64_array, splitmix64_words)
 
 
 def test_fnv1a_known_vectors():
@@ -45,37 +45,14 @@ def test_splitmix64_array_equals_sequential_splitmix64():
     assert rows.tolist() == [_sequential_splitmix64(seed, 50) for seed in seeds]
 
 
-def test_splitmix64_array_into_a_buffer_and_unfinished():
-    seeds = [3, (1 << 64) - 1, derive_seed(5, "negatives")]
-    whole = splitmix64_array(seeds, 40)
-    out = np.zeros((3, 40), dtype=np.uint64)
-    assert splitmix64_array(seeds, 40, out) is out
-    assert np.array_equal(out, whole)
-    unfinished = splitmix64_array(seeds, 40, finish=False)
-    assert not np.array_equal(unfinished, whole)
-    assert np.array_equal(splitmix64_finish(unfinished), whole)
-
-
-def test_splitmix64_skip_continues_the_counters():
-    seed, steps = derive_seed(1, "negatives"), 7 * 11
-    whole = splitmix64_array(seed, 10 * 11)
-    assert np.array_equal(splitmix64_array(splitmix64_skip(seed, steps), 33), whole[steps:])
-    rows = splitmix64_array(splitmix64_skip(seed, np.arange(10) * 11), 11)
-    assert np.array_equal(rows.reshape(-1), whole)
-
-
-def test_finish_keeps_every_power_of_two_bound():
-    # an unfinished word is below 2**b exactly when its finished word is, for
-    # every b: the block sampler of akgp.retrieval tests its bound early
-    words = splitmix64_array(derive_seed(2, "bound"), 64)
-    # every position of the highest set bit, and each bound and the word below it
-    z = np.concatenate([words >> np.uint64(k) for k in range(64)]
-                       + [np.array([(1 << b) - 1, 1 << b], dtype=np.uint64)
-                          for b in range(64)])
-    finished = splitmix64_finish(z.copy())
-    for b in range(64):
-        bound = np.uint64(1 << b)
-        assert np.array_equal(finished < bound, z < bound), b
+def test_splitmix64_words_continue_the_counters():
+    seed = derive_seed(1, "negatives")
+    whole = splitmix64_array(seed, 110).tolist()
+    for skip in (0, 1, 77):
+        words = splitmix64_words(seed, skip)
+        assert [next(words) for _ in range(110 - skip)] == whole[skip:]
+    words = splitmix64_words((1 << 64) - 1, 3)
+    assert [next(words) for _ in range(5)] == _sequential_splitmix64((1 << 64) - 1, 8)[3:]
 
 
 @pytest.mark.parametrize("n, low, high", [(0, 0.0, 1.0), (1, -1.0, 1.0), (977, -0.3, 2.5),

@@ -1,5 +1,6 @@
 """Stage contracts, freeze guarantees, determinism, and evaluation."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -188,6 +189,29 @@ def test_stage_guards():
         finetune_epoch(state, [])
 
 
+def test_epochs_that_draw_more_negatives_than_other_nodes_name_the_key():
+    # 6 entities and 3 attributes: 9 nodes, so at most 8 negatives
+    cfg, _, data, graph = tiny_setup(n_negatives=9)
+    state = make_run(cfg, graph)
+    for stage, run_epoch, overrides in [
+            (trainer.STAGE_PRETRAIN, pretrain_epoch, {}),
+            (STAGE_FINETUNE, finetune_epoch, {}),
+            (STAGE_FINETUNE, finetune_epoch, {"freeze": ["theta_v"]})]:
+        state.cfg = dataclasses.replace(cfg, **overrides)
+        start_stage(state, stage)
+        drawn = state.rng.get_state()
+        with pytest.raises(ConfigError, match=r"^n_negatives: 9 negatives need at least 10 "
+                                              r"knowledge nodes; the graph has 9$"):
+            run_epoch(state, data)
+        assert state.rng.get_state() == drawn and state.opt.t == 0  # nothing was drawn
+    # fine-tuning without the alignment term, or without retrieval, draws none
+    for overrides, variant in [({"lambda1": 0.0}, FULL_PIPELINE),
+                               ({}, PipelineVariant(knowledge="mean"))]:
+        state.cfg = dataclasses.replace(cfg, **overrides)
+        start_stage(state, STAGE_FINETUNE)
+        assert np.isfinite(finetune_epoch(state, data, variant)["mean_total_loss"])
+
+
 def test_nan_mid_run_raises_numeric_error():
     cfg, _, data, graph = tiny_setup()
     state = make_run(cfg, graph)
@@ -363,8 +387,7 @@ def pretrain_epoch_step_by_step(state, data):
     return {"mean_align_loss": total / count}
 
 
-# a graph of 1,103 nodes: a step's 32 rows of negative-sampling keys fill
-# more than one block, so the sampler takes its block path
+# a graph of 1,103 nodes with steps of 32 rows and the default 8 negatives
 BLOCK_PATH = {"n_entities": 1100, "batch_size": 32}
 
 
@@ -397,12 +420,21 @@ def _rows_path_steps(monkeypatch) -> list[bool]:
 ROWS_PATH = {"n_entities": 1100, "batch_size": 32, "n_negatives": 3}
 
 
+def _attribute_golds(data):
+    """Every fifth example with an attribute node as its gold node, the
+    three attributes in turn."""
+    return [dataclasses.replace(e, gold_node=f"attribute_{i // 5 % 3}") if i % 5 == 0 else e
+            for i, e in enumerate(data)]
+
+
 def test_pretraining_on_the_rows_path_equals_step_by_step_oracle(monkeypatch):
     taken = _rows_path_steps(monkeypatch)
-    _assert_pretraining_equals_step_by_step_oracle(**ROWS_PATH)
-    # 2 epochs of 3 steps; a step whose rows include an attribute node,
-    # which holds an entry in a third of the graph, encodes every node, so
-    # both paths run
+    _assert_pretraining_equals_step_by_step_oracle(edit=_attribute_golds, **ROWS_PATH)
+    # 2 epochs of 3 steps. An attribute row holds an entry in a third of the
+    # graph, so the full steps of 32 rows, which read several of the 14
+    # attribute golds, read 1,770 to 1,830 entries, more than the 1,103
+    # nodes, and encode every node; the last steps, of 6 rows, read 153 and
+    # 514 entries and take the rows path
     assert len(taken) == 6 and True in taken and False in taken
 
 
@@ -420,11 +452,12 @@ def test_the_default_world_encodes_every_node(monkeypatch):
     assert taken == []
 
 
-def _assert_pretraining_equals_step_by_step_oracle(**overrides):
+def _assert_pretraining_equals_step_by_step_oracle(edit=lambda data: data, **overrides):
     outcomes = []
     for run_epoch in (pretrain_epoch, pretrain_epoch_step_by_step):
         # 70 examples: in batches of 16, 4 full steps and a last one of 6
         cfg, _, data, graph = tiny_setup(n_examples=70, **overrides)
+        data = edit(data)
         state = make_run(cfg, graph)
         dataset = collate_dataset(state, data)
         stats = [run_epoch(state, dataset) for _ in range(2)]
