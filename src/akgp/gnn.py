@@ -88,8 +88,9 @@ def encode_knowledge(graph: KnowledgeGraph, params: GnnParams,
       overflow (:func:`_rows_stay_finite`), the whole computation runs
       and its ``rows`` are returned.
 
-    The adjacency's values must not be negative, as :func:`akgp.kg.build_graph`
-    makes them: then the whole computation's zero gradient rows are +0.
+    The adjacency's row scales must not be negative, as
+    :func:`akgp.kg.build_graph` makes them: then the whole computation's
+    zero gradient rows are +0.
     """
     adjacency = graph.adjacency
     if rows is None:

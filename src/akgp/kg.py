@@ -2,8 +2,9 @@
 
 Triples arrive as tab-separated ``head<TAB>relation<TAB>tail`` lines. The
 graph's adjacency is the symmetric binary edge pattern with self-loops,
-row-normalized so each row sums to one, stored sparse as a row-sorted CSR
-matrix with its transpose (memory grows with the edge count, not N×N).
+row-normalized so each row sums to one, stored sparse as that pattern with
+one scale per row, ``1 / (degree + 1)`` (memory grows with the edge count,
+not N×N).
 Relations do not type the adjacency. A graph is structure only and depends
 on its triples alone; the learned node features are a model parameter
 (:func:`akgp.model.init_model`).
@@ -126,13 +127,8 @@ def build_graph(triples: list[Triple]) -> KnowledgeGraph:
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     rows, cols = np.divmod(keys, n)
     row_nnz = np.bincount(rows, minlength=n)
-    inv = 1.0 / row_nnz
-    adjacency = CsrMatrix(
-        indptr=np.concatenate([[0], np.cumsum(row_nnz)]),
-        indices=cols,
-        values=inv[rows],
-        values_t=inv[cols],
-    )
+    adjacency = CsrMatrix(indptr=np.concatenate([[0], np.cumsum(row_nnz)]), indices=cols,
+                          scale=1.0 / row_nnz)
     return KnowledgeGraph(node_ids=node_ids, node_index=node_index, adjacency=adjacency)
 
 

@@ -343,11 +343,26 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     n_rows = a.shape[0]
 
     def bwd(g):
-        out = np.zeros((n_rows, g.shape[1]))
-        np.add.at(out, idx, g)
-        return (out,)
+        return (_scatter_rows(idx, g, n_rows),)
 
     return _emit(a.data[idx], (a,), bwd)
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """The (n_rows, d) array whose row i sums the ``rows`` at the places
+    where ``idx`` is i, with the bits of ``np.add.at`` into zeros.
+
+    ``np.bincount`` adds each cell's values in order from +0.0, as
+    ``np.add.at`` does. Which of two NaNs an add keeps depends on the loop
+    that runs it, so a result with a NaN is computed again by ``np.add.at``.
+    """
+    d = rows.shape[1]
+    cells = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    out = np.bincount(cells, weights=rows.reshape(-1), minlength=n_rows * d).reshape(n_rows, d)
+    if np.isnan(out.sum()):
+        out = np.zeros((n_rows, d))
+        np.add.at(out, idx, rows)
+    return out
 
 
 def stack_cols(parts: Sequence[Tensor]) -> Tensor:
@@ -366,14 +381,10 @@ def stack_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 SLOT_ROW_MAX = 8  # the longest row that spmm sums slot by slot
-# With fewer short rows than this, every row is reduced by np.add.reduceat:
-# the slot sums' fixed cost of about 8 array calls beats reduceat's cost per
-# row from about 50 short rows at d = 16 (fewer at d = 32); 64 leaves a margin.
-SLOT_ROWS_FROM = 64
 
 
 def _slot_order(indptr: np.ndarray):
-    """The order in which a :class:`CsrMatrix` with slots stores its entries.
+    """The order in which a :class:`CsrMatrix` stores its entries.
 
     The short rows, of at most ``SLOT_ROW_MAX`` entries, are ordered by
     length, longest first, so the rows that hold an entry s (slot s) are
@@ -396,52 +407,45 @@ def _slot_order(indptr: np.ndarray):
 
 
 class CsrMatrix:
-    """Constant square matrix with a symmetric sparsity pattern, given as
-    row-sorted CSR together with its transpose.
+    """Constant matrix ``diag(scale) @ P``: P a 0/1 sparsity pattern, given
+    in row-sorted CSR form, and one scale per row.
 
-    Row i holds ``values[indptr[i]:indptr[i + 1]]`` at the ascending columns
-    ``indices[indptr[i]:indptr[i + 1]]``. Because the pattern is symmetric,
-    the transpose has the same ``indptr`` and ``indices``, and ``values_t``
-    holds its entries: ``values_t[k]`` is the entry mirrored across the
-    diagonal from ``values[k]``. Every row must be non-empty.
+    Row i of P holds ones at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``, so row i of the matrix holds
+    ``scale[i]`` there (``values``). Every row must be non-empty. When P is
+    symmetric, as :func:`akgp.kg.build_graph` makes it, the transpose is
+    ``P @ diag(scale)``: :func:`spmm`'s backward scales its operand's rows
+    and sums them over the same pattern.
 
-    A matrix with at least ``SLOT_ROWS_FROM`` short rows stores its entries
-    once, in the order :func:`spmm` reads them (:func:`_slot_order`): the
-    short rows slot by slot, then the long rows. Why those slot sums have
-    ``np.add.reduceat``'s bits: :func:`_csr_rows`. Any other matrix keeps
-    the CSR arrays it is given. ``indices``, ``values`` and ``values_t``
-    are in CSR order either way.
+    The entries are stored once, in the order :func:`spmm` reads them
+    (:func:`_slot_order`): the short rows slot by slot, then the long rows.
+    Why those slot sums have ``np.add.reduceat``'s bits: :func:`_csr_rows`.
+    ``indices`` and ``values`` are in CSR order.
     """
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray,
-                 values_t: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, scale: np.ndarray):
         lengths = np.diff(indptr)
         if np.any(lengths < 1):
             raise ShapeError("every row of a CsrMatrix needs at least one entry")
         self.indptr = indptr  # (n + 1,) int64
-        self._slots = []  # slot s is the stored entries [a, b)
-        if np.count_nonzero(lengths <= SLOT_ROW_MAX) < SLOT_ROWS_FROM:
-            self._cols, self._values, self._values_t = indices, values, values_t
-            return
-        self._store(indices, values, values_t, *_slot_order(indptr))
+        self.scale = scale  # (n,) float64
+        self._store(indices, np.repeat(scale, lengths), *_slot_order(indptr))
 
-    def _store(self, cols: np.ndarray, values: np.ndarray, values_t: np.ndarray,
-               order: np.ndarray, counts: list[int], rows: np.ndarray,
-               long_rows: np.ndarray) -> None:
+    def _store(self, cols: np.ndarray, values: np.ndarray, order: np.ndarray,
+               counts: list[int], rows: np.ndarray, long_rows: np.ndarray) -> None:
         """Keep the entries ``order`` of the given arrays, in the order the
         slot sums read them (:func:`_slot_order` names the other arguments)."""
-        self._cols, self._values, self._values_t = cols[order], values[order], values_t[order]
+        self._cols, self._values = cols[order], values[order]
         lengths = np.diff(self.indptr)
         starts = np.cumsum([0] + counts).tolist()
-        self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]
+        self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]  # slot s: [a, b)
         self._n_slotted = starts[-1]
         self._long_starts = np.cumsum(lengths[long_rows]) - lengths[long_rows]
-        # a short row's sum ends at its entry 0; a long row's sum is written
-        # over one of the long rows' entries that the slot sums gather but skip
-        self._n_gathered = self._n_slotted + long_rows.size
+        # a short row's sum ends at its entry 0; the long rows' sums are
+        # written over the first of the long rows' entries
         self._positions = np.empty(self.n, dtype=np.int64)
         self._positions[rows] = np.arange(rows.size)
-        self._positions[long_rows] = np.arange(self._n_slotted, self._n_gathered)
+        self._positions[long_rows] = np.arange(self._n_slotted, self._n_slotted + long_rows.size)
 
     @property
     def n(self) -> int:
@@ -450,7 +454,7 @@ class CsrMatrix:
     @functools.cached_property
     def abs_row_bound(self) -> float:
         """A bound on the sum of any row's absolute values."""
-        return float(np.abs(self._values).max()) * int(np.diff(self.indptr).max())
+        return float(np.abs(self.scale).max()) * int(np.diff(self.indptr).max())
 
     def row_block(self, rows: np.ndarray) -> RowBlock:
         """The rows ``rows`` (ascending, distinct) and their entries as a
@@ -459,18 +463,12 @@ class CsrMatrix:
         Its matrix stores them as this one does, in its own order: the
         order of this matrix's slots, restricted to ``rows``, is the order
         of the block's. So it sums each row as this matrix does, with the
-        bits of ``np.add.reduceat`` (see :func:`_csr_rows`), also when it
-        has fewer than ``SLOT_ROWS_FROM`` short rows.
+        bits of ``np.add.reduceat`` (see :func:`_csr_rows`).
         """
         lengths = self.indptr[rows + 1] - self.indptr[rows]
         block = CsrMatrix.__new__(CsrMatrix)
         block.indptr = np.concatenate([[0], np.cumsum(lengths)])
-        block._slots = []
-        if not self._slots:  # CSR order: each row's entries are contiguous
-            order = _ranges(self.indptr[rows], lengths)
-            block._cols, block._values, block._values_t = (
-                self._cols[order], self._values[order], self._values_t[order])
-            return RowBlock(rows, self.n, block)
+        block.scale = self.scale[rows]
         places = self._positions[rows]
         short = lengths <= SLOT_ROW_MAX
         local = np.flatnonzero(short)
@@ -481,28 +479,18 @@ class CsrMatrix:
         long_first = self._n_slotted + self._long_starts[places[long_rows] - self._n_slotted]
         order = np.concatenate([a + first[:c] for (a, _), c in zip(self._slots, counts)]
                                + [_ranges(long_first, lengths[long_rows])])
-        block._store(self._cols, self._values, self._values_t, order, counts,
-                     local[by_place], long_rows)
+        block._store(self._cols, self._values, order, counts, local[by_place], long_rows)
         return RowBlock(rows, self.n, block)
-
-    def _in_csr_order(self, stored: np.ndarray) -> np.ndarray:
-        if not self._slots:
-            return stored
-        out = np.empty_like(stored)
-        out[_slot_order(self.indptr)[0]] = stored
-        return out
 
     @property
     def indices(self) -> np.ndarray:  # (nnz,) int64
-        return self._in_csr_order(self._cols)
+        out = np.empty_like(self._cols)
+        out[_slot_order(self.indptr)[0]] = self._cols
+        return out
 
     @property
     def values(self) -> np.ndarray:  # (nnz,) float64
-        return self._in_csr_order(self._values)
-
-    @property
-    def values_t(self) -> np.ndarray:  # (nnz,) float64
-        return self._in_csr_order(self._values_t)
+        return np.repeat(self.scale, np.diff(self.indptr))
 
 
 class RowBlock(NamedTuple):
@@ -543,41 +531,43 @@ def _take(a: np.ndarray, rows: RowBlock | None) -> np.ndarray:
     return a if rows is None else a[rows.index]
 
 
-def _csr_rows(adj: CsrMatrix, x: np.ndarray, transpose: bool) -> np.ndarray:
-    """Rows of ``adj @ x``, or of ``adj.T @ x`` when ``transpose``.
+def _products(cols: np.ndarray, values: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """The (entries, d) products of the rows ``cols`` of ``x`` with
+    ``values``, one per entry, or the rows alone when ``values`` is None."""
+    products = x.take(cols, axis=0)
+    if values is not None:
+        products *= values[:, None]
+    return products
 
-    Each row's sum has the bits of ``np.add.reduceat`` over its products:
-    the first product plus numpy's pairwise sum of the others. Below 8
-    terms, that pairwise sum adds left to right from -0.0, and adding -0.0
-    changes no value. So the short rows are summed slot by slot, all at
-    once (:func:`_slot_sums`). All rows of a matrix with fewer than
-    ``SLOT_ROWS_FROM`` short rows keep ``np.add.reduceat``, along a
-    contiguous axis. Which of two NaNs an add keeps (sign and payload)
+
+def _csr_rows(adj: CsrMatrix, x: np.ndarray, scaled: bool) -> np.ndarray:
+    """Rows of ``adj @ x``, or of ``P @ x``, P the pattern of ``adj``, when
+    not ``scaled``.
+
+    Each row's sum has the bits of ``np.add.reduceat`` over its products,
+    row-major: the first product plus numpy's pairwise sum of the others.
+    Below 8 terms, that pairwise sum adds left to right from -0.0, and
+    adding -0.0 changes no value. So the short rows are summed slot by
+    slot, all at once (:func:`_slot_sums`), and the long rows keep
+    ``np.add.reduceat``. Which of two NaNs an add keeps (sign and payload)
     depends on the numpy loop that runs it, so a result with a NaN is
-    computed again by ``np.add.reduceat``: a NaN anywhere makes the total
-    NaN, and the check costs one sum over the result.
-    ``test_tensor::test_csr_rows_bit_equal_to_row_major_reduction`` and
-    ``test_csr_rows_bit_equal_on_random_patterns`` pin the bits against
+    computed again by ``np.add.reduceat`` over all rows in CSR order: a
+    NaN anywhere makes the total NaN, and the check costs one sum over the
+    result. ``test_tensor::test_csr_rows_bit_equal_to_row_major_reduction``
+    and ``test_csr_rows_bit_equal_on_random_patterns`` pin the bits against
     the row-major reduction.
     """
-    values = adj._values_t if transpose else adj._values
-    if adj._slots:
-        out = _slot_sums(adj, values, x)
-        if not np.isnan(out.sum()):
-            return out
-        cols, values = adj.indices, adj.values_t if transpose else adj.values
-    else:  # the entries are in CSR order
-        cols = adj._cols
-    return np.ascontiguousarray(_reduceat_rows(cols, values, adj.indptr[:-1], x))
+    out = _slot_sums(adj, _products(adj._cols, adj._values if scaled else None, x))
+    if not np.isnan(out.sum()):
+        return out
+    products = _products(adj.indices, adj.values if scaled else None, x)
+    return np.add.reduceat(products, adj.indptr[:-1], axis=0)
 
 
-def _slot_sums(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Slot s is added into the running sums of the short rows that hold
-    it, and each sum is then added to its row's first product; the long
-    rows keep ``np.add.reduceat``."""
-    gathered = adj._n_gathered
-    products = x.take(adj._cols[:gathered], axis=0)  # slot s is products[a:b]
-    products *= values[:gathered, None]
+def _slot_sums(adj: CsrMatrix, products: np.ndarray) -> np.ndarray:
+    """Slot s of the stored ``products`` is added into the running sums of
+    the short rows that hold it, and each sum is then added to its row's
+    first product; the long rows keep ``np.add.reduceat``."""
     if len(adj._slots) > 1:
         a, b = adj._slots[1]
         sums = products[a:b]
@@ -588,17 +578,9 @@ def _slot_sums(adj: CsrMatrix, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.add(sums, first, out=first)
     if adj._long_starts.size:
         slotted = adj._n_slotted
-        products[slotted:] = _reduceat_rows(adj._cols[slotted:], values[slotted:],
-                                            adj._long_starts, x)
+        long_sums = np.add.reduceat(products[slotted:], adj._long_starts, axis=0)
+        products[slotted:slotted + long_sums.shape[0]] = long_sums
     return products.take(adj._positions, axis=0)
-
-
-def _reduceat_rows(cols: np.ndarray, values: np.ndarray, starts: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """The (rows, d) sums of the rows that start at ``starts``."""
-    products = x.T.take(cols, axis=1)  # (d, nnz): sums run along rows
-    products *= values
-    return np.add.reduceat(products, starts, axis=1).T
 
 
 def spmm(adj: CsrMatrix, x: Tensor, rows: RowBlock | None = None,
@@ -607,11 +589,12 @@ def spmm(adj: CsrMatrix, x: Tensor, rows: RowBlock | None = None,
 
     Only ``x`` is an input on the tape: the matrix is constant, so the
     backward pass computes ``adj.T @ g`` and no gradient for the matrix.
-    Rows of at most ``SLOT_ROW_MAX`` entries are summed slot by slot, all
-    such rows at once, and longer rows by ``np.add.reduceat``; a matrix
-    with fewer than ``SLOT_ROWS_FROM`` such rows uses ``np.add.reduceat``
-    alone. Both give the bits of a row-by-row ``np.add.reduceat`` (see
-    :func:`_csr_rows`).
+    The pattern being symmetric, that is the pattern's product with ``g``
+    whose rows are multiplied by ``adj.scale`` first, once each: the
+    IEEE products of each entry's value with the row it gathers. Rows of
+    at most ``SLOT_ROW_MAX`` entries are summed slot by slot, all such rows
+    at once, and longer rows by ``np.add.reduceat``; both give the bits of
+    a row-by-row ``np.add.reduceat`` (see :func:`_csr_rows`).
 
     ``rows`` and ``x_rows`` are row blocks of ``adj`` (:meth:`CsrMatrix.row_block`).
     Given ``rows``, only those rows of the product are computed, each over
@@ -627,9 +610,9 @@ def spmm(adj: CsrMatrix, x: Tensor, rows: RowBlock | None = None,
     in_rows = adj if x_rows is None else x_rows.matrix
 
     def bwd(g):
-        return (_csr_rows(in_rows, _spread(g, rows), True),)
+        return (_csr_rows(in_rows, _spread(g, rows) * adj.scale[:, None], False),)
 
-    return _emit(_csr_rows(out_rows, _spread(x.data, x_rows), False), (x,), bwd)
+    return _emit(_csr_rows(out_rows, _spread(x.data, x_rows), True), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -819,8 +802,7 @@ def cosine_select(queries: Tensor, table: Tensor, indices,
             # d/dsel per (b, k): gl * (q/denom - c*nq*sel/(ns*denom))
             gs = (gl / denom)[:, :, None] * q[:, None, :] \
                 - (gl * c * nq[:, None] / (ns_safe * denom))[:, :, None] * sel
-            gt = np.zeros((n_table, q.shape[1]))
-            np.add.at(gt, idx.reshape(-1), gs.reshape(-1, q.shape[1]))
+            gt = _scatter_rows(idx.reshape(-1), gs.reshape(-1, q.shape[1]), n_table)
         return gq, gt
 
     return _emit(c, (queries, table), bwd)

@@ -22,13 +22,13 @@ def dense_adjacency(triples, node_index):
     return binary / binary.sum(axis=1, keepdims=True)
 
 
-def expand(adj: CsrMatrix, transpose: bool = False, n_cols: int | None = None) -> np.ndarray:
-    """The dense matrix a CSR stores, or its stored transpose; ``n_cols``
-    columns for a block of rows (``CsrMatrix.row_block``)."""
+def expand(adj: CsrMatrix, n_cols: int | None = None) -> np.ndarray:
+    """The dense matrix a CSR stores; ``n_cols`` columns for a block of
+    rows (``CsrMatrix.row_block``)."""
     n = adj.n
     dense = np.zeros((n, n if n_cols is None else n_cols))
     rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-    dense[rows, adj.indices] = adj.values_t if transpose else adj.values
+    dense[rows, adj.indices] = adj.values
     return dense
 
 
@@ -38,9 +38,9 @@ def csr_rows_row_major(adj: CsrMatrix, values, x) -> np.ndarray:
     return np.add.reduceat(products, adj.indptr[:-1], axis=0)
 
 
-def csr_from_dense(dense) -> CsrMatrix:
-    """CSR form of a dense matrix whose nonzero pattern is symmetric."""
-    dense = np.asarray(dense, dtype=np.float64)
-    rows, cols = np.nonzero(dense)  # row-major, so columns ascend per row
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(dense)))])
-    return CsrMatrix(indptr, cols, dense[rows, cols], dense.T[rows, cols])
+def csr_from_dense(pattern, scale) -> CsrMatrix:
+    """CSR form of ``diag(scale) @ pattern``, ``pattern`` a symmetric boolean
+    matrix."""
+    rows, cols = np.nonzero(pattern)  # row-major, so columns ascend per row
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(pattern)))])
+    return CsrMatrix(indptr, cols, np.asarray(scale, dtype=np.float64))

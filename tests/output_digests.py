@@ -23,6 +23,10 @@ worlds' pretraining, whose steps encode only the knowledge rows their loss
 reads, runs a second time with every step encoding every node; the script
 exits 1 if that run's checkpoint or run log differs.
 
+Last come the standard outputs of ``akgp check-grads --seed 0`` and of the
+first three demos (each run with this checkout's ``src``, in a temporary
+working directory), one line each.
+
 The worlds have about 24, 3,000 and 10,000 knowledge nodes. The outputs'
 bits depend on the numpy version and, for the 3k and 10k worlds, on the
 number of BLAS threads, so both are printed first, to standard error, as one JSON line
@@ -41,11 +45,14 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from unittest import mock
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+sys.path.insert(0, SRC)
 
 from akgp import cli, trainer  # noqa: E402
 from akgp.config import parse_config  # noqa: E402
@@ -60,6 +67,12 @@ WORLDS = [
     ("10k", {"seed": 11, "vocab_size": 10014, "pretrain_epochs": 1, "finetune_epochs": 2,
              "world": {"seed": 11, "n_entities": 10000, "n_examples": 256}}, False, True),
 ]
+
+
+# the demos whose standard output is digested; the fourth, the ablation
+# benchmark, takes about 10 s and is left out, as in tests/test_demos.py
+DEMOS = ["01_autodiff_and_gradient_checking.py", "02_knowledge_graph_and_retrieval.py",
+         "03_two_stage_training.py"]
 
 
 def _sha256(data: bytes) -> str:
@@ -131,6 +144,19 @@ def world_digests(root: str, config: dict, ablate: bool, every_node: bool):
         yield "ablation.csv", digest
 
 
+def tool_digests(root: str):
+    """(output name, sha256) of the standard output of check-grads and of
+    each demo, run in ``root``."""
+    yield "check-grads --seed 0", _sha256(_run(["check-grads", "--seed", "0"]))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for demo in DEMOS:
+        result = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                                cwd=root, env=env, capture_output=True)
+        if result.returncode != 0:
+            raise SystemExit(f"{demo} exited {result.returncode}")
+        yield f"demo {demo[:2]}", _sha256(result.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--keep", help="write the outputs here instead of a "
@@ -146,6 +172,10 @@ def main(argv=None) -> int:
             os.makedirs(root, exist_ok=True)
             for output, digest in world_digests(root, config, ablate, every_node):
                 print(f"{name:8s} {output:20s} {digest}", flush=True)
+        root = os.path.join(base, "tools")
+        os.makedirs(root, exist_ok=True)
+        for output, digest in tool_digests(root):
+            print(f"{'tools':8s} {output:20s} {digest}", flush=True)
     return 0
 
 

@@ -146,7 +146,7 @@ def test_csr_matches_dense_oracle(pairs):
     assert g.node_ids == first_seen
     oracle = dense_adjacency(triples, g.node_index)
     assert np.array_equal(expand(g.adjacency), oracle)
-    assert np.array_equal(expand(g.adjacency, transpose=True), oracle.T)
+    assert np.array_equal(expand(g.adjacency).T, oracle.T)
     for i in range(g.n_nodes):  # row-sorted: strictly ascending columns per row
         row = g.adjacency.indices[g.adjacency.indptr[i]:g.adjacency.indptr[i + 1]]
         assert np.all(np.diff(row) > 0)

@@ -243,17 +243,16 @@ def assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes=None):
 
 
 @pytest.mark.parametrize("n_nodes,count", [(2, 1), (7, 6), (7, 3), (50, 8), (50, 49)])
-def test_negatives_batch_equals_full_sort(n_nodes, count):
-    # (the name is kept from the exact-keys sampler; the oracle is Floyd's)
+def test_negatives_batch_equals_floyd_oracle(n_nodes, count):
     for seed in range(60):
         assert_sample_equals_oracle(np.arange(5) * 3 % n_nodes, n_nodes, count, seed)
 
 
 @pytest.mark.parametrize("count", [1, 8, 64])
 @pytest.mark.parametrize("n_nodes", [1100, 3004, 10004])
-def test_negatives_at_scale_equal_full_sort(n_nodes, count):
+def test_negatives_at_scale_equal_floyd_oracle(n_nodes, count):
     # uneven groups, an empty one among them, and positives at both ends of
-    # the node range; the oracle is Floyd's
+    # the node range
     sizes = [7, 0, 23, 1, 13]
     positives = np.random.default_rng(n_nodes + count).integers(0, n_nodes, sum(sizes))
     positives[:3] = [0, n_nodes - 1, 0]
@@ -282,9 +281,8 @@ def test_rejected_words_are_redrawn_like_the_oracle(n_nodes, count, sizes):
 @given(n_nodes=st.integers(2, 2500), count=st.integers(1, 80),
        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
        cells=st.sampled_from([1 << 20, 1000, 1]), seed=st.integers(0, 2**32))
-def test_negatives_equal_full_sort_property(n_nodes, count, sizes, cells, seed):
-    # (the name is kept from the exact-keys sampler; the oracle is Floyd's;
-    # fewer pair cells compare the draws of fewer rows at once)
+def test_negatives_equal_floyd_oracle_property(n_nodes, count, sizes, cells, seed):
+    # fewer pair cells compare the draws of fewer rows at once
     count = min(count, n_nodes - 1)
     positives = np.random.default_rng(seed).integers(0, n_nodes, sum(sizes))
     with mock.patch.object(retrieval, "_PAIR_CELLS", cells):

@@ -3,7 +3,6 @@ and the numeric invariants of softmax and cosine similarity."""
 
 import inspect
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from akgp.gradcheck import _op_cases
 from akgp.tensor import (
     COSINE_EPS,
     SLOT_ROW_MAX,
-    SLOT_ROWS_FROM,
     CsrMatrix,
     RowBlock,
     ShapeError,
@@ -53,7 +51,7 @@ from akgp.tensor import (
     xavier,
     zeros,
 )
-from akgp.tensor import _csr_rows
+from akgp.tensor import _csr_rows, _scatter_rows
 
 
 def rand(shape, seed, low=-1.0, high=1.0):
@@ -317,7 +315,7 @@ def test_spmm_matches_dense_product():
     x = Tensor(uniform([3, 2], -1, 1, 4).data, requires_grad=True)
     w = uniform([3, 2], -1, 1, 5)
     with Tape() as tape:
-        y = spmm(csr_from_dense(dense), x)
+        y = spmm(csr_from_dense(dense != 0, dense.max(axis=1)), x)
         loss = sum_all(mul(y, w))
     assert tape.records[0].inputs == (x,)  # the constant matrix is no tape input
     backward(loss, tape)
@@ -358,10 +356,10 @@ CSR_PATTERNS = {
 }
 
 
-def _signed_dense(pattern, seed):
+def _signed_scale(n, seed):
+    """One scale per row, of either sign."""
     rng = np.random.default_rng(seed)
-    n = len(pattern)
-    return pattern * rng.uniform(0.1, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    return rng.uniform(0.1, 1.0, n) * rng.choice([-1.0, 1.0], n)
 
 
 def _row_subsets(n, seed):
@@ -371,30 +369,28 @@ def _row_subsets(n, seed):
             np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9)), np.arange(n)]
 
 
-def _assert_csr_rows_bit_equal(dense, x):
-    """Both paths, the one the matrix selects and the other, against the
-    row-major reduction; and blocks of rows of each against its rows."""
-    adj = csr_from_dense(dense)
-    short_rows = np.count_nonzero(np.diff(adj.indptr) <= SLOT_ROW_MAX)
-    assert bool(adj._slots) == (short_rows >= SLOT_ROWS_FROM)
-    with mock.patch.object(tensor_module, "SLOT_ROWS_FROM", 10**9 if adj._slots else 0):
-        other = csr_from_dense(dense)
-    assert bool(other._slots) == (not adj._slots and short_rows > 0)
-    for m in (adj, other):
-        for values, transpose in ((m.values, False), (m.values_t, True)):
-            with np.errstate(invalid="ignore"):  # inf - inf
-                got = _csr_rows(m, x, transpose)
-                want = csr_rows_row_major(m, values, x)
-            assert got.shape == want.shape == (m.n, x.shape[1])
-            assert got.flags.c_contiguous
-            assert got.tobytes() == want.tobytes()
-            for rows in _row_subsets(m.n, len(x)):
-                block = m.row_block(rows)
-                assert (block.index is rows) and block.n == m.n
-                with np.errstate(invalid="ignore"):
-                    part = _csr_rows(block.matrix, x, transpose)
-                assert part.flags.c_contiguous
-                assert part.tobytes() == got[rows].tobytes()
+def _assert_csr_rows_bit_equal(pattern, scale, x):
+    """The product and its transpose against the row-major reduction; and
+    blocks of rows of each against its rows. The transpose's product, as
+    spmm's backward computes it, sums the pattern's rows of ``x`` scaled
+    once per row; the reduction scales each gathered entry."""
+    m = csr_from_dense(pattern, scale)
+    with np.errstate(invalid="ignore"):
+        scaled_x = x * m.scale[:, None]
+    for values, operand, scaled in ((m.values, x, True), (m.scale[m.indices], scaled_x, False)):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = _csr_rows(m, operand, scaled)
+            want = csr_rows_row_major(m, values, x)
+        assert got.shape == want.shape == (m.n, x.shape[1])
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        for rows in _row_subsets(m.n, len(x)):
+            block = m.row_block(rows)
+            assert (block.index is rows) and block.n == m.n
+            with np.errstate(invalid="ignore"):
+                part = _csr_rows(block.matrix, operand, scaled)
+            assert part.flags.c_contiguous
+            assert part.tobytes() == got[rows].tobytes()
 
 
 def _fill(x, fill, rng):
@@ -416,14 +412,14 @@ def _fill(x, fill, rng):
 @pytest.mark.parametrize("fill", ["finite", "special", "signed nan", "negative zero"])
 def test_csr_rows_bit_equal_to_row_major_reduction(width, layout, fill):
     for make, lengths_ok in CSR_PATTERNS.values():
-        dense = _signed_dense(make(width), width)
-        assert lengths_ok(set(np.count_nonzero(dense, axis=1).tolist()))
+        pattern = make(width)
+        assert lengths_ok(set(np.count_nonzero(pattern, axis=1).tolist()))
         rng = np.random.default_rng(width + 1)
-        full = _fill(rng.uniform(-1.0, 1.0, (len(dense), 2 * width)), fill, rng)
+        full = _fill(rng.uniform(-1.0, 1.0, (len(pattern), 2 * width)), fill, rng)
         x = {"contiguous": np.ascontiguousarray(full[:, :width]),
              "strided": full[:, ::2],
              "transposed": np.asfortranarray(full[:, :width])}[layout]
-        _assert_csr_rows_bit_equal(dense, x)
+        _assert_csr_rows_bit_equal(pattern, _signed_scale(len(pattern), width), x)
 
 
 @settings(max_examples=150, deadline=None)
@@ -433,19 +429,35 @@ def test_csr_rows_bit_equal_to_row_major_reduction(width, layout, fill):
 def test_csr_rows_bit_equal_on_random_patterns(n, density, seed, width, fill):
     rng = np.random.default_rng(seed)
     pattern = rng.random((n, n)) < density
-    dense = _signed_dense(pattern | pattern.T | np.eye(n, dtype=bool), seed)
-    _assert_csr_rows_bit_equal(dense, _fill(rng.uniform(-1.0, 1.0, (n, width)), fill, rng))
+    _assert_csr_rows_bit_equal(pattern | pattern.T | np.eye(n, dtype=bool), _signed_scale(n, seed),
+                               _fill(rng.uniform(-1.0, 1.0, (n, width)), fill, rng))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_rows=st.integers(1, 12), picks=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       width=st.sampled_from([1, 3, 32]),
+       fill=st.sampled_from(["finite", "special", "signed nan", "negative zero"]))
+def test_scatter_rows_bit_equal_to_add_at(n_rows, picks, seed, width, fill):
+    # gather_rows' and cosine_select's backward; few rows, so indices repeat
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n_rows, picks)
+    rows = _fill(rng.uniform(-1.0, 1.0, (picks, width)), fill, rng)
+    want = np.zeros((n_rows, width))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        np.add.at(want, idx, rows)
+        got = _scatter_rows(idx, rows, n_rows)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_row_block_columns_and_csr_arrays():
-    dense = _signed_dense(CSR_PATTERNS["mixed"][0](3), 3)
-    adj = csr_from_dense(dense)
-    assert adj._slots  # the block is built from the slot order
-    rows = np.array([0, 5, 17, 40, 41, len(dense) - 1])
+    pattern = CSR_PATTERNS["mixed"][0](3)
+    scale = _signed_scale(len(pattern), 3)
+    adj = csr_from_dense(pattern, scale)
+    rows = np.array([0, 5, 17, 40, 41, len(pattern) - 1])
     block = adj.row_block(rows)
-    assert np.array_equal(block.columns(), np.flatnonzero(dense[rows].any(axis=0)))
-    assert np.array_equal(expand(block.matrix, n_cols=len(dense)), dense[rows])
-    assert np.array_equal(expand(block.matrix, True, len(dense)), dense.T[rows])
+    assert np.array_equal(block.columns(), np.flatnonzero(pattern[rows].any(axis=0)))
+    assert np.array_equal(block.matrix.scale, scale[rows])
+    assert np.array_equal(expand(block.matrix, n_cols=len(pattern)), (pattern * scale[:, None])[rows])
 
 
 def _star_chain():
@@ -499,7 +511,7 @@ def test_row_options_check_shapes():
 
 def test_csr_rejects_empty_row():
     with pytest.raises(ShapeError):
-        CsrMatrix(np.array([0, 1, 1]), np.array([0]), np.array([1.0]), np.array([1.0]))
+        CsrMatrix(np.array([0, 1, 1]), np.array([0]), np.array([1.0, 1.0]))
 
 
 def test_no_recording_without_tape():

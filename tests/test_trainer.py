@@ -388,7 +388,7 @@ def pretrain_epoch_step_by_step(state, data):
 
 
 # a graph of 1,103 nodes with steps of 32 rows and the default 8 negatives
-BLOCK_PATH = {"n_entities": 1100, "batch_size": 32}
+GRAPH_1K = {"n_entities": 1100, "batch_size": 32}
 
 
 @pytest.mark.parametrize("denominator", ["positive_included", "negatives_only"])
@@ -398,8 +398,8 @@ def test_pretraining_equals_step_by_step_oracle(positive_source, denominator):
                                                    denominator=denominator)
 
 
-def test_pretraining_on_the_block_path_equals_step_by_step_oracle():
-    _assert_pretraining_equals_step_by_step_oracle(**BLOCK_PATH)
+def test_pretraining_on_a_1k_node_graph_equals_step_by_step_oracle():
+    _assert_pretraining_equals_step_by_step_oracle(**GRAPH_1K)
 
 
 def _rows_path_steps(monkeypatch) -> list[bool]:
@@ -490,7 +490,7 @@ def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE
     {"denominator": "negatives_only"},
     {"positive_source": "retrieved"},
     {"freeze": ["theta_v", "theta_t", "theta_m"]},  # knowledge trains: term on the tape
-    BLOCK_PATH,
+    GRAPH_1K,
 ])
 def test_fine_tuning_equals_step_by_step_oracle(overrides, words, monkeypatch):
     if words is not None:
