@@ -10,7 +10,6 @@ through the returned live row.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +95,6 @@ def retrieve_top1(query: Tensor, knowledge: Tensor) -> RetrievalResult:
 # a draw in [0, b) keeps the splitmix64 words below _DRAW_SPAN // b * b, so every
 # value has the same odds; a word above that is redrawn (odds below b / 2**64)
 _DRAW_SPAN = (1 << 64) - 1
-_PAIR_CELLS = 1 << 20  # pairs of draws, a byte each, one comparison holds (one row at least)
 
 
 def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
@@ -115,7 +113,8 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     at or above ``_DRAW_SPAN // b * b`` is redrawn from the group's counters
     that follow, in row-major order. One call gives what one call per group
     (``group_sizes``; by default one group) would. The work is rows x count
-    words and rows x count**2 comparisons, whatever ``n_nodes`` is.
+    words and rows x count**2 / 2 comparisons, whatever ``n_nodes`` is, in
+    one pass over the draws that holds rows x count bytes of them at once.
     """
     positives = np.asarray(positive_indices, dtype=np.int64)
     if count < 1:
@@ -148,31 +147,9 @@ def sample_negatives_batch(positive_indices, n_nodes: int, count: int,
     # draws as rows and sampled rows as columns: each numpy pass runs along the latter
     picks = np.remainder(draws.T, bounds[:, None],
                          out=np.empty((count, n_rows), dtype=np.uint64)).view(np.int64)
-    # Draw i is replaced when its row already holds its t: an earlier draw
-    # of the same t, or t = offset + j for an earlier draw j that was itself
-    # replaced. Each draw links to that j (t <= offset links to draw 0, never
-    # replaced); pointer jumping follows the links 2**rounds >= count deep.
-    replaced = np.empty((count, n_rows), dtype=bool)
-    step = max(1, _PAIR_CELLS // count**2)  # rows whose draws are compared at once
-    for lo in range(0, n_rows, step):
-        same = picks[:, None, lo:lo + step] == picks[None, :, lo:lo + step]
-        same &= _earlier(count)
-        same.any(axis=1, out=replaced[:, lo:lo + step])
-    replaced = replaced.reshape(-1)
-    link = (np.maximum(picks - offset, 0) * n_rows + np.arange(n_rows)).reshape(-1)
-    for _ in range((count - 1).bit_length()):
-        replaced |= replaced[link]
-        link = link[link]
-    picks = np.where(replaced.reshape(picks.shape), np.arange(offset, n_nodes - 1)[:, None], picks)
+    # Floyd's rule: draw i takes b - 1 = offset + i where its row already holds t
+    for i in range(1, count):
+        picks[i, (picks[:i] == picks[i]).any(axis=0)] = offset + i
     sample = np.empty((n_rows, count), dtype=np.int64)
     np.add(picks, picks >= positives, out=sample.T)
     return sample
-
-
-@functools.cache
-def _earlier(count: int) -> np.ndarray:
-    """(count, count, 1) read-only bool: entry [i, j] is whether j < i."""
-    step = np.arange(count)
-    earlier = (step[:, None] > step)[:, :, None]
-    earlier.flags.writeable = False
-    return earlier

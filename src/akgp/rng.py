@@ -146,6 +146,8 @@ class Rng:
         words = [int(w) & _MASK64 for w in state]
         if len(words) != 4:
             raise ValueError(f"xoshiro256 state needs 4 words, got {len(words)}")
+        if not any(words):  # no seed gives it: the generator would output 0 forever
+            raise ValueError("xoshiro256 state is all zero")
         self._s = words
 
     def next_u64(self) -> int:

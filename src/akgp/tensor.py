@@ -383,29 +383,6 @@ def stack_cols(parts: Sequence[Tensor]) -> Tensor:
 SLOT_ROW_MAX = 8  # the longest row that spmm sums slot by slot
 
 
-def _slot_order(indptr: np.ndarray):
-    """The order in which a :class:`CsrMatrix` stores its entries.
-
-    The short rows, of at most ``SLOT_ROW_MAX`` entries, are ordered by
-    length, longest first, so the rows that hold an entry s (slot s) are
-    the first ``counts[s]`` of them. Entry 0 of each short row comes first,
-    then entry 1 of each, and so on; then every entry of the long rows, in
-    CSR order. Returns that entry order, ``counts``, the short rows in
-    their order and the long rows.
-    """
-    lengths = np.diff(indptr)
-    slotted = lengths <= SLOT_ROW_MAX
-    short = np.flatnonzero(slotted)
-    # a stable sort of one-byte keys is a radix sort
-    rows = short[np.argsort((SLOT_ROW_MAX - lengths[short]).astype(np.uint8), kind="stable")]
-    at_most = np.cumsum(np.bincount(lengths[short], minlength=SLOT_ROW_MAX + 1))
-    counts = (short.size - at_most[:SLOT_ROW_MAX]).tolist()  # rows longer than s
-    long_rows = np.flatnonzero(~slotted)
-    order = np.concatenate([indptr[rows[:c]] + s for s, c in enumerate(counts)]
-                           + [np.flatnonzero(np.repeat(~slotted, lengths))])
-    return order, counts, rows, long_rows
-
-
 class CsrMatrix:
     """Constant matrix ``diag(scale) @ P``: P a 0/1 sparsity pattern, given
     in row-sorted CSR form, and one scale per row.
@@ -417,10 +394,10 @@ class CsrMatrix:
     ``P @ diag(scale)``: :func:`spmm`'s backward scales its operand's rows
     and sums them over the same pattern.
 
-    The entries are stored once, in the order :func:`spmm` reads them
-    (:func:`_slot_order`): the short rows slot by slot, then the long rows.
-    Why those slot sums have ``np.add.reduceat``'s bits: :func:`_csr_rows`.
-    ``indices`` and ``values`` are in CSR order.
+    Beside its CSR arrays, the matrix keeps one copy of its columns and
+    values in the order :func:`spmm` reads them (the short rows slot by
+    slot, then the long rows), 24 bytes per entry and 24 per row. Why those
+    slot sums have ``np.add.reduceat``'s bits: :func:`_csr_rows`.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, scale: np.ndarray):
@@ -428,15 +405,21 @@ class CsrMatrix:
         if np.any(lengths < 1):
             raise ShapeError("every row of a CsrMatrix needs at least one entry")
         self.indptr = indptr  # (n + 1,) int64
+        self.indices = indices  # (nnz,) int64
         self.scale = scale  # (n,) float64
-        self._store(indices, np.repeat(scale, lengths), *_slot_order(indptr))
-
-    def _store(self, cols: np.ndarray, values: np.ndarray, order: np.ndarray,
-               counts: list[int], rows: np.ndarray, long_rows: np.ndarray) -> None:
-        """Keep the entries ``order`` of the given arrays, in the order the
-        slot sums read them (:func:`_slot_order` names the other arguments)."""
-        self._cols, self._values = cols[order], values[order]
-        lengths = np.diff(self.indptr)
+        # the short rows, of at most SLOT_ROW_MAX entries, longest first, so
+        # those that hold an entry s (slot s) are the first counts[s]; stored
+        # are their entries 0, then 1, and so on, then the long rows' entries
+        slotted = lengths <= SLOT_ROW_MAX
+        short = np.flatnonzero(slotted)
+        # a stable sort of one-byte keys is a radix sort
+        rows = short[np.argsort((SLOT_ROW_MAX - lengths[short]).astype(np.uint8), kind="stable")]
+        at_most = np.cumsum(np.bincount(lengths[short], minlength=SLOT_ROW_MAX + 1))
+        counts = (short.size - at_most[:SLOT_ROW_MAX]).tolist()  # rows longer than s
+        long_rows = np.flatnonzero(~slotted)
+        order = np.concatenate([indptr[rows[:c]] + s for s, c in enumerate(counts)]
+                               + [np.flatnonzero(np.repeat(~slotted, lengths))])
+        self._cols, self._values = indices[order], self.values[order]
         starts = np.cumsum([0] + counts).tolist()
         self._slots = [(a, a + c) for a, c in zip(starts, counts) if c]  # slot s: [a, b)
         self._n_slotted = starts[-1]
@@ -457,36 +440,14 @@ class CsrMatrix:
         return float(np.abs(self.scale).max()) * int(np.diff(self.indptr).max())
 
     def row_block(self, rows: np.ndarray) -> RowBlock:
-        """The rows ``rows`` (ascending, distinct) and their entries as a
-        :class:`RowBlock`.
-
-        Its matrix stores them as this one does, in its own order: the
-        order of this matrix's slots, restricted to ``rows``, is the order
-        of the block's. So it sums each row as this matrix does, with the
-        bits of ``np.add.reduceat`` (see :func:`_csr_rows`).
-        """
-        lengths = self.indptr[rows + 1] - self.indptr[rows]
-        block = CsrMatrix.__new__(CsrMatrix)
-        block.indptr = np.concatenate([[0], np.cumsum(lengths)])
-        block.scale = self.scale[rows]
-        places = self._positions[rows]
-        short = lengths <= SLOT_ROW_MAX
-        local = np.flatnonzero(short)
-        by_place = np.argsort(places[local])
-        first = places[local][by_place]  # each short row's entry 0, in slot order
-        counts = np.searchsorted(first, [b - a for a, b in self._slots]).tolist()
-        long_rows = np.flatnonzero(~short)
-        long_first = self._n_slotted + self._long_starts[places[long_rows] - self._n_slotted]
-        order = np.concatenate([a + first[:c] for (a, _), c in zip(self._slots, counts)]
-                               + [_ranges(long_first, lengths[long_rows])])
-        block._store(self._cols, self._values, order, counts, local[by_place], long_rows)
+        """The rows ``rows`` (ascending, distinct) as a :class:`RowBlock` whose
+        matrix, the :class:`CsrMatrix` of their CSR entries, sums each row as
+        this one does, with ``np.add.reduceat``'s bits (see :func:`_csr_rows`)."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        block = CsrMatrix(np.concatenate([[0], np.cumsum(lengths)]),
+                          self.indices[_ranges(starts, lengths)], self.scale[rows])
         return RowBlock(rows, self.n, block)
-
-    @property
-    def indices(self) -> np.ndarray:  # (nnz,) int64
-        out = np.empty_like(self._cols)
-        out[_slot_order(self.indptr)[0]] = self._cols
-        return out
 
     @property
     def values(self) -> np.ndarray:  # (nnz,) float64
@@ -507,7 +468,7 @@ class RowBlock(NamedTuple):
     def columns(self) -> np.ndarray:
         """The columns, ascending and distinct, that these rows hold entries in."""
         seen = np.zeros(self.n, dtype=bool)
-        seen[self.matrix._cols] = True
+        seen[self.matrix.indices] = True
         return np.flatnonzero(seen)
 
 

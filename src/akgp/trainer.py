@@ -527,7 +527,8 @@ def load_state(path, cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
     the epochs it has done (else ConfigError naming the keys). The stage
     must be 0 or 1, and the optimizer buffers must be the ``m.`` and ``v.``
     moments of the tensors the stage trains, shaped like them, both for
-    each once a step has run (else CheckpointError naming the buffer).
+    each once a step has run (else CheckpointError naming the buffer), and
+    the generator state 4 words, not all zero (else CheckpointError).
     """
     data = load_checkpoint(path)
     changed = _config_differences(data.config, cfg.to_dict())
@@ -557,5 +558,8 @@ def load_state(path, cfg: TrainConfig, graph: KnowledgeGraph) -> TrainerState:
             raise CheckpointError(f"checkpoint {path}: optimizer buffer {name} has shape "
                                   f"{array.shape}, {tensor_name} has {trained[tensor_name]}")
         (state.opt.m if kind == "m" else state.opt.v)[tensor_name] = array.copy()
-    state.rng.set_state(data.rng_state)
+    try:
+        state.rng.set_state(data.rng_state)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {path}: generator state is unusable: {exc}") from exc
     return state

@@ -240,6 +240,25 @@ def test_resume_from_bad_optimizer_buffer_is_data_error(workdir, tmp_path, capsy
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("rng_state", [(0, 0, 0, 0), (1, 2, 3)], ids=["zero", "three_words"])
+def test_resume_from_bad_generator_state_is_data_error(workdir, tmp_path, capsys, rng_state):
+    out = tmp_path / "run"
+    inputs = ["--kg", workdir["kg"], "--data", workdir["data"], "--out", str(out)]
+    assert main(["pretrain", "--config", workdir["config"], *inputs]) == 0
+    path = out / "checkpoint.akgp"
+    data = load_checkpoint(path)
+    save_checkpoint(path, json.dumps(data.config), data.tensors, data.opt_buffers,
+                    data.stage, data.epochs_done, data.adam_t, rng_state)
+    before = path.read_bytes()
+    longer = tmp_path / "three.json"
+    longer.write_text(json.dumps(dict(TINY, pretrain_epochs=3)))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(longer), *inputs, "--resume"]) == 2
+    message = json.loads(capsys.readouterr().err.strip())["message"]
+    assert f"checkpoint {path}: generator state" in message, message
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("change, key", [
     ({"lr": 0.01}, "lr"),
     ({"tau": 0.5}, "tau"),

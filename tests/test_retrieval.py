@@ -1,5 +1,6 @@
 """Retrieval against brute-force oracles, tie-breaking, negative sampling."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -280,13 +281,25 @@ def test_rejected_words_are_redrawn_like_the_oracle(n_nodes, count, sizes):
 @settings(max_examples=150, deadline=None)
 @given(n_nodes=st.integers(2, 2500), count=st.integers(1, 80),
        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
-       cells=st.sampled_from([1 << 20, 1000, 1]), seed=st.integers(0, 2**32))
-def test_negatives_equal_floyd_oracle_property(n_nodes, count, sizes, cells, seed):
-    # fewer pair cells compare the draws of fewer rows at once
+       seed=st.integers(0, 2**32))
+def test_negatives_equal_floyd_oracle_property(n_nodes, count, sizes, seed):
     count = min(count, n_nodes - 1)
     positives = np.random.default_rng(seed).integers(0, n_nodes, sum(sizes))
-    with mock.patch.object(retrieval, "_PAIR_CELLS", cells):
-        assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes)
+    assert_sample_equals_oracle(positives, n_nodes, count, seed, sizes)
+
+
+def test_many_negatives_hold_little_memory():
+    # 4 rows of 2,000 draws are 64 KB; comparing all pairs of one row's
+    # draws at once would hold 4 MB
+    positives = [0, 1, 2000, 3999]
+    tracemalloc.start()
+    try:
+        got = sample_negatives_batch(positives, 4000, 2000, Rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    assert_valid_negatives(got, positives, 4000)
 
 
 @pytest.mark.parametrize("positives,n_nodes,message", [

@@ -132,3 +132,11 @@ def test_shuffle_redraws_a_word_in_the_rejection_zone():
     for _ in range(3):
         plain.next_u64()
     assert bulk.get_state() == plain.get_state()
+
+
+def test_set_state_rejects_the_all_zero_state():
+    # from (0, 0, 0, 0) xoshiro256** outputs 0 forever
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="all zero"):
+        rng.set_state((0, 0, 0, 1 << 64))
+    assert rng.get_state() == Rng(0).get_state()
