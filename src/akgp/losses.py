@@ -9,6 +9,7 @@ switches to a sum over negatives alone for comparison.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -129,6 +130,7 @@ def loss_cls_batch(logits: Tensor, labels) -> Tensor:
 def loss_total(align: Tensor, task: Tensor, lambda1: float, lambda2: float) -> Tensor:
     """Weighted combination lambda1 * align + lambda2 * task."""
     for name, term in (("align", align), ("task", task)):
-        if not np.isfinite(term.data).all():
+        value = term.data
+        if not (math.isfinite(value) if value.ndim == 0 else np.isfinite(value).all()):
             raise ValueError(f"{name} loss is not finite")
     return add(scale(align, lambda1), scale(task, lambda2))

@@ -39,11 +39,8 @@ class ModelParams:
 
     def named_tensors(self) -> list[tuple[str, Tensor]]:
         """(qualified name, tensor) pairs in a fixed deterministic order."""
-        out = []
-        for group_name, tensors in self.groups().items():
-            for name, t in tensors.items():
-                out.append((f"{group_name}.{name}", t))
-        return out
+        return [(f"{group}.{name}", t) for group in PARAM_GROUPS
+                for name, t in getattr(self, group).items()]
 
     def encoder_params(self) -> EncoderParams:
         return EncoderParams(

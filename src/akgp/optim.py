@@ -8,8 +8,12 @@ The trainable tensors share one flat parameter buffer, one flat gradient
 buffer and one flat buffer per moment, so a step is a handful of array
 operations however many tensors there are. Each tensor's ``data`` and
 ``grad``, and each entry of :attr:`AdamState.m` and :attr:`AdamState.v`,
-is a view of its slice. The update is elementwise, so it gives the same bits
-as a step tensor by tensor.
+is a view of its slice. The update runs in place, through one scratch
+buffer of the set's size and the gradient buffer, which it zeroes anyway;
+it is elementwise, with the operations of a step tensor by tensor, so it
+gives the same bits. The flat set is built at a state's first step and
+rebuilt when the model's tensors, which of them train, or a trainable
+tensor's ``data`` or ``grad`` array change.
 """
 
 from __future__ import annotations
@@ -26,13 +30,17 @@ class OptimizerError(RuntimeError):
 class _FlatSet:
     """Flat buffers for one trainable set, with each tensor's views into them."""
 
-    def __init__(self, trainable: list, state: "AdamState"):
+    def __init__(self, named: list, state: "AdamState"):
+        self.tensors = [tensor for _, tensor in named]
+        self.trains = [tensor.requires_grad for tensor in self.tensors]
+        trainable = _trainable(named)
         sizes = [tensor.size for _, tensor in trainable]
         total = sum(sizes)
         self.params = np.empty(total)
         self.grads = np.empty(total)
         self.m = np.zeros(total)
         self.v = np.zeros(total)
+        self.scratch = np.empty(total)
         self.members = []
         lo = 0
         for (name, tensor), size in zip(trainable, sizes):
@@ -50,11 +58,16 @@ class _FlatSet:
             self.members.append((tensor, tensor.data, tensor.grad))
             lo = hi
 
-    def serves(self, trainable: list) -> bool:
-        """True while ``trainable`` is this set, each tensor still on its views."""
-        return len(trainable) == len(self.members) and all(
-            tensor is member and tensor.data is data and tensor.grad is grad
-            for (_, tensor), (member, data, grad) in zip(trainable, self.members))
+    def serves(self, named: list) -> bool:
+        """True while ``named`` holds this set's tensors, by identity, the
+        same of them trainable, and each trainable one still on its views."""
+        tensors = [tensor for _, tensor in named]
+        if tensors != self.tensors or [t.requires_grad for t in tensors] != self.trains:
+            return False
+        for tensor, data, grad in self.members:
+            if tensor.data is not data or tensor.grad is not grad:
+                return False
+        return True
 
 
 @dataclass
@@ -72,9 +85,9 @@ class AdamState:
     flat: _FlatSet | None = field(default=None, repr=False, compare=False)
 
 
-def _trainable(model) -> list:
+def _trainable(named: list) -> list:
     trainable = []
-    for name, tensor in model.named_tensors():
+    for name, tensor in named:
         if not tensor.requires_grad:
             continue
         if tensor.grad is None:
@@ -85,20 +98,33 @@ def _trainable(model) -> list:
 
 def adam_step(model, state: AdamState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One in-place update over every trainable tensor of the model."""
-    trainable = _trainable(model)
-    if state.flat is None or not state.flat.serves(trainable):
-        state.flat = _FlatSet(trainable, state)
+    """One in-place update over every trainable tensor of the model.
+
+    Per element, in this order: ``m = beta1 * m + (1 - beta1) * g``,
+    ``v = beta2 * v + (1 - beta2) * g * g``, and
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` with the bias corrections
+    ``c1 = 1 - beta1 ** t`` and ``c2 = 1 - beta2 ** t``.
+    """
+    named = model.named_tensors()
+    if state.flat is None or not state.flat.serves(named):
+        state.flat = _FlatSet(named, state)
     flat = state.flat
     state.t += 1
     correction1 = 1.0 - beta1 ** state.t
     correction2 = 1.0 - beta2 ** state.t
-    g, m, v = flat.grads, flat.m, flat.v
+    g, m, v, s = flat.grads, flat.m, flat.v, flat.scratch
     m *= beta1
-    m += (1.0 - beta1) * g
+    np.multiply(g, 1.0 - beta1, out=s)
+    m += s
     v *= beta2
-    v += (1.0 - beta2) * g * g
-    m_hat = m / correction1
-    v_hat = v / correction2
-    flat.params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(g, 1.0 - beta2, out=s)
+    s *= g
+    v += s
+    np.divide(m, correction1, out=s)  # m_hat
+    s *= lr
+    np.divide(v, correction2, out=g)  # v_hat, over the consumed gradient
+    np.sqrt(g, out=g)
+    g += eps
+    s /= g
+    flat.params -= s
     g.fill(0.0)

@@ -39,9 +39,10 @@ class TapeError(RuntimeError):
 class Tensor:
     """A dense float64 array with an optional gradient buffer.
 
-    Data is row-major and immutable by convention after construction; only
-    the ``grad`` buffer accumulates. Setting ``requires_grad`` allocates a
-    zeroed gradient slot so optimizers can always rely on its presence.
+    ``data`` is a C-contiguous float64 ndarray (0-d for a scalar), and
+    immutable by convention after construction; only the ``grad`` buffer
+    accumulates. Setting ``requires_grad`` allocates a zeroed gradient slot
+    so optimizers can always rely on its presence.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -65,7 +66,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, shape {self.shape}")
-        return float(self.data.reshape(()))
+        return self.data.item()  # a Python float: the data is float64
 
     def requires_grad_(self, flag: bool = True) -> "Tensor":
         self.requires_grad = flag
@@ -84,11 +85,15 @@ class Tensor:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
 
-@dataclass
-class _Record:
+class _Record(NamedTuple):
     output: Tensor
     inputs: tuple[Tensor, ...]
     backward: Callable[[np.ndarray], tuple]
+
+
+# builds a record from one (output, inputs, backward) tuple, without the
+# keyword handling of the NamedTuple constructor
+_new_record = functools.partial(tuple.__new__, _Record)
 
 
 _TAPES: list[Tape] = []  # the active tapes, innermost last
@@ -113,12 +118,31 @@ class Tape:
         _TAPES.pop()
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _emit(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    needs_grad = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data)
+    """Wrap a primitive's result as a Tensor, and record it on the innermost
+    tape when one is active and an input requires grad."""
+    needs_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            needs_grad = True
+            break
+    # A Tensor's data is a C-contiguous float64 ndarray (a 0-d one is
+    # always contiguous), and Tensor.__init__ keeps such an array as it is.
+    # So a result that already is one is wrapped without the constructor;
+    # anything else (another dtype or layout, a numpy scalar, a list) is
+    # converted by it.
+    if (type(out_data) is np.ndarray and out_data.dtype is _FLOAT64
+            and out_data.flags.c_contiguous):
+        out = Tensor.__new__(Tensor)
+        out.data, out.grad = out_data, None
+    else:
+        out = Tensor(out_data)
     out.requires_grad = needs_grad
     if needs_grad and _TAPES:
-        _TAPES[-1].records.append(_Record(out, inputs, backward_fn))
+        _TAPES[-1].records.append(_new_record((out, inputs, backward_fn)))
     return out
 
 
@@ -134,30 +158,30 @@ def backward(loss: Tensor, tape: Tape) -> None:
         raise TapeError(f"loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise TapeError("loss does not depend on any tensor that requires grad")
-    produced = {id(rec.output) for rec in tape.records}
-    if id(loss) not in produced:
+    # a Tensor hashes and compares by identity, so it keys these directly
+    produced = {output for output, _, _ in tape.records}
+    if loss not in produced:
         raise TapeError("loss was not produced on this tape")
 
-    upstream: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
-    for rec in reversed(tape.records):
+    upstream: dict[Tensor, np.ndarray] = {loss: np.ones(loss.data.shape)}
+    leaves: list[Tensor] = []
+    for output, inputs, rule in reversed(tape.records):
         # every consumer of an output comes later on the tape, so its
         # gradient is complete here and no longer needed afterwards
-        g = upstream.pop(id(rec.output), None)
+        g = upstream.pop(output, None)
         if g is None:
             continue
-        for tensor, gi in zip(rec.inputs, rec.backward(g)):
+        for tensor, gi in zip(inputs, rule(g)):
             if gi is None or not tensor.requires_grad:
                 continue
-            key = id(tensor)
-            if key in upstream:
-                upstream[key] = upstream[key] + gi
+            if tensor in upstream:
+                upstream[tensor] = upstream[tensor] + gi
             else:
-                upstream[key] = gi
-                if key not in produced:
-                    leaves[key] = tensor
-    for key, tensor in leaves.items():
-        tensor.accumulate_grad(upstream[key])
+                upstream[tensor] = gi
+                if tensor not in produced:
+                    leaves.append(tensor)
+    for tensor in leaves:
+        tensor.accumulate_grad(upstream[tensor])
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +267,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: RowBlock | None = None) -> Ten
     and ``b`` get the gradient of the whole map with the other rows'
     gradient zero.
     """
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(f"linear needs 2-d x and w and a 1-d b, "
-                         f"got {x.shape}, {w.shape} and {b.shape}")
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"linear dims differ: {x.shape} @ {w.shape} + {b.shape}")
-    if rows is not None and x.shape[0] != len(rows.index):
-        raise ShapeError(f"linear of {len(rows.index)} rows got {x.shape}")
-    x_data, w_data = _spread(x.data, rows), w.data
+    x_data, w_data = x.data, w.data
+    xs, ws, bs = x_data.shape, w_data.shape, b.data.shape
+    if len(xs) != 2 or len(ws) != 2 or len(bs) != 1:
+        raise ShapeError(f"linear needs 2-d x and w and a 1-d b, got {xs}, {ws} and {bs}")
+    if xs[1] != ws[0] or ws[1] != bs[0]:
+        raise ShapeError(f"linear dims differ: {xs} @ {ws} + {bs}")
+    if rows is not None:
+        if xs[0] != len(rows.index):
+            raise ShapeError(f"linear of {len(rows.index)} rows got {xs}")
+        x_data = _spread(x_data, rows)
 
     def bwd(g):
         g = _spread(g, rows)
@@ -338,7 +364,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("gather_rows needs a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    if _out_of_range(idx, a.shape[0]):
         raise IndexError(f"row index out of range for {a.shape[0]} rows")
     n_rows = a.shape[0]
 
@@ -346,6 +372,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
         return (_scatter_rows(idx, g, n_rows),)
 
     return _emit(a.data[idx], (a,), bwd)
+
+
+def _out_of_range(idx: np.ndarray, n: int) -> bool:
+    """True if an int64 index falls outside [0, n): read as uint64, a
+    negative one is at least 2**63, so one maximum checks both ends."""
+    return bool(idx.size) and int(idx.view(np.uint64).max()) >= n
 
 
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -642,7 +674,8 @@ def mean_all(x: Tensor) -> Tensor:
     def bwd(g):
         return (np.full(shape, float(g) / n),)
 
-    return _emit(np.asarray(x.data.mean()), (x,), bwd)
+    # ndarray.mean's own steps for float64: the sum, divided by the count
+    return _emit(np.asarray(np.add.reduce(x.data, axis=None) / n), (x,), bwd)
 
 
 def logsumexp_rows(x: Tensor) -> Tensor:
@@ -668,17 +701,18 @@ def cross_entropy_rows(logits: Tensor, labels) -> Tensor:
     if lab.ndim != 1 or lab.shape[0] != logits.shape[0]:
         raise ShapeError("one label per logits row required")
     n_classes = logits.shape[1]
-    if lab.size and (lab.min() < 0 or lab.max() >= n_classes):
+    if _out_of_range(lab, n_classes):
         raise IndexError(f"label out of range for {n_classes} classes")
     m = logits.data.max(axis=1, keepdims=True)
     z = logits.data - m
     e = np.exp(z)
     s = e.sum(axis=1)
-    losses = np.log(s) - z[np.arange(lab.shape[0]), lab]
+    at_labels = (np.arange(lab.shape[0]), lab)
+    losses = np.log(s) - z[at_labels]
 
     def bwd(g):
         grad = e / s[:, None]
-        grad[np.arange(lab.shape[0]), lab] -= 1.0
+        grad[at_labels] -= 1.0
         return (grad * g[:, None],)
 
     return _emit(losses, (logits,), bwd)
@@ -736,12 +770,15 @@ def cosine_select(queries: Tensor, table: Tensor, indices,
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 2 or idx.shape[0] != queries.shape[0]:
         raise ShapeError("indices must be (n_queries, k)")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if _out_of_range(idx, table.shape[0]):
         raise IndexError(f"table index out of range for {table.shape[0]} rows")
 
     q = queries.data
     sel = table.data[idx]                                # (B, k, d)
     nq = row_norms(q)                                    # (B,)
+    if table_norms is None and table.shape[0] < idx.size:
+        # a row's norm has the same bits in the table as in the selection
+        table_norms = row_norms(table.data)
     ns = row_norms(sel) if table_norms is None else table_norms[idx]  # (B, k)
     dead = (nq[:, None] < COSINE_EPS) | (ns < COSINE_EPS)
     denom = np.maximum(nq[:, None] * ns, COSINE_EPS)
@@ -752,17 +789,18 @@ def cosine_select(queries: Tensor, table: Tensor, indices,
 
     def bwd(g):
         gl = np.where(dead, 0.0, g)
+        gl_denom = gl / denom
         gq = gt = None
         if queries.requires_grad:
             nq_safe = np.where(nq < COSINE_EPS, 1.0, nq)
             # d/dq: sum over k of gl * (sel/denom - c*ns*q/(nq*denom))
             coef_q = (gl * c * ns / denom).sum(axis=1) / nq_safe     # (B,)
-            gq = np.einsum("bk,bkd->bd", gl / denom, sel) - coef_q[:, None] * q
+            gq = np.einsum("bk,bkd->bd", gl_denom, sel) - coef_q[:, None] * q
         if table.requires_grad:
             ns_safe = np.where(ns < COSINE_EPS, 1.0, ns)
             # d/dsel per (b, k): gl * (q/denom - c*nq*sel/(ns*denom))
-            gs = (gl / denom)[:, :, None] * q[:, None, :] \
-                - (gl * c * nq[:, None] / (ns_safe * denom))[:, :, None] * sel
+            gs = gl_denom[:, :, None] * q[:, None, :]
+            gs -= (gl * c * nq[:, None] / (ns_safe * denom))[:, :, None] * sel
             gt = _scatter_rows(idx.reshape(-1), gs.reshape(-1, q.shape[1]), n_table)
         return gq, gt
 

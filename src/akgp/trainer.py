@@ -287,6 +287,9 @@ def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[fl
     only that gather, as sampling works in rows x ``n_negatives`` whatever
     the group. Negatives take one stream word per step, in step order, and
     the loss is row by row, so each step gets the bits it would have had alone.
+    The positives of a group are taken in one call: each row's positive is
+    its gold node, if it has one and that is the source, else its top-1, so
+    it does not depend on the other rows of its step.
     """
     cfg, cache, knowledge = state.cfg, state.cache, state.cache.knowledge
     row_words = (cfg.n_negatives + 1) * knowledge.shape[1]
@@ -296,15 +299,17 @@ def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[fl
         if i + 1 < len(steps) and sum(map(len, group)) * row_words < _ALIGN_WORDS:
             continue
         sizes = [len(r) for r in group]
-        positives = np.concatenate([
-            _positive_indices(cfg, cache.batch.gold_indices[r], None, knowledge,
-                              cache.retrieved[r]) for r in group])
+        index = np.concatenate(group)
+        positives = _positive_indices(cfg, cache.batch.gold_indices[index], None, knowledge,
+                                      cache.retrieved[index])
         negatives = sample_negatives_batch(positives, knowledge.shape[0], cfg.n_negatives,
                                            state.rng, sizes)
-        per_row = align_loss_rows(Tensor(cache.fused[np.concatenate(group)]), knowledge,
-                                  positives, negatives, cfg.tau, cfg.denominator,
-                                  cache.norms).data
-        terms += [float(r.mean()) for r in np.split(per_row, np.cumsum(sizes)[:-1])]
+        per_row = align_loss_rows(Tensor(cache.fused[index]), knowledge, positives,
+                                  negatives, cfg.tau, cfg.denominator, cache.norms).data
+        if sizes.count(sizes[0]) == len(sizes):  # one row reduction, as np.mean's per step
+            terms += per_row.reshape(len(sizes), -1).mean(axis=1).tolist()
+        else:
+            terms += [float(r.mean()) for r in np.split(per_row, np.cumsum(sizes)[:-1])]
         group = []
     return terms
 

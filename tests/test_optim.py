@@ -1,5 +1,7 @@
 """Adam update semantics: bias correction, freeze contract, grad clearing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,72 @@ def test_moments_copied_into_views_set_the_next_step():
     before = w.data.copy()
     adam_step(model, state, lr=0.1)
     assert np.array_equal(w.data, before)
+
+
+def _assert_bit_equal_to_oracle(model, state, ref, m, v):
+    for name, t in model.tensors.items():
+        assert t.data.tobytes() == ref[name].tobytes(), name
+    assert sorted(state.m) == sorted(m)
+    for name in m:
+        assert state.m[name].tobytes() == m[name].tobytes(), name
+        assert state.v[name].tobytes() == v[name].tobytes(), name
+
+
+@pytest.mark.parametrize("change", ["requires_grad_", "requires_grad flag", "data array"])
+def test_changed_trainable_set_rebuilds_the_flat_set(change):
+    rng = np.random.default_rng(1)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 3)}
+    model = OneGroupModel({n: Tensor(rng.standard_normal(s), requires_grad=True)
+                           for n, s in shapes.items()})
+    ref = {n: t.data.copy() for n, t in model.tensors.items()}
+    state, m, v = AdamState(), {}, {}
+    b = model.tensors["b"]
+
+    def step(t):
+        trained = [n for n, tensor in model.tensors.items() if tensor.requires_grad]
+        grads = {n: rng.standard_normal(shapes[n]) for n in trained}
+        for name, g in grads.items():
+            model.tensors[name].grad[...] = g
+        flat = state.flat
+        adam_step(model, state, lr=0.05)
+        adam_loop({n: (ref[n], g) for n, g in grads.items()}, m, v, t, lr=0.05)
+        _assert_bit_equal_to_oracle(model, state, ref, m, v)
+        return flat is None or state.flat is not flat  # rebuilt
+
+    assert step(1) and not step(2)
+    if change == "data array":  # new values in a new array
+        b.data = rng.standard_normal(shapes["b"])
+        ref["b"] = b.data.copy()
+        assert step(3) and not step(4)
+        return
+    if change == "requires_grad_":
+        b.requires_grad_(False)
+    else:  # the flag alone: b keeps its gradient view
+        b.requires_grad = False
+    frozen = b.data.tobytes()
+    assert step(3) and not step(4)
+    assert b.data.tobytes() == frozen
+    if change == "requires_grad_":
+        b.requires_grad_(True)
+    else:
+        b.requires_grad = True
+    assert step(5) and not step(6)  # b's moments go on from step 2's
+
+
+def test_step_allocates_at_most_one_parameter_sized_array():
+    rng = np.random.default_rng(2)
+    shapes = {"w": (250, 300), "u": (20_000,), "b": (5_000,)}  # 100,000 parameters
+    model = OneGroupModel({n: Tensor(rng.standard_normal(s), requires_grad=True)
+                           for n, s in shapes.items()})
+    state = AdamState()
+    adam_step(model, state, lr=0.01)  # builds the flat set
+    for t in model.tensors.values():
+        t.grad[...] = rng.standard_normal(t.shape)
+    tracemalloc.start()
+    try:
+        adam_step(model, state, lr=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.flat.params.size == 100_000
+    assert peak < 100_000 * 8 + 64 * 1024, peak

@@ -1,6 +1,7 @@
 """Tensor primitives: forward values, backward rules vs finite differences,
 and the numeric invariants of softmax and cosine similarity."""
 
+import contextlib
 import inspect
 import math
 
@@ -37,13 +38,17 @@ from akgp.tensor import (
     linear,
     logsumexp_rows,
     matmul,
+    mean_all,
     mul,
     relu,
+    reshape,
     row_norms,
     scale,
     sigmoid,
     softmax_row,
     spmm,
+    stack_cols,
+    sub,
     sum_all,
     tanh_act,
     tensor_create,
@@ -51,7 +56,7 @@ from akgp.tensor import (
     xavier,
     zeros,
 )
-from akgp.tensor import _csr_rows, _scatter_rows
+from akgp.tensor import _csr_rows, _emit, _scatter_rows
 
 
 def rand(shape, seed, low=-1.0, high=1.0):
@@ -271,6 +276,16 @@ def test_cosine_select_with_table_norms_is_bit_equal():
         backward(loss, tape)
         outputs.append((loss.data.tobytes(), queries.grad.tobytes()))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("width", [1, 5, 16, 32, 33, 100])
+def test_table_row_norms_equal_the_norms_of_selected_rows(width):
+    # cosine_select takes a table's own row norms when it has fewer rows than
+    # the selection
+    rng = np.random.default_rng(width)
+    table = rng.standard_normal((6, width)) * 10.0 ** rng.uniform(-150, 150, (6, 1))
+    idx = rng.integers(0, 6, (4, 5))
+    assert row_norms(table)[idx].tobytes() == row_norms(table[idx]).tobytes()
 
 
 def test_backward_requires_scalar_loss():
@@ -548,15 +563,113 @@ def test_nested_tapes_record_innermost():
 # finite-difference oracle for every primitive
 
 
+def _recording_primitives() -> set[str]:
+    """The functions of akgp.tensor that record through _emit."""
+    return {name for name, fn in vars(tensor_module).items()
+            if inspect.isfunction(fn) and fn.__module__ == tensor_module.__name__
+            and name != "_emit" and "_emit(" in inspect.getsource(fn)}
+
+
 def test_every_recording_primitive_has_a_gradcheck_case():
     """``akgp check-grads`` runs gradcheck's op cases, so each function here
     that records through _emit needs one there."""
-    recording = {name for name, fn in vars(tensor_module).items()
-                 if inspect.isfunction(fn) and fn.__module__ == tensor_module.__name__
-                 and name != "_emit" and "_emit(" in inspect.getsource(fn)}
+    recording = _recording_primitives()
     assert {"add", "linear", "spmm", "cosine_select"} <= recording
     covered = {name.partition(".")[0] for name, _ in _op_cases()}
     assert sorted(recording - covered) == []
+
+
+# one call of each recording primitive: (function of its tensor inputs, their shapes)
+PRIMITIVE_CALLS = {
+    "matmul": (matmul, [(2, 3), (3, 4)]),
+    "linear": (linear, [(2, 3), (3, 4), (4,)]),
+    "add": (add, [(2, 3), (2, 3)]),
+    "sub": (sub, [(2, 3), (2, 3)]),
+    "mul": (mul, [(2, 3), (2, 3)]),
+    "scale": (lambda x: scale(x, -2.5), [(2, 3)]),
+    "concat": (concat, [(2, 3), (2, 2)]),
+    "reshape": (lambda x: reshape(x, (3, 2)), [(2, 3)]),
+    "gather_rows": (lambda x: gather_rows(x, [2, 0, 2]), [(4, 3)]),
+    "stack_cols": (lambda *parts: stack_cols(parts), [(3,), (3,)]),
+    "spmm": (lambda x: spmm(_star_chain(), x), [(7, 3)]),
+    "relu": (relu, [(2, 3)]),
+    "tanh_act": (tanh_act, [(2, 3)]),
+    "sigmoid": (sigmoid, [(2, 3)]),
+    "softmax_row": (softmax_row, [(4,)]),
+    "sum_all": (sum_all, [(2, 3)]),
+    "mean_all": (mean_all, [(2, 3)]),
+    "logsumexp_rows": (logsumexp_rows, [(2, 3)]),
+    "cross_entropy_rows": (lambda x: cross_entropy_rows(x, [0, 2]), [(2, 3)]),
+    "cosine_sim": (cosine_sim, [(3,), (3,)]),
+    "cosine_select": (lambda q, t: cosine_select(q, t, [[0, 1], [3, 3]]), [(2, 3), (4, 3)]),
+}
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["no tape", "tape"])
+@pytest.mark.parametrize("grads", ["none", "first", "all"])
+def test_every_primitive_returns_a_float64_tensor_without_grad(grads, taped):
+    assert sorted(PRIMITIVE_CALLS) == sorted(_recording_primitives())
+    tape = Tape()
+    with tape if taped else contextlib.nullcontext():
+        for name, (fn, shapes) in PRIMITIVE_CALLS.items():
+            inputs = [rand(list(shape), seed) for seed, shape in enumerate(shapes)]
+            for i, x in enumerate(inputs):
+                x.requires_grad_(grads == "all" or (grads == "first" and i == 0))
+            out = fn(*inputs)
+            assert type(out) is Tensor, name
+            assert out.data.dtype == np.float64 and out.data.flags.c_contiguous, name
+            assert out.grad is None and out.requires_grad is (grads != "none"), name
+    recorded = taped and grads != "none"
+    assert len(tape.records) == (len(PRIMITIVE_CALLS) if recorded else 0)
+
+
+@pytest.mark.parametrize("result", [
+    np.arange(6.0).reshape(2, 3).T,            # not C-contiguous
+    np.arange(6.0).reshape(2, 3)[:, ::2],      # strided
+    np.arange(6).reshape(2, 3),                # integer
+    np.ones((2, 3), dtype=np.float32),
+    np.float64(2.5),                           # a numpy scalar, not an array
+    [[1.0, 2.0], [3.0, 4.0]],
+], ids=["transposed", "strided", "int64", "float32", "scalar", "list"])
+def test_emit_converts_what_is_not_a_contiguous_float64_array(result):
+    want = np.array(result, dtype=np.float64)
+    x = Tensor([1.0], requires_grad=True)
+    with Tape() as tape:
+        out = _emit(result, (x,), lambda g: (None,))
+    assert out.data.dtype == np.float64 and out.data.flags.c_contiguous
+    assert out.data.shape == want.shape and out.data.tobytes() == want.tobytes()
+    assert out.grad is None and out.requires_grad
+    assert [rec.output for rec in tape.records] == [out]
+
+
+@pytest.mark.parametrize("result", [np.ones((2, 3)), np.asarray(1.5)], ids=["2-d", "0-d"])
+@pytest.mark.parametrize("taped", [False, True], ids=["no tape", "tape"])
+@pytest.mark.parametrize("needs_grad", [False, True])
+def test_emit_wraps_a_contiguous_float64_array_as_it_is(result, taped, needs_grad):
+    x, y = Tensor([1.0]), Tensor([2.0], requires_grad=needs_grad)
+    tape = Tape()
+    with tape if taped else contextlib.nullcontext():
+        out = _emit(result, (x, y), lambda g: (None, g))
+    assert out.data is result
+    assert out.grad is None and out.requires_grad is needs_grad
+    want = [(out, (x, y))] if taped and needs_grad else []
+    assert [(rec.output, rec.inputs) for rec in tape.records] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(1, 64)),
+                       st.tuples(st.integers(1, 64), st.integers(1, 64))),
+       seed=st.integers(0, 2**32 - 1), exponents=st.sampled_from([0, 3, 30, 300]),
+       fill=st.sampled_from(["finite", "special", "signed nan", "negative zero"]))
+def test_mean_all_bit_equal_to_ndarray_mean(shape, seed, exponents, fill):
+    # mixed signs, magnitudes spread over 10**-exponents to 10**exponents
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-exponents, exponents, shape)
+    x = _fill(x, fill, rng)
+    with np.errstate(all="ignore"):  # inf - inf, and sums that overflow
+        got = mean_all(Tensor(x)).data
+        want = np.asarray(x.mean())
+    assert got.shape == () and got.tobytes() == want.tobytes()
 
 
 def test_fd_check_analytic_case():

@@ -466,9 +466,11 @@ def _assert_pretraining_equals_step_by_step_oracle(edit=lambda data: data, **ove
     assert outcomes[0] == outcomes[1]
 
 
-def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE):
+def _fine_tune_outcome(run_epoch, overrides, perturb=None, variant=FULL_PIPELINE,
+                       edit=lambda data: data):
     # 300 examples in batches of 16: 18 full steps and a last one of 12
     cfg, _, data, graph = tiny_setup(n_examples=300, **overrides)
+    data = edit(data)
     state = make_run(cfg, graph)
     start_stage(state, STAGE_FINETUNE)
     dataset = collate_dataset(state, data)  # one batch: the epochs share its cache
@@ -498,6 +500,24 @@ def test_fine_tuning_equals_step_by_step_oracle(overrides, words, monkeypatch):
     outcome = _fine_tune_outcome(finetune_epoch, overrides)
     assert outcome[0][0]["mean_total_loss"] != outcome[0][0]["mean_task_loss"]
     assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, overrides)
+
+
+def _every_third_without_gold(data):
+    return [dataclasses.replace(e, gold_node=None) if i % 3 == 0 else e
+            for i, e in enumerate(data)]
+
+
+@pytest.mark.parametrize("words", [None, 1, 4000])  # default, every step, 4 steps
+def test_frozen_alignment_terms_without_gold_nodes_equal_step_by_step_oracle(words,
+                                                                             monkeypatch):
+    # gen_dataset gives every example a gold node; here each step, and so each
+    # group of steps, mixes gold positives with retrieved ones
+    if words is not None:
+        monkeypatch.setattr(trainer, "_ALIGN_WORDS", words)
+    outcome = _fine_tune_outcome(finetune_epoch, {}, edit=_every_third_without_gold)
+    assert outcome[0][0]["mean_total_loss"] != outcome[0][0]["mean_task_loss"]
+    assert outcome == _fine_tune_outcome(finetune_epoch_step_by_step, {},
+                                         edit=_every_third_without_gold)
 
 
 ENCODERS = ["theta_v", "theta_t", "theta_m"]
