@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .config import TrainConfig, WorldConfig
-from .fusion import adapt_task, gate_integrate
 from .gnn import encode_knowledge
 from .kg import build_graph
 from .losses import align_loss_batch, loss_cls_batch, loss_total
@@ -24,6 +23,7 @@ from .model import init_model
 from .rng import derive_seed
 from .encoders import encode_batch
 from .tensor import Tensor, fd_check, from_array, uniform
+from .trainer import FULL_PIPELINE, _task_head
 
 
 def _rand(shape, seed, low=-1.0, high=1.0):
@@ -154,9 +154,8 @@ def _pipeline_case(kind):
                 align = align_loss_batch(fused, knowledge, positives, negatives, 0.5)
                 if kind == "align":
                     return align
-                k_star = T.gather_rows(knowledge, positives)  # selection held fixed
-                gated = gate_integrate(fused, k_star, model.gate_params())
-                logits = adapt_task(gated, k_star, model.adaptor_params())
+                logits, _ = _task_head(model, knowledge, fused, FULL_PIPELINE,
+                                       retrieved=positives)  # selection held fixed
                 task = loss_cls_batch(logits, labels)
                 return loss_total(align, task, 0.7, 1.3)
             finally:

@@ -59,15 +59,14 @@ def loss_align(fused: Tensor, k_pos: Tensor, k_negs: Sequence[Tensor], tau: floa
 
 def align_loss_rows(fused: Tensor, knowledge: Tensor, positive_indices,
                     negative_indices, tau: float,
-                    denominator: str = "positive_included",
-                    knowledge_norms: np.ndarray | None = None) -> Tensor:
+                    denominator: str = "positive_included") -> Tensor:
     """(B,) alignment loss of each row of a batch.
 
     ``positive_indices`` is (B,) and ``negative_indices`` (B, N); rows index
     into the knowledge matrix. Row i equals :func:`loss_align` on pair i,
-    and every step works row by row, so a row's value does not depend on
-    the other rows. ``knowledge_norms`` is passed to :func:`cosine_select`
-    as the table's norms.
+    and every step works row by row (a row's norm has the same bits in the
+    matrix as in the selection, see :func:`cosine_select`), so a row's value
+    does not depend on the other rows.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -76,25 +75,21 @@ def align_loss_rows(fused: Tensor, knowledge: Tensor, positive_indices,
     if neg.ndim != 2 or neg.shape[0] != pos.shape[0]:
         raise ShapeError("negative_indices must be (batch, n_negatives)")
     if denominator == "positive_included":
-        sims = cosine_select(fused, knowledge, np.concatenate([pos, neg], axis=1),
-                             knowledge_norms)
+        sims = cosine_select(fused, knowledge, np.concatenate([pos, neg], axis=1))
         logits = scale(sims, 1.0 / tau)
         return cross_entropy_rows(logits, np.zeros(pos.shape[0], dtype=np.int64))
-    pos_sims = reshape(cosine_select(fused, knowledge, pos, knowledge_norms),
-                       (pos.shape[0],))
-    neg_sims = cosine_select(fused, knowledge, neg, knowledge_norms)
+    pos_sims = reshape(cosine_select(fused, knowledge, pos), (pos.shape[0],))
+    neg_sims = cosine_select(fused, knowledge, neg)
     return sub(logsumexp_rows(scale(neg_sims, 1.0 / tau)), scale(pos_sims, 1.0 / tau))
 
 
 def align_loss_batch(fused: Tensor, knowledge: Tensor, positive_indices,
                      negative_indices, tau: float,
-                     denominator: str = "positive_included",
-                     knowledge_norms: np.ndarray | None = None) -> Tensor:
+                     denominator: str = "positive_included") -> Tensor:
     """Mean alignment loss over a batch: the mean of :func:`align_loss_rows`,
     equal to the average of per-example :func:`loss_align` values."""
     return mean_all(align_loss_rows(fused, knowledge, positive_indices,
-                                    negative_indices, tau, denominator,
-                                    knowledge_norms))
+                                    negative_indices, tau, denominator))
 
 
 def loss_cls(logits: Tensor, label: int) -> Tensor:

@@ -8,11 +8,13 @@ reading the attribute off the knowledge graph. The ablation trains five
 configurations of increasing knowledge integration on identical data and
 reports per-seed accuracies. Every seed shares one graph and one
 collation of each split, a seed's configurations share its initial model
-and pretraining, and the seeds' work is shared out among the usable cores.
+and pretraining, the cells of one unit share its fine-tuning stage (see
+:func:`_run_unit`), and the seeds' work is shared out among the usable cores.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -29,7 +31,6 @@ from .trainer import (
     TrainerState,
     evaluate,
     finetune_epoch,
-    load_weights,
     make_run,
     pretrain_epoch,
     start_stage,
@@ -163,19 +164,20 @@ ABLATION_CONFIGS: list[tuple[str, PipelineVariant, bool]] = [
 ]
 
 
-def run_cell(state: TrainerState, weights: dict[str, np.ndarray], train: Batch,
-             test: Batch, variant: PipelineVariant) -> float:
-    """Fine-tune one (configuration, seed) cell on its seed's run, starting
-    from ``weights`` (every named tensor); returns test accuracy."""
-    load_weights(state, weights)
-    start_stage(state, STAGE_FINETUNE)
+def run_cell(stage: TrainerState, train: Batch, test: Batch, variant: PipelineVariant) -> float:
+    """Test accuracy of one (configuration, seed) cell, fine-tuned on a copy
+    of ``stage``, its unit's run as it entered fine-tuning. The copy shares
+    the run's graph and :class:`StageCache`, which every cell may fill."""
+    state = copy.deepcopy(stage, {id(stage.graph): stage.graph, id(stage.cache): stage.cache})
     for _ in range(state.cfg.finetune_epochs):
         finetune_epoch(state, train, variant)
     return evaluate(state, test, variant)["accuracy"]
 
 
-def _weights(state: TrainerState) -> dict[str, np.ndarray]:
-    return {name: tensor.data.copy() for name, tensor in state.model.named_tensors()}
+def _exit_if_orphaned(caller: int | None) -> None:
+    """Exit a forked share whose ``caller`` died by a signal it could not pass on."""
+    if caller is not None and os.getppid() != caller:
+        os._exit(1)
 
 
 def _unit_cells(pretrain: bool) -> list[int]:
@@ -186,39 +188,40 @@ def _unit_cells(pretrain: bool) -> list[int]:
 
 
 def _run_unit(graph: KnowledgeGraph, train_batch: Batch, test_batch: Batch,
-              cfg: TrainConfig, seed: int, pretrain: bool, accuracies: list[float]) -> None:
+              cfg: TrainConfig, seed: int, pretrain: bool, accuracies: list[float],
+              caller: int | None) -> None:
     """Append to ``accuracies`` the test accuracy of each configuration of one
     seed that starts from the pretrained weights (``pretrain``) or from the
     initial ones, in the order of :func:`_unit_cells`.
 
-    A unit makes its seed's run from the shared graph and collated splits;
-    its cells share the run's initial model, and the pretrained cells share
-    one pretraining: it never reads the variant, so each would reach the
-    same weights.
+    A unit makes its seed's run from the shared graph and collated splits,
+    pretrains it once (pretraining never reads the variant), enters the
+    fine-tuning stage once, and runs each cell on a copy of that run.
     """
     seed_cfg = replace(cfg, seed=seed)
     state = make_run(seed_cfg, graph)
     if pretrain:
         for _ in range(seed_cfg.pretrain_epochs):
             pretrain_epoch(state, train_batch)
-    weights = _weights(state)
+    start_stage(state, STAGE_FINETUNE)
     for ci in _unit_cells(pretrain):
-        accuracies.append(run_cell(state, weights, train_batch, test_batch,
-                                   ABLATION_CONFIGS[ci][1]))
+        _exit_if_orphaned(caller)
+        accuracies.append(run_cell(state, train_batch, test_batch, ABLATION_CONFIGS[ci][1]))
 
 
-def _run_share(share, graph, train, test, cfg) -> list:
+def _run_share(share, graph, train, test, cfg, caller: int | None = None) -> list:
     """``(unit, accuracies, exception or None)`` for each ``(seed index, seed,
     pretrain)`` unit of a share. A unit whose seed index is above that of a
     failed unit is skipped: it cannot hold the first failure."""
     results, failed_at = [], None
     for unit in share:
+        _exit_if_orphaned(caller)
         index, seed, pretrain = unit
         if failed_at is not None and index > failed_at:
             continue
         accuracies: list[float] = []
         try:
-            _run_unit(graph, train, test, cfg, seed, pretrain, accuracies)
+            _run_unit(graph, train, test, cfg, seed, pretrain, accuracies, caller)
         except Exception as exc:  # the caller raises the first in the serial order
             results.append((unit, accuracies, exc))
             failed_at = index
@@ -227,8 +230,8 @@ def _run_share(share, graph, train, test, cfg) -> list:
     return results
 
 
-def _send_share(sender, share, graph, train, test, cfg) -> None:
-    sender.send(_run_share(share, graph, train, test, cfg))
+def _send_share(sender, share, graph, train, test, cfg, caller: int) -> None:
+    sender.send(_run_share(share, graph, train, test, cfg, caller))
     sender.close()
 
 
@@ -252,7 +255,7 @@ def _run_units(graph, train, test, cfg, seeds: list[int]) -> list:
     share per usable core. The caller works share 0; each other share runs
     in a forked child, which inherits the inputs without pickling and sends
     its results back over a pipe. Every child is joined before this returns
-    or raises.
+    or raises, and exits early if the caller dies first.
     """
     import multiprocessing
 
@@ -261,12 +264,12 @@ def _run_units(graph, train, test, cfg, seeds: list[int]) -> list:
     n_shares = _share_count(len(units))
     shares = [units[k::n_shares] for k in range(n_shares)]
     context = multiprocessing.get_context("fork") if n_shares > 1 else None
-    children = []
+    caller, children = os.getpid(), []
     try:
         for share in shares[1:]:
             receiver, sender = context.Pipe(duplex=False)
             child = context.Process(target=_send_share,
-                                    args=(sender, share, graph, train, test, cfg))
+                                    args=(sender, share, graph, train, test, cfg, caller))
             child.start()
             sender.close()
             children.append((child, receiver))

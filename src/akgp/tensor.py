@@ -753,15 +753,15 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x).sum(axis=-1))
 
 
-def cosine_select(queries: Tensor, table: Tensor, indices,
-                  table_norms: np.ndarray | None = None) -> Tensor:
+def cosine_select(queries: Tensor, table: Tensor, indices) -> Tensor:
     """Cosine similarity between each query row and selected table rows.
 
     ``indices`` has shape (n_queries, k); output[i, j] is the similarity of
     query i with table row indices[i, j]. Gradients flow into both the
     queries and the selected table rows (scatter-added), not through the
-    index choice. ``table_norms``, when given, must be
-    ``row_norms(table.data)``: a constant table's norms, computed once.
+    index choice. The selected rows' norms are taken from the table when it
+    has fewer rows than the selection, and from the selection otherwise: a
+    row's norm has the same bits either way.
     """
     if queries.data.ndim != 2 or table.data.ndim != 2:
         raise ShapeError("cosine_select needs 2-d queries and table")
@@ -776,10 +776,7 @@ def cosine_select(queries: Tensor, table: Tensor, indices,
     q = queries.data
     sel = table.data[idx]                                # (B, k, d)
     nq = row_norms(q)                                    # (B,)
-    if table_norms is None and table.shape[0] < idx.size:
-        # a row's norm has the same bits in the table as in the selection
-        table_norms = row_norms(table.data)
-    ns = row_norms(sel) if table_norms is None else table_norms[idx]  # (B, k)
+    ns = row_norms(table.data)[idx] if table.shape[0] < idx.size else row_norms(sel)  # (B, k)
     dead = (nq[:, None] < COSINE_EPS) | (ns < COSINE_EPS)
     denom = np.maximum(nq[:, None] * ns, COSINE_EPS)
     dots = np.einsum("bd,bkd->bk", q, sel)

@@ -8,11 +8,12 @@ alignment and classification losses with hard top-1 retrieval. Each stage
 starts a fresh optimizer and its own seeded random stream so runs are
 bit-reproducible and resumable from checkpoints. What a stage keeps frozen
 is computed once per stage into the :class:`StageCache` that
-:func:`start_stage` puts in place: the knowledge matrix when the knowledge
-group is frozen, and each example's fused row (and its top-1 retrieval)
-when the encoders are. Both stages run one epoch loop. When a step's fused
-rows and the knowledge are both frozen, its alignment term has no gradient
-and is evaluated ahead of the epoch's steps; otherwise it is on the tape.
+:func:`start_stage` puts in place, and that copies of the run may share:
+the knowledge matrix when the knowledge group is frozen, and each
+example's fused row (and its top-1 retrieval) when the encoders are. Both
+stages run one epoch loop. When a step's fused rows and the knowledge are
+both frozen, its alignment term has no gradient and is evaluated ahead of
+the epoch's steps; otherwise it is on the tape.
 A pretraining step with gold positives encodes only the knowledge rows its
 alignment loss reads, when that pays (see :func:`_loss_rows`).
 """
@@ -86,12 +87,13 @@ FULL_PIPELINE = PipelineVariant()
 
 @dataclass
 class StageCache:
-    """What a stage computes once: the frozen knowledge matrix and its row
-    norms, and a collated dataset's fused rows under frozen encoders, with
-    each row's top-1 node once a step retrieves against frozen knowledge."""
+    """What a stage computes once: the frozen knowledge matrix, and a
+    collated dataset's fused rows under frozen encoders, with each row's
+    top-1 node once a step retrieves against frozen knowledge. These are
+    products of tensors the stage never steps, so copies of a run that hold
+    those tensors bit for bit may share one cache, each filling it for all."""
 
     knowledge: Tensor | None = None  # (n_nodes, d_e)
-    norms: np.ndarray | None = None  # row norms of knowledge
     batch: Batch | None = None  # the collated dataset the rows were encoded from
     fused: np.ndarray | None = None  # (N, d_m)
     retrieved: np.ndarray | None = None  # (N,) int64
@@ -128,7 +130,7 @@ def make_run(cfg: TrainConfig, graph: KnowledgeGraph,
 def start_stage(state: TrainerState, stage: int) -> None:
     """Enter a stage: set trainability, reset the optimizer, reseed the
     stage's random stream, and replace the :class:`StageCache` with one
-    holding the knowledge embeddings and their row norms if they are frozen."""
+    holding the knowledge embeddings if they are frozen."""
     state.stage = stage
     state.epochs_done = 0
     state.opt = AdamState()
@@ -140,7 +142,7 @@ def start_stage(state: TrainerState, stage: int) -> None:
     set_frozen(state.model, frozen)
     if "theta_k" in frozen:  # no input requires grad, so nothing is recorded
         knowledge = encode_knowledge(state.graph, state.model.gnn_params())
-        state.cache = StageCache(knowledge, row_norms(knowledge.data))
+        state.cache = StageCache(knowledge)
     else:
         state.cache = StageCache()
 
@@ -204,10 +206,11 @@ def _encoded_dataset(state: TrainerState, dataset: Batch,
             dataset, encode_rows(model, dataset, batch_size), None)
     if (variant.knowledge == "retrieve" and cache.retrieved is None
             and cache.knowledge is not None):
+        norms = row_norms(cache.knowledge.data)
         cache.retrieved = np.empty(len(dataset), dtype=np.int64)
         for rows in _row_chunks(np.arange(len(dataset)), batch_size):
             cache.retrieved[rows] = batch_top1_indices(
-                cache.fused[rows], cache.knowledge.data, cache.norms)
+                cache.fused[rows], cache.knowledge.data, norms)
     return cache
 
 
@@ -240,10 +243,11 @@ def _task_head(model: ModelParams, knowledge: Tensor, fused: Tensor,
               retrieved: np.ndarray | None = None):
     """The task pipeline after the encoders: knowledge, gate and adaptor.
 
-    Returns (logits, knowledge_vectors, retrieved_indices). The retrieved
-    indices are None unless the variant retrieves; ``retrieved``, when
-    given, is each row's top-1 node, taken earlier against the same
-    knowledge matrix, and a retrieving variant uses it instead of taking it.
+    Returns (logits, retrieved_indices). The retrieved indices are None
+    unless the variant retrieves; ``retrieved``, when given, is each row's
+    top-1 node, taken earlier against the same knowledge matrix, and a
+    retrieving variant uses it instead of taking it. ``knowledge_norms``,
+    when given, must be the matrix's row norms.
     """
     b = fused.shape[0]
     if variant.knowledge == "none":
@@ -264,7 +268,7 @@ def _task_head(model: ModelParams, knowledge: Tensor, fused: Tensor,
     if variant.gate and variant.knowledge != "none":
         integrated = gate_integrate(fused, k_star, model.gate_params())
     logits = adapt_task(integrated, k_star, model.adaptor_params())
-    return logits, k_star, retrieved
+    return logits, retrieved
 
 
 def _check_finite(value: float, step: int, what: str) -> None:
@@ -305,7 +309,7 @@ def _frozen_align_terms(state: TrainerState, steps: list[np.ndarray]) -> list[fl
         negatives = sample_negatives_batch(positives, knowledge.shape[0], cfg.n_negatives,
                                            state.rng, sizes)
         per_row = align_loss_rows(Tensor(cache.fused[index]), knowledge, positives,
-                                  negatives, cfg.tau, cfg.denominator, cache.norms).data
+                                  negatives, cfg.tau, cfg.denominator).data
         if sizes.count(sizes[0]) == len(sizes):  # one row reduction, as np.mean's per step
             terms += per_row.reshape(len(sizes), -1).mean(axis=1).tolist()
         else:
@@ -386,8 +390,8 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
                 fused = Tensor(encoded.fused[rows])
                 retrieved = None if encoded.retrieved is None else encoded.retrieved[rows]
             if finetune:
-                logits, _, retrieved = _task_head(state.model, knowledge, fused, variant,
-                                                  state.cache.norms, retrieved)
+                logits, retrieved = _task_head(state.model, knowledge, fused, variant,
+                                               retrieved=retrieved)
                 task = loss_cls_batch(logits, dataset.labels[rows])
             if fixed_align is not None:
                 align = Tensor(np.asarray(fixed_align[i]))
@@ -401,7 +405,7 @@ def _run_epoch(state: TrainerState, dataset: Batch | list[Example], stage: int,
                     positives = np.searchsorted(rows_read.index, positives)
                     negatives = np.searchsorted(rows_read.index, negatives)
                 align = align_loss_batch(fused, knowledge, positives, negatives,
-                                         cfg.tau, cfg.denominator, state.cache.norms)
+                                         cfg.tau, cfg.denominator)
             _check_finite(align.item(), step, "alignment loss")
             loss = align
             if finetune:
@@ -463,8 +467,8 @@ def evaluate(state: TrainerState, dataset: Batch | list[Example],
     loss_sum, correct, hits, with_gold = 0.0, 0, 0, 0
     for rows in _row_chunks(np.arange(len(dataset)), state.cfg.batch_size):
         batch = dataset.take(rows)
-        logits, _, retrieved = _task_head(state.model, knowledge,
-                                          _encode(state.model, batch), variant, norms)
+        logits, retrieved = _task_head(state.model, knowledge,
+                                       _encode(state.model, batch), variant, norms)
         loss_sum += sum_all(cross_entropy_rows(logits, batch.labels)).item()
         correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
         if retrieved is not None:

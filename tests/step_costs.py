@@ -82,8 +82,8 @@ def _finetune_sections(state, dataset) -> dict[str, float]:
             fused = Tensor(encoded.fused[rows])
             retrieved = encoded.retrieved[rows]
             t1 = clock()
-            logits, _, retrieved = trainer._task_head(state.model, knowledge, fused, variant,
-                                                      state.cache.norms, retrieved)
+            logits, retrieved = trainer._task_head(state.model, knowledge, fused, variant,
+                                                   retrieved=retrieved)
             t2 = clock()
             task = loss_cls_batch(logits, dataset.labels[rows])
             t3 = clock()

@@ -3,7 +3,11 @@
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -216,24 +220,28 @@ def test_shared_cells_equal_from_scratch_oracle(freeze, monkeypatch):
 
 def test_ablation_work_counts(monkeypatch):
     # work-count guard: the seeds share the caller's graph and one collation
-    # of each split, and a seed's pretrained cells share one pretraining
+    # of each split, a seed's pretrained cells share one pretraining, and the
+    # cells of a unit share its fine-tuning stage and its encoded training rows
     usable_cores(monkeypatch, 1)  # calls made in a child are not seen
     cfg = tiny_cfg()
     world = gen_world(cfg.world, cfg.d_i, cfg.world.seed)
     graph = build_graph(world.triples)
     train, test = split_dataset(gen_dataset(world, 60, seed=24))
-    calls = {"build_graph": 0, "pretrain_epoch": 0, "run_cell": 0, "collate": 0}
+    calls = {"build_graph": 0, "pretrain_epoch": 0, "run_cell": 0, "collate": 0,
+             "start_stage": 0, "encode_rows": 0}
     assert not hasattr(synthbench, "build_graph")
     for module, name in [(kg, "build_graph"), (synthbench, "pretrain_epoch"),
                          (synthbench, "run_cell"), (synthbench, "collate"),
-                         (trainer, "collate")]:
+                         (trainer, "collate"), (synthbench, "start_stage"),
+                         (trainer, "encode_rows")]:
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
     run_ablation(graph, train, test, cfg, seeds=[0, 1, 2])
     assert calls == {"build_graph": 0, "pretrain_epoch": 3 * cfg.pretrain_epochs,
-                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 2}
+                     "run_cell": 3 * len(ABLATION_CONFIGS), "collate": 2,
+                     "start_stage": 6, "encode_rows": 6}
 
 
 def _tiny_splits(seed):
@@ -266,11 +274,11 @@ def test_a_failed_cell_raises_the_first_failure_in_the_serial_order(monkeypatch,
     names = {variant: name for name, variant, _ in ABLATION_CONFIGS}
     real_run_cell = synthbench.run_cell
 
-    def failing_cell(state, weights, train_batch, test_batch, variant):
-        cell = (state.cfg.seed, names[variant])
+    def failing_cell(stage, train_batch, test_batch, variant):
+        cell = (stage.cfg.seed, names[variant])
         if cell in failing:
             raise ValueError(f"cell {cell} failed")
-        return real_run_cell(state, weights, train_batch, test_batch, variant)
+        return real_run_cell(stage, train_batch, test_batch, variant)
 
     monkeypatch.setattr(synthbench, "run_cell", failing_cell)
     for cores in (1, 2, 3):
@@ -336,6 +344,68 @@ def test_no_child_outlives_a_dead_child_or_an_interrupted_caller(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
     assert multiprocessing.active_children() == []
+
+
+# a caller of a 2-core ablation on the tiny world whose cells take 0.5 s
+# each; its child prints its pid as each of its 8 cells starts
+SLOW_ABLATION_CALLER = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from akgp import synthbench
+from test_synthbench import _tiny_splits, tiny_cfg
+
+caller, real_run_cell = os.getpid(), synthbench.run_cell
+
+def slow_cell(*args):
+    if os.getpid() != caller:
+        print(os.getpid(), flush=True)
+    time.sleep(0.5)
+    return real_run_cell(*args)
+
+synthbench.run_cell = slow_cell
+os.sched_getaffinity = lambda pid: {0, 1}
+synthbench.run_ablation(*_tiny_splits(30), tiny_cfg(), seeds=[0, 1, 2])
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` has not exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+@pytest.mark.parametrize("signal_number", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["SIGKILL", "SIGTERM"])
+def test_a_forked_share_stops_when_its_caller_is_killed(signal_number):
+    # neither signal lets the caller stop its child, so the child must notice
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(tests), "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    caller = subprocess.Popen([sys.executable, "-c", SLOW_ABLATION_CALLER, tests],
+                              env=env, stdout=subprocess.PIPE, text=True)
+    child = None
+    try:
+        line = caller.stdout.readline()
+        assert line, "the caller printed no child pid"
+        child = int(line)
+        caller.send_signal(signal_number)
+        caller.wait(timeout=60)
+        deadline = time.monotonic() + 2.0  # the child has about 4 s of cells left
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(child)
+    finally:
+        caller.kill()
+        caller.wait(timeout=60)
+        caller.stdout.close()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def test_run_ablation_validation():

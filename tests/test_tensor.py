@@ -264,17 +264,22 @@ def test_backward_rules_skip_inputs_without_grad():
     assert grad_q.shape == (4, 3) and grad_table is None
 
 
-def test_cosine_select_with_table_norms_is_bit_equal():
-    table = rand([7, 4], 5)
-    table.data[3] = 0.0  # a dead row scores 0 either way
+def test_cosine_select_is_bit_equal_from_a_short_or_a_padded_table():
+    # 9 rows are selected: the 7-row table gives their norms from its own,
+    # the same rows padded to 12 from the selection
+    rows = rand([7, 4], 5).data
+    rows[3] = 0.0  # a dead row scores 0 either way
     indices = [[0, 3, 6], [3, 3, 1], [5, 2, 0]]
     outputs = []
-    for norms in (None, row_norms(table.data)):
+    for table_rows in (rows, np.vstack([rows, rand([5, 4], 7).data])):
         queries = Tensor(rand([3, 4], 6).data, requires_grad=True)
+        table = Tensor(table_rows, requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(cosine_select(queries, table, indices, norms))
+            sims = cosine_select(queries, table, indices)
+            loss = sum_all(mul(sims, rand([3, 3], 8)))
         backward(loss, tape)
-        outputs.append((loss.data.tobytes(), queries.grad.tobytes()))
+        outputs.append((sims.data.tobytes(), queries.grad.tobytes(),
+                        table.grad[:7].tobytes()))
     assert outputs[0] == outputs[1]
 
 

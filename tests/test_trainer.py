@@ -1,7 +1,10 @@
 """Stage contracts, freeze guarantees, determinism, and evaluation."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -268,7 +271,7 @@ def test_evaluate_matches_loop_oracle():
     losses = []
     for ex in data:
         batch = collate([ex], cfg.vocab_size, graph.node_index)
-        logits, _, retrieved = trainer._task_head(
+        logits, retrieved = trainer._task_head(
             state.model, knowledge, trainer._encode(state.model, batch), FULL_PIPELINE)
         pred = int(np.argmax(logits.data[0]))
         correct += pred == ex.label
@@ -330,7 +333,7 @@ def finetune_epoch_step_by_step(state, data, variant=FULL_PIPELINE):
         with Tape() as tape:
             knowledge = knowledge_matrix(state)
             fused = trainer._encode(state.model, batch)
-            logits, _, retrieved = trainer._task_head(state.model, knowledge, fused, variant)
+            logits, retrieved = trainer._task_head(state.model, knowledge, fused, variant)
             task = loss_cls_batch(logits, batch.labels)
             align = Tensor(np.asarray(0.0))
             if variant.knowledge == "retrieve" and cfg.lambda1 > 0:
@@ -659,3 +662,13 @@ def test_node_features_too_large_to_load_are_rejected_before_allocation(monkeypa
     monkeypatch.setattr(trainer, "init_model", allocate)
     with pytest.raises(ConfigError, match=r"^d_k: a 2 x 134217729 parameter"):
         make_run(cfg, build_graph([("a", "r", "b")]))
+
+
+def test_step_costs_tool_runs():
+    # tests/step_costs.py copies the fine-tuning epoch loop, so a trainer
+    # change it does not follow breaks it
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "step_costs.py")
+    result = subprocess.run([sys.executable, script, "--repeats", "1"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert len(result.stdout.splitlines()) == 11
