@@ -9,7 +9,7 @@ configurations of increasing knowledge integration on identical data and
 reports per-seed accuracies. Every seed shares one graph and one
 collation of each split, a seed's configurations share its initial model
 and pretraining, the cells of one unit share its fine-tuning stage (see
-:func:`_run_unit`), and the seeds' work is shared out among the usable cores.
+:func:`_run_share`), and the seeds' work is shared out among the usable cores.
 """
 
 from __future__ import annotations
@@ -187,47 +187,40 @@ def _unit_cells(pretrain: bool) -> list[int]:
             if from_pretrained == pretrain]
 
 
-def _run_unit(graph: KnowledgeGraph, train_batch: Batch, test_batch: Batch,
-              cfg: TrainConfig, seed: int, pretrain: bool, accuracies: list[float],
-              caller: int | None) -> None:
-    """Append to ``accuracies`` the test accuracy of each configuration of one
-    seed that starts from the pretrained weights (``pretrain``) or from the
-    initial ones, in the order of :func:`_unit_cells`.
+def _run_share(share, graph, train, test, cfg, caller: int | None = None) -> list:
+    """``(position, accuracy or exception)`` records of the ``(seed index,
+    seed, pretrain)`` units of a share. A position is where one process
+    running the seeds in turn would be: ``(seed index, -1)`` in a seed's
+    set-up and pretraining, then ``(seed index, index in ABLATION_CONFIGS)``.
 
     A unit makes its seed's run from the shared graph and collated splits,
-    pretrains it once (pretraining never reads the variant), enters the
-    fine-tuning stage once, and runs each cell on a copy of that run.
+    pretrains it if it is a chain (pretraining never reads the variant),
+    enters the fine-tuning stage once, at its first cell's position, and
+    runs each cell on a copy of that run. It stops at its first failure. A
+    unit whose seed index is above that of a failure is skipped: it cannot
+    hold the first failure.
     """
-    seed_cfg = replace(cfg, seed=seed)
-    state = make_run(seed_cfg, graph)
-    if pretrain:
-        for _ in range(seed_cfg.pretrain_epochs):
-            pretrain_epoch(state, train_batch)
-    start_stage(state, STAGE_FINETUNE)
-    for ci in _unit_cells(pretrain):
+    records, failed_at = [], None
+    for index, seed, pretrain in share:
         _exit_if_orphaned(caller)
-        accuracies.append(run_cell(state, train_batch, test_batch, ABLATION_CONFIGS[ci][1]))
-
-
-def _run_share(share, graph, train, test, cfg, caller: int | None = None) -> list:
-    """``(unit, accuracies, exception or None)`` for each ``(seed index, seed,
-    pretrain)`` unit of a share. A unit whose seed index is above that of a
-    failed unit is skipped: it cannot hold the first failure."""
-    results, failed_at = [], None
-    for unit in share:
-        _exit_if_orphaned(caller)
-        index, seed, pretrain = unit
         if failed_at is not None and index > failed_at:
             continue
-        accuracies: list[float] = []
+        cells = _unit_cells(pretrain)
+        position = (index, -1 if pretrain else cells[0])
         try:
-            _run_unit(graph, train, test, cfg, seed, pretrain, accuracies, caller)
+            state = make_run(replace(cfg, seed=seed), graph)
+            for _ in range(cfg.pretrain_epochs if pretrain else 0):
+                pretrain_epoch(state, train)
+            position = (index, cells[0])
+            start_stage(state, STAGE_FINETUNE)
+            for ci in cells:
+                _exit_if_orphaned(caller)
+                position = (index, ci)
+                records.append((position, run_cell(state, train, test, ABLATION_CONFIGS[ci][1])))
         except Exception as exc:  # the caller raises the first in the serial order
-            results.append((unit, accuracies, exc))
+            records.append((position, exc))
             failed_at = index
-        else:
-            results.append((unit, accuracies, None))
-    return results
+    return records
 
 
 def _send_share(sender, share, graph, train, test, cfg, caller: int) -> None:
@@ -248,13 +241,13 @@ def _share_count(n_units: int) -> int:
 
 
 def _run_units(graph, train, test, cfg, seeds: list[int]) -> list:
-    """Every unit's result, as :func:`_run_share` gives them.
+    """Every share's records, as :func:`_run_share` gives them.
 
     Each seed is two units: its pretraining chain and its cells from the
     initial weights. The units, longest first, are dealt in turn into one
     share per usable core. The caller works share 0; each other share runs
     in a forked child, which inherits the inputs without pickling and sends
-    its results back over a pipe. Every child is joined before this returns
+    its records back over a pipe. Every child is joined before this returns
     or raises, and exits early if the caller dies first.
     """
     import multiprocessing
@@ -273,10 +266,10 @@ def _run_units(graph, train, test, cfg, seeds: list[int]) -> list:
             child.start()
             sender.close()
             children.append((child, receiver))
-        results = _run_share(shares[0], graph, train, test, cfg)
+        records = _run_share(shares[0], graph, train, test, cfg)
         for child, receiver in children:
             try:
-                results += receiver.recv()
+                records += receiver.recv()
             except EOFError:  # it died without sending
                 child.join()
                 raise RuntimeError(f"ablation worker {child.pid} exited with code "
@@ -288,17 +281,7 @@ def _run_units(graph, train, test, cfg, seeds: list[int]) -> list:
             if child.is_alive():  # the caller was interrupted or a child died
                 child.terminate()
             child.join()
-    return results
-
-
-def _serial_position(unit, accuracies: list[float]) -> tuple[int, int]:
-    """Where a failed unit stopped, in the order one process would run the
-    seeds: each seed's pretraining, then its cells in ``ABLATION_CONFIGS``
-    order."""
-    index, _, pretrain = unit
-    if pretrain and not accuracies:  # in set-up or pretraining
-        return index, -1
-    return index, _unit_cells(pretrain)[len(accuracies)]
+    return records
 
 
 def run_ablation(graph: KnowledgeGraph, train: list[Example],
@@ -307,7 +290,7 @@ def run_ablation(graph: KnowledgeGraph, train: list[Example],
     each seed, on every usable core. Both splits are collated once, against
     ``graph``, for every seed. The rows do not depend on the core count; a
     failure raises the exception that running the seeds one after another
-    in one process would raise."""
+    in one process would raise: the one recorded at the smallest position."""
     if len(seeds) < 3:
         raise ValueError(f"need at least 3 seeds, got {len(seeds)}")
     train_ids = {id(ex) for ex in train}
@@ -316,17 +299,16 @@ def run_ablation(graph: KnowledgeGraph, train: list[Example],
     cfg.validate(graph.n_nodes)  # as every unit's run does first
     train_batch, test_batch = (collate(split, cfg.vocab_size, graph.node_index)
                                for split in (train, test))
-    results = _run_units(graph, train_batch, test_batch, cfg, seeds)
-    failures = [(_serial_position(unit, accs), exc) for unit, accs, exc in results if exc]
+    records = dict(_run_units(graph, train_batch, test_batch, cfg, seeds))
+    failures = [position for position, outcome in records.items()
+                if isinstance(outcome, Exception)]
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    accuracy = {(index, ci): acc for (index, _, pretrain), accs, _ in results
-                for ci, acc in zip(_unit_cells(pretrain), accs)}
+        raise records[min(failures)]
 
     rows: list[AblationRow] = []
     baseline_mean = None
     for ci, (name, _, _) in enumerate(ABLATION_CONFIGS):
-        accs = [accuracy[index, ci] for index in range(len(seeds))]
+        accs = [records[index, ci] for index in range(len(seeds))]
         mean = sum(accs) / len(accs)
         if baseline_mean is None:
             baseline_mean = mean

@@ -210,6 +210,17 @@ def test_resume_keeps_run_log_lines_whose_epoch_is_no_number(workdir, tmp_path, 
     assert [json.loads(line)["epoch"] for line in log] == [1, 2, json.loads(odd)["epoch"], 3]
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_kill_probe_tool_runs():
+    # one trial of tests/kill_probe.py: a command killed at a random time
+    # recovers to the straight run's bytes and leaves no process behind
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "kill_probe.py")
+    result = subprocess.run([sys.executable, script, "--trials", "1"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1] == "1 of 1 trials passed"
+
+
 def _rename(buffers, old, new):
     buffers[new] = buffers.pop(old)
 

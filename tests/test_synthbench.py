@@ -266,27 +266,63 @@ def test_rows_do_not_depend_on_the_core_count(monkeypatch):
     # the child's first failure skips its later unit of seed 2
     ({(2, "baseline"), (1, "full"), (0, "+encoder")}, (0, "+encoder")),
     ({(2, "baseline"), (1, "full")}, (1, "full")),
+    # a chain's first cell comes after its seed's cells from the initial weights
+    ({(0, "+alignment"), (0, "baseline")}, (0, "baseline")),
+    # but its pretraining comes before them
+    ({(1, "pretraining"), (1, "baseline")}, (1, "pretraining")),
+    # a chain enters its fine-tuning stage at its first cell
+    ({(0, "chain's stage"), (0, "+encoder")}, (0, "+encoder")),
 ])
 def test_a_failed_cell_raises_the_first_failure_in_the_serial_order(monkeypatch, failing,
                                                                     first):
     graph, train, test = _tiny_splits(26)
-    # +retrieval and +alignment share a variant, so the cases name neither
+    # +retrieval and +alignment share a variant, so a case naming +alignment
+    # fails +retrieval too
     names = {variant: name for name, variant, _ in ABLATION_CONFIGS}
-    real_run_cell = synthbench.run_cell
 
-    def failing_cell(stage, train_batch, test_batch, variant):
-        cell = (stage.cfg.seed, names[variant])
-        if cell in failing:
-            raise ValueError(f"cell {cell} failed")
-        return real_run_cell(stage, train_batch, test_batch, variant)
+    def failing_at(name_of, real):
+        def stand_in(state, *args):
+            cell = (state.cfg.seed, name_of(state, *args))
+            if cell in failing:
+                raise ValueError(f"cell {cell} failed")
+            return real(state, *args)
+        return stand_in
 
-    monkeypatch.setattr(synthbench, "run_cell", failing_cell)
+    monkeypatch.setattr(synthbench, "run_cell", failing_at(
+        lambda stage, train, test, variant: names[variant], synthbench.run_cell))
+    monkeypatch.setattr(synthbench, "pretrain_epoch", failing_at(
+        lambda *_: "pretraining", synthbench.pretrain_epoch))
+    # a chain enters fine-tuning with its pretraining epochs done
+    monkeypatch.setattr(synthbench, "start_stage", failing_at(
+        lambda state, stage: "chain's stage" if state.epochs_done else None,
+        synthbench.start_stage))
     for cores in (1, 2, 3):
         usable_cores(monkeypatch, cores)
         with pytest.raises(ValueError) as raised:
             run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
         assert str(raised.value) == f"cell {first} failed"
         assert multiprocessing.active_children() == []
+
+
+def test_units_of_a_later_seed_than_a_failure_are_skipped(monkeypatch):
+    # on one core the chains run first, so seed 0's +encoder fails after
+    # every chain and before the cells of seeds 1 and 2 from the initial weights
+    usable_cores(monkeypatch, 1)
+    graph, train, test = _tiny_splits(27)
+    names = {variant: name for name, variant, _ in ABLATION_CONFIGS}
+    real_run_cell, ran = synthbench.run_cell, []
+
+    def failing_cell(stage, train_batch, test_batch, variant):
+        ran.append((stage.cfg.seed, names[variant]))
+        if ran[-1] == (0, "+encoder"):
+            raise ValueError("cell (0, '+encoder') failed")
+        return real_run_cell(stage, train_batch, test_batch, variant)
+
+    monkeypatch.setattr(synthbench, "run_cell", failing_cell)
+    with pytest.raises(ValueError, match=r"\(0, '\+encoder'\)"):
+        run_ablation(graph, train, test, tiny_cfg(), seeds=[0, 1, 2])
+    assert ran == [(seed, name) for seed in (0, 1, 2) for name in ("+alignment", "full")] \
+        + [(0, "baseline"), (0, "+encoder")]
 
 
 def test_units_run_in_forked_children_unless_another_thread_runs(monkeypatch, tmp_path):
